@@ -107,9 +107,7 @@ def main() -> None:
     if port is not None:
         run(os.environ.get("REPRO_SERVER_HOST", "127.0.0.1"), int(port))
         return
-    with ServerThread(
-        Profiler.open(CAPACITY), batch_max=512, linger_ms=1.0
-    ) as server:
+    with ServerThread(Profiler.open(CAPACITY), batch_max=512) as server:
         run(server.host, server.port)
     print("self-hosted server drained and stopped")
 

@@ -111,7 +111,6 @@ SCALES = {
         "serve_clients": (1, 4, 16),
         "serve_wire": 64,
         "serve_batch_max": 512,
-        "serve_linger_ms": 1.0,
         # Codec duel: bulk-transfer frames, sized so per-frame costs
         # amortize and the per-event codec work dominates.
         "serve_codec_events": 262_144,
@@ -122,7 +121,6 @@ SCALES = {
         "cluster_events": 65_536,
         "cluster_wire": 1_024,
         "cluster_batch_max": 1_024,
-        "cluster_linger_ms": 1.0,
         "cluster_snapshot_every": 16,
     },
     "quick": {
@@ -141,14 +139,12 @@ SCALES = {
         "serve_clients": (1, 4, 16),
         "serve_wire": 64,
         "serve_batch_max": 512,
-        "serve_linger_ms": 1.0,
         "serve_codec_events": 131_072,
         "serve_codec_wire": 2_048,
         "cluster_m": 4_096,
         "cluster_events": 16_384,
         "cluster_wire": 1_024,
         "cluster_batch_max": 1_024,
-        "cluster_linger_ms": 1.0,
         "cluster_snapshot_every": 8,
     },
 }
@@ -502,11 +498,12 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
 
     - ``unbatched`` — the RPC-per-event serving model: every event is
       its own wire frame *and* its own engine transaction
-      (``batch_max=1``, no linger);
+      (``batch_max=1``);
     - ``batched`` — the micro-batching pipeline: clients ship
       ``serve_wire`` events per frame and the server coalesces frames
       across clients into vectorized ``ingest`` calls of up to
-      ``serve_batch_max`` events (``serve_linger_ms`` linger).
+      ``serve_batch_max`` events (group commit: whatever queued while
+      the previous flush ran).
 
     **Codec duel** (``serve_codec_events`` events,
     ``serve_codec_wire`` events/frame, numpy only):
@@ -528,7 +525,7 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
     not round-trip stalls.  Everything — server and clients — shares
     one event loop on one core, which is exactly the regime where
     per-frame overhead dominates; the recorded ack latencies (p50/p99,
-    client-side send-to-ack) document the latency price of the linger.
+    client-side send-to-ack) document the latency price of batching.
     Per client count the payload records ``speedup`` (batched JSON vs
     unbatched JSON, the micro-batching win) and ``binary_speedup``
     (binary vs JSON at identical bulk-transfer batching, the codec
@@ -547,7 +544,6 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
     m, n = cfg["serve_m"], cfg["serve_events"]
     counts = tuple(cfg["serve_clients"])
     wire, batch_max = cfg["serve_wire"], cfg["serve_batch_max"]
-    linger = cfg["serve_linger_ms"]
     codec_n = cfg["serve_codec_events"] if np is not None else 0
     codec_wire = cfg["serve_codec_wire"]
     stream = build_stream("stream1", max(n, codec_n), m, seed=seed)
@@ -562,7 +558,7 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
         deltas_i64 = np.where(stream.adds, 1, -1).astype("<i8")
 
     async def run_once(
-        n_clients, n_events, wire_batch, flush_max, linger_ms, codec
+        n_clients, n_events, wire_batch, flush_max, codec
     ):
         profiler = Profiler.open(
             m, backend="flat", array_engine=np is not None
@@ -570,7 +566,6 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
         server = ProfileServer(
             profiler,
             batch_max=flush_max,
-            linger_ms=linger_ms,
             queue_size=4096,
         )
         await server.start()
@@ -619,24 +614,22 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
         return elapsed, latencies, per * n_clients
 
     variants = {
-        "unbatched": (n, 1, 1, 0.0, "json"),
-        "batched": (n, wire, batch_max, linger, "json"),
+        "unbatched": (n, 1, 1, "json"),
+        "batched": (n, wire, batch_max, "json"),
     }
     if np is not None:
         variants["codec_json"] = (
-            codec_n, codec_wire, codec_wire, linger, "json"
+            codec_n, codec_wire, codec_wire, "json"
         )
         variants["binary"] = (
-            codec_n, codec_wire, codec_wire, linger, "binary"
+            codec_n, codec_wire, codec_wire, "binary"
         )
     keys = [(name, c) for c in counts for name in variants]
     best: dict = {}
     for round_no in range(rounds):
         sequence = keys if round_no % 2 == 0 else keys[::-1]
         for key in sequence:
-            n_events, wire_batch, flush_max, linger_ms, codec = variants[
-                key[0]
-            ]
+            n_events, wire_batch, flush_max, codec = variants[key[0]]
             gc.collect()
             was_enabled = gc.isenabled()
             gc.disable()
@@ -647,7 +640,6 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
                         n_events,
                         wire_batch,
                         flush_max,
-                        linger_ms,
                         codec,
                     )
                 )
@@ -693,7 +685,7 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
     out = {
         "workload": (
             f"TCP ingest, m={m}: micro-batched ({n} events, {wire} "
-            f"ev/frame, batch_max={batch_max}, linger={linger}ms) vs "
+            f"ev/frame, batch_max={batch_max}) vs "
             f"unbatched (1 ev/frame, batch_max=1), plus the binary "
             f"codec vs JSON at bulk-transfer knobs ({codec_n} events, "
             f"{codec_wire} ev/frame), clients={list(counts)}"
@@ -701,7 +693,6 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
         "events": n,
         "wire_batch": wire,
         "batch_max": batch_max,
-        "linger_ms": linger,
         "codec_events": codec_n,
         "codec_wire": codec_wire,
         "clients": clients_out,
@@ -764,7 +755,6 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
     m, n = cfg["cluster_m"], cfg["cluster_events"]
     wire = cfg["cluster_wire"]
     batch_max = cfg["cluster_batch_max"]
-    linger = cfg["cluster_linger_ms"]
     snapshot_every = cfg["cluster_snapshot_every"]
     codec = "binary" if np is not None else "json"
 
@@ -805,7 +795,6 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
         server = ProfileServer(
             profiler,
             batch_max=batch_max,
-            linger_ms=linger,
             queue_size=4096,
         )
         await server.start()
@@ -826,7 +815,6 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
             journal_dir=journal_dir,
             port=0,
             batch_max=batch_max,
-            linger_ms=linger,
         )
         await router.start()
         client = await AsyncProfileClient.connect(
@@ -837,7 +825,7 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
         await router.stop()
         return elapsed
 
-    serve_args = ["--batch-max", str(batch_max), "--linger-ms", str(linger)]
+    serve_args = ["--batch-max", str(batch_max)]
     if np is not None:
         serve_args.append("--array-engine")
 
@@ -903,7 +891,6 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
                     journal_dir=wal_dir,
                     port=0,
                     batch_max=batch_max,
-                    linger_ms=linger,
                     lease_interval=0.1,
                 )
                 await primary.start()
@@ -923,7 +910,6 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
                     snapshot_every=snapshot_every,
                     port=0,
                     batch_max=batch_max,
-                    linger_ms=linger,
                 )
                 await standby.start()
                 down_start = perf_counter()
@@ -951,7 +937,6 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
                     journal_dir=wal_dir,
                     port=0,
                     batch_max=batch_max,
-                    linger_ms=linger,
                 )
                 await router.start()
                 client = await AsyncProfileClient.connect(
@@ -1055,7 +1040,7 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
         "workload": (
             f"replicated TCP ingest, m={m}: router + replica "
             f"subprocesses vs direct serve ({n} events, {wire} "
-            f"ev/frame, batch_max={batch_max}, linger={linger}ms, "
+            f"ev/frame, batch_max={batch_max}, "
             f"snapshot_every={snapshot_every}, codec={codec}, "
             f"replicas={sorted(replica_counts)}) + fsync WAL duel "
             f"at r{max_r}"
@@ -1063,7 +1048,6 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
         "events": n,
         "wire_batch": wire,
         "batch_max": batch_max,
-        "linger_ms": linger,
         "snapshot_every": snapshot_every,
         "codec": codec,
         "cpus": os.cpu_count() or 1,

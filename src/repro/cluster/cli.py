@@ -105,20 +105,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot-every",
         type=int,
         default=64,
-        help="journal depth (wire batches) that triggers a replica "
-        "snapshot + journal truncation (default: 64)",
+        help="snapshot a partition (replica checkpoint + journal "
+        "truncation) once its journal holds at least this many wire "
+        "batches AND at least the partition's capacity in events, so "
+        "an O(m_p) snapshot costs O(1) per event; crash replay stays "
+        "bounded by max(this many batches, m_p events) (default: 64)",
     )
     parser.add_argument(
         "--batch-max",
         type=int,
         default=512,
-        help="router micro-batch flush threshold (default: 512)",
-    )
-    parser.add_argument(
-        "--linger-ms",
-        type=float,
-        default=1.0,
-        help="router micro-batch linger (default: 1.0)",
+        help="most events per router flush; the flusher takes "
+        "whatever queued while it was busy, up to this many "
+        "(default: 512)",
     )
     parser.add_argument(
         "--queue-size",
@@ -338,7 +337,6 @@ async def _amain(args: argparse.Namespace, workdir: str) -> int:
             host=args.host,
             port=args.port,
             batch_max=args.batch_max,
-            linger_ms=args.linger_ms,
             queue_size=args.queue_size,
             max_frame=args.max_frame,
             binary=args.codec == "binary",
@@ -453,7 +451,6 @@ async def _amain_standby(args: argparse.Namespace, workdir: str) -> int:
         host=args.host,
         port=args.port,
         batch_max=args.batch_max,
-        linger_ms=args.linger_ms,
         queue_size=args.queue_size,
         max_frame=args.max_frame,
         binary=args.codec == "binary",

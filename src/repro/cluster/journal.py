@@ -125,7 +125,9 @@ class JournalEntry:
 class PartitionJournal:
     """Seq-ordered post-snapshot wire batches for one partition."""
 
-    __slots__ = ("partition", "_entries", "snapshot_seq", "appended_total")
+    __slots__ = (
+        "partition", "_entries", "snapshot_seq", "appended_total", "events"
+    )
 
     def __init__(self, partition: int) -> None:
         self.partition = partition
@@ -135,6 +137,8 @@ class PartitionJournal:
         #: implicit snapshot every replica process boots with).
         self.snapshot_seq = 0
         self.appended_total = 0
+        #: events held on the tape (the replay cost a snapshot saves)
+        self.events = 0
 
     def append(self, seq: int, ids, deltas) -> JournalEntry:
         """Record one partitioned wire batch (before it is sent)."""
@@ -146,6 +150,7 @@ class PartitionJournal:
         entry = JournalEntry(seq, ids, deltas)
         self._entries.append(entry)
         self.appended_total += 1
+        self.events += len(entry)
         return entry
 
     def entries(self) -> Iterator[JournalEntry]:
@@ -167,6 +172,7 @@ class PartitionJournal:
             )
         retired = len(self._entries)
         self._entries = []
+        self.events = 0
         self.snapshot_seq = max(self.snapshot_seq, snapshot_seq)
         return retired
 
@@ -197,6 +203,7 @@ class PartitionJournal:
 _SEGMENT_MAGIC_V1 = b"RWAL0001"
 _SEGMENT_MAGIC = b"RWAL0002"
 _SEGMENT_EPOCH = struct.Struct("<Q")
+_SEGMENT_HEAD = len(_SEGMENT_MAGIC) + _SEGMENT_EPOCH.size
 
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 _ENTRY_HEAD = struct.Struct("<BIQI")  # type, partition, seq, count
@@ -230,8 +237,12 @@ def _unpack_i64(buf: bytes):
 def _atomic_write_json(path: Path, payload: dict) -> None:
     """tmp + fsync + rename: readers see the old file or the new one."""
     tmp = path.with_name(path.name + ".tmp")
+    # One dumps + one write: json.dump streams through the pure-Python
+    # encoder chunk by chunk, while dumps runs the C encoder.  Same
+    # bytes either way.
+    text = json.dumps(payload, separators=(",", ":"))
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
+        fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -260,14 +271,30 @@ def _read_json(path: Path) -> dict | None:
     return payload
 
 
+def _header_unwritten(data: bytes) -> bool:
+    """Is ``data`` the head of a segment whose header is not out yet?
+
+    The writer creates a segment file and buffers its header until the
+    first flush, so a reader can meet an empty file or a prefix of the
+    v2 header.  Only such prefixes qualify: a full-length head with the
+    wrong magic is not a WAL segment, and a complete v1 magic is a
+    whole (v1) header.
+    """
+    if len(data) >= _SEGMENT_HEAD or data.startswith(_SEGMENT_MAGIC_V1):
+        return False
+    magic = data[: len(_SEGMENT_MAGIC)]
+    return _SEGMENT_MAGIC.startswith(magic) or _SEGMENT_MAGIC_V1.startswith(
+        magic
+    )
+
+
 def _segment_header(data: bytes, name: str) -> tuple[int, int]:
     """Return ``(epoch, header_length)`` for a segment's first bytes."""
     if data[: len(_SEGMENT_MAGIC)] == _SEGMENT_MAGIC:
-        head = len(_SEGMENT_MAGIC) + _SEGMENT_EPOCH.size
-        if len(data) < head:
+        if len(data) < _SEGMENT_HEAD:
             raise CheckpointError(f"{name} is shorter than its header")
         (epoch,) = _SEGMENT_EPOCH.unpack_from(data, len(_SEGMENT_MAGIC))
-        return epoch, head
+        return epoch, _SEGMENT_HEAD
     if data[: len(_SEGMENT_MAGIC_V1)] == _SEGMENT_MAGIC_V1:
         return 0, len(_SEGMENT_MAGIC_V1)
     raise CheckpointError(f"{name} is not a WAL segment (bad magic)")
@@ -393,8 +420,9 @@ class RouterWal:
         The WAL directory (created if missing): ``wal-<n>.log``
         segments plus one ``snapshot-p<p>.json`` per partition.
     segment_bytes:
-        Rotation threshold: an append that finds the current segment
-        at or past this size seals it and opens the next.  Small
+        Rotation threshold: the first append after a sync that finds
+        the current segment at or past this size seals it and opens
+        the next (a flush never straddles two segments).  Small
         enough that truncation (whole-segment deletion once snapshots
         cover it) keeps disk bounded; large enough that rotation is
         rare on the hot path.
@@ -428,6 +456,11 @@ class RouterWal:
         self._sync = bool(sync)
         self._reader_ttl = float(reader_ttl)
         self._file = None
+        #: framed records appended since the last sync: they reach the
+        #: file in one write inside sync(), so a process that dies
+        #: mid-flush leaves none of that flush behind — never half a
+        #: wire batch split across partitions.
+        self._pending: list[bytes] = []
         self._next_index = 1
         self._segments: list[_SegmentMeta] = []
         self._current: _SegmentMeta | None = None
@@ -525,11 +558,15 @@ class RouterWal:
         for seg_path in segments:
             index = int(seg_path.stem.split("-")[1])
             self._next_index = max(self._next_index, index + 1)
+            with open(seg_path, "rb") as fh:
+                head = fh.read(_SEGMENT_HEAD)
+            if _header_unwritten(head):
+                # Created, then the writer died before its first flush:
+                # the file holds no record, let alone an acked one.
+                seg_path.unlink(missing_ok=True)
+                continue
             if fence_epoch:
-                epoch, _head = _segment_header(
-                    seg_path.read_bytes()[: len(_SEGMENT_MAGIC) + 8],
-                    seg_path.name,
-                )
+                epoch, _head = _segment_header(head, seg_path.name)
                 if index in cuts:
                     scan.append((seg_path, index, cuts[index]))
                     continue
@@ -744,13 +781,14 @@ class RouterWal:
 
     # -- appending -----------------------------------------------------
 
-    def _writer(self):
+    def _writer(self) -> None:
+        # Rotate only between syncs: a flush's records never straddle
+        # two segments, and none reaches the file before sync().
         if self._file is None or self._current is None:
             self._open_segment()
-        elif self._file.tell() >= self._segment_bytes:
+        elif not self._pending and self._file.tell() >= self._segment_bytes:
             self._seal_segment()
             self._open_segment()
-        return self._file
 
     def _open_segment(self) -> None:
         self._check_fence()
@@ -768,7 +806,13 @@ class RouterWal:
         self.stats["segments_created"] += 1
         self._fsync_dir()
 
+    def _write_pending(self) -> None:
+        if self._pending:
+            self._file.write(b"".join(self._pending))
+            self._pending = []
+
     def _seal_segment(self) -> None:
+        self._write_pending()
         self._file.flush()
         if self._sync:
             os.fsync(self._file.fileno())
@@ -778,8 +822,10 @@ class RouterWal:
 
     def _append(self, payload: bytes) -> None:
         fault_point_sync("wal.append")
-        fh = self._writer()
-        fh.write(_FRAME.pack(len(payload), zlib.crc32(payload)) + payload)
+        self._writer()
+        self._pending.append(
+            _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+        )
         self._dirty = True
         self.stats["records"] += 1
         self.stats["bytes"] += _FRAME.size + len(payload)
@@ -833,6 +879,7 @@ class RouterWal:
             return
         self._check_fence()
         fault_point_sync("wal.sync")
+        self._write_pending()
         self._file.flush()
         if self._sync:
             os.fsync(self._file.fileno())
@@ -1211,6 +1258,18 @@ class RouterWal:
         if self._file is not None:
             self._seal_segment()
 
+    def abandon(self) -> None:
+        """Close as a killed process would: unsynced records are lost.
+
+        Nothing appended since the last :meth:`sync` was acked, so
+        dropping it is exactly what ``kill -9`` does to the log.
+        """
+        self._pending = []
+        if self._file is not None:
+            self._file.close()
+            self._file = None
+            self._current = None
+
     def __enter__(self) -> "RouterWal":
         return self
 
@@ -1372,9 +1431,11 @@ class WalTail:
         with fh:
             offset = self._offsets.get(index)
             if offset is None:
-                head_bytes = fh.read(
-                    len(_SEGMENT_MAGIC) + _SEGMENT_EPOCH.size
-                )
+                head_bytes = fh.read(_SEGMENT_HEAD)
+                if _header_unwritten(head_bytes):
+                    # Created but not flushed yet: nothing to read, and
+                    # no offset cached, so the next poll re-reads it.
+                    return 0, False
                 epoch, offset = _segment_header(head_bytes, path.name)
                 self._epochs[index] = epoch
                 self._metas[index] = _SegmentMeta(path, index)

@@ -15,9 +15,10 @@ flush *does*: instead of one engine call, the router
    ``journal_dir`` is configured, to the fsync'd
    :class:`~repro.cluster.journal.RouterWal` (one fsync per flush,
    before any fan-out byte);
-2. fans one merged sub-batch per partition out to the replicas over
-   the negotiated codec (binary where both ends support it) and
-   awaits their acks — bounded by ``replica_timeout`` when set;
+2. pipelines each partition's sub-batches to its replica over the
+   negotiated codec (binary where both ends support it): every
+   sub-batch is sent, then the acks are gathered — one round trip per
+   partition per flush, bounded by ``replica_timeout`` when set;
 3. acks its own clients — per connection, in pipeline order, exactly
    like the base server.
 
@@ -142,9 +143,12 @@ class ClusterRouter(ProfileServer):
         Codec negotiated with replicas (``"auto"``: binary where both
         ends support it).
     snapshot_every:
-        Journal depth (wire batches) that triggers a partition
-        snapshot + journal truncation.  The bound on replay length
-        and on router memory.
+        The batch floor of the snapshot rule: partition ``p`` is
+        checkpointed (and its journal truncated) once its journal
+        holds at least this many wire batches *and* at least
+        ``partition_capacity(m, p, n)`` events (see
+        :meth:`_snapshot_due`).  Replay length and router memory stay
+        bounded by max(``snapshot_every`` batches, m_p events).
     recover_attempts:
         Connect-restore-replay cycles before a partition is declared
         lost (an exception that stops the router).  ``None`` retries
@@ -498,7 +502,7 @@ class ClusterRouter(ProfileServer):
             client.abort()
         self._clients.clear()
         if self._wal is not None:
-            self._wal.close()
+            self._wal.abandon()
         if self._stopped is not None:
             self._stopped.set()
 
@@ -541,7 +545,14 @@ class ClusterRouter(ProfileServer):
             codec=self._replica_codec,
             max_frame=self._max_frame,
             reconnect=True,
-            max_attempts=8,
+            # Under a supervisor a refused dial means the process is
+            # dying: go back to ensure_replica (which respawns it)
+            # instead of backing off on a dead port.
+            max_attempts=8 if self._supervisor is None else 2,
+            # A dropped link means restore + replay (_recover), at
+            # once: a transparent redial would first sit out the dial
+            # backoff, then skip the restore.
+            redial=False,
         )
         hello = client.hello
         expected = partition_capacity(self.capacity, p, n)
@@ -632,10 +643,9 @@ class ClusterRouter(ProfileServer):
                 if snapshot is None:
                     snapshot = self._empty_state(p, client.hello)
                 await client.restore(snapshot, recovering=True)
-                replayed = 0
-                for entry in journal.entries():
-                    await self._send_batch(client, entry.ids, entry.deltas)
-                    replayed += 1
+                tape = [(e.ids, e.deltas) for e in journal.entries()]
+                await self._send_chunks(client, tape)
+                replayed = len(tape)
                 await client.resume()
                 self.cluster_stats["replayed_batches"] += replayed
                 self._clients[p] = client
@@ -768,15 +778,39 @@ class ClusterRouter(ProfileServer):
             wal.sync()
 
     @staticmethod
-    async def _send_batch(client: AsyncProfileClient, ids, deltas) -> int:
-        """One partitioned column pair -> one replica ingest."""
+    async def _send_batch(client: AsyncProfileClient, ids, deltas):
+        """One partitioned column pair -> one replica ingest, sent.
+
+        Returns the pending ack (a future): callers send a whole run
+        of chunks before awaiting any of them.
+        """
         if client.codec == "binary":
-            return await client.ingest((ids, deltas))
+            return await client.ingest((ids, deltas), wait=False)
         ids = ids.tolist() if hasattr(ids, "tolist") else list(ids)
         deltas = (
             deltas.tolist() if hasattr(deltas, "tolist") else list(deltas)
         )
-        return await client.ingest(list(zip(ids, deltas)))
+        return await client.ingest(list(zip(ids, deltas)), wait=False)
+
+    @classmethod
+    async def _send_chunks(cls, client, chunks) -> None:
+        """Pipeline ``chunks`` to one replica, then gather the acks.
+
+        One round trip per partition per flush instead of one per
+        chunk; the replica's group commit coalesces what arrives
+        together.  Chunks stay separate wire batches (the replica's
+        planner keeps their coalesced flush sequential-equivalent).
+        Acks still pending when a send fails or the round is cancelled
+        are cancelled, so a lost connection leaves no orphan futures.
+        """
+        acks = []
+        try:
+            for ids, deltas in chunks:
+                acks.append(await cls._send_batch(client, ids, deltas))
+            await asyncio.gather(*acks)
+        finally:
+            for ack in acks:
+                ack.cancel()
 
     # -- the flusher: partition, journal, fan out, ack ------------------
 
@@ -903,8 +937,24 @@ class ClusterRouter(ProfileServer):
         if traced:
             await self._trace_flush(traced)
         for p in sorted(touched):
-            if len(self._journals[p]) >= self._snapshot_every:
+            if self._snapshot_due(p):
                 await self._snapshot(p)
+
+    def _snapshot_due(self, p: int) -> bool:
+        """Has partition ``p``'s journal earned an O(m_p) snapshot?
+
+        Both floors must hold: ``snapshot_every`` wire batches, and as
+        many journalled events as the partition has keys.  A snapshot
+        costs Theta(m_p) (checkpoint, encode, fsync), so paying it at
+        most once per m_p events keeps it O(1) per event, while replay
+        after a crash stays within max(``snapshot_every`` batches,
+        m_p events) — the same order of work as the restore itself.
+        """
+        journal = self._journals[p]
+        return len(journal) >= self._snapshot_every and (
+            journal.events
+            >= partition_capacity(self.capacity, p, self._n_parts)
+        )
 
     async def _trace_flush(self, traced) -> None:
         """Stamp traced batches into the span log and the replicas.
@@ -973,10 +1023,6 @@ class ClusterRouter(ProfileServer):
             self._trip(p)
         except (ConnectionError, OSError):
             await self._replica_failed(p)
-
-    async def _send_chunks(self, client, chunks) -> None:
-        for ids, deltas in chunks:
-            await self._send_batch(client, ids, deltas)
 
     async def _commit_strict(self, seq: int, parts: dict) -> None:
         """One all-or-nothing wire batch across ``parts`` (2PC).
@@ -1228,11 +1274,11 @@ class ClusterRouter(ProfileServer):
         while True:
             progress = False
             for q, client in mig["clients"].items():
-                pending = mig["pending"][q]
-                while mig["consumed"][q] < len(pending):
-                    ids, deltas = pending[mig["consumed"][q]]
-                    await self._send_batch(client, ids, deltas)
-                    mig["consumed"][q] += 1
+                start = mig["consumed"][q]
+                chunks = mig["pending"][q][start:]
+                if chunks:
+                    await self._send_chunks(client, chunks)
+                    mig["consumed"][q] = start + len(chunks)
                     progress = True
             if not progress:
                 return

@@ -152,6 +152,9 @@ class StandbyRouter:
         self._router_kwargs = dict(router_kwargs)
         self._tail: WalTail | None = None
         self._watch_task: asyncio.Task | None = None
+        #: the watch loop's in-flight tail poll (a worker thread, which
+        #: cancelling the loop does not stop)
+        self._polling: asyncio.Future | None = None
         self._promote_lock = asyncio.Lock()
         self._promoted = asyncio.Event()
         self._stopped = False
@@ -185,7 +188,11 @@ class StandbyRouter:
             await asyncio.sleep(self._poll_interval)
             tail = self._tail
             behind = tail.last_seq
-            await asyncio.to_thread(tail.poll)
+            self._polling = asyncio.ensure_future(
+                asyncio.to_thread(tail.poll)
+            )
+            await asyncio.shield(self._polling)
+            self._polling = None
             if self._obs.enabled:
                 # Replay lag at poll time: how many acked batches the
                 # shadow state was behind when this poll caught it up.
@@ -197,6 +204,13 @@ class StandbyRouter:
             self.promote_reason = reason
             await self.promote()
             return
+
+    async def _settle_poll(self) -> None:
+        """Wait out the poll thread of a cancelled watch loop."""
+        polling, self._polling = self._polling, None
+        if polling is not None:
+            with contextlib.suppress(Exception):
+                await polling
 
     async def _primary_dead(self) -> str | None:
         """The two-signal death verdict (None = leave the primary be)."""
@@ -263,6 +277,7 @@ class StandbyRouter:
                 with contextlib.suppress(asyncio.CancelledError):
                     await watcher
                 self._watch_task = None
+                await self._settle_poll()
             await fault_point("standby.promote")
             t0 = time.monotonic()
             tail = self._tail
@@ -388,6 +403,8 @@ class StandbyRouter:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._watch_task
             self._watch_task = None
+        # A poll still running would rewrite the cursor just removed.
+        await self._settle_poll()
         if self.router is not None:
             await self.router.stop()
         elif self._tail is not None:

@@ -9,7 +9,7 @@ Serve a 100k-key dense universe on the flat engine::
 Sharded backend, fixed port, aggressive micro-batching::
 
     python -m repro.serve --capacity 1000000 --shards 8 --port 7421 \\
-        --batch-max 2048 --linger-ms 5
+        --batch-max 2048
 
 The server prints one ``listening on HOST:PORT`` line once bound
 (``--port 0`` picks a free port; ``--port-file`` additionally writes
@@ -124,14 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-max",
         type=int,
         default=512,
-        help="flush a micro-batch at this many coalesced events "
+        help="most coalesced events per flush; the flusher takes "
+        "whatever queued while it was busy, up to this many "
         "(1 disables micro-batching; default: 512)",
-    )
-    parser.add_argument(
-        "--linger-ms",
-        type=float,
-        default=1.0,
-        help="max wait for a non-full micro-batch (default: 1.0)",
     )
     parser.add_argument(
         "--queue-size",
@@ -235,7 +230,6 @@ async def _amain(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             batch_max=args.batch_max,
-            linger_ms=args.linger_ms,
             queue_size=args.queue_size,
             write_timeout=args.write_timeout,
             max_frame=args.max_frame,
@@ -250,8 +244,7 @@ async def _amain(args: argparse.Namespace) -> int:
             f"listening on {server.host}:{server.port} "
             f"(backend={profiler.backend_name}, strategy="
             f"{server.strategy}, codecs={','.join(codecs)}, "
-            f"batch_max={args.batch_max}, "
-            f"linger_ms={args.linger_ms:g})",
+            f"batch_max={args.batch_max})",
             event="listening",
             host=server.host,
             port=server.port,

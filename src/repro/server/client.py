@@ -243,6 +243,7 @@ class AsyncProfileClient:
         backoff_jitter: float = 0.5,
         backoff_rng=None,
         trace: bool | str | None = None,
+        redial: bool | None = None,
     ) -> "AsyncProfileClient":
         """Open a connection, consume the server hello, negotiate codec.
 
@@ -254,7 +255,11 @@ class AsyncProfileClient:
         random source) — giving up with :class:`ConnectionError` after
         ``max_attempts`` tries.  Negotiation errors
         (:class:`ProtocolError`) are configuration problems and never
-        retried.
+        retried.  ``redial=False`` keeps the retrying first dial but
+        makes a later request on a dropped connection raise
+        :class:`ConnectionError` at once instead of redialing (the
+        cluster router's replica links: a lost replica is restored and
+        replayed, never silently reconnected).
 
         ``endpoints=[(host, port), ...]`` replaces the single address
         with a failover list: each endpoint gets the full dial policy
@@ -287,7 +292,7 @@ class AsyncProfileClient:
             endpoints=eps,
             want_codec=codec,
             max_frame=max_frame,
-            reconnect=reconnect,
+            reconnect=reconnect if redial is None else redial,
             backoff_base=backoff_base,
             backoff_max=backoff_max,
             max_attempts=max_attempts,

@@ -8,10 +8,12 @@ The write path is a **micro-batching pipeline**:
    one bounded :class:`asyncio.Queue` (the bound is the backpressure
    valve — a full queue stops the reader, which stops reading the
    socket, which stalls the sender through TCP flow control);
-2. a single flusher task coalesces queued wire batches — up to
-   ``batch_max`` events or ``linger_ms`` of waiting, whichever first —
-   into **one** engine ``ingest()`` call, so the per-event cost on the
-   hot path is the facade's vectorized batch machinery instead of a
+2. a single flusher task **group-commits**: whenever it is free it
+   takes every wire batch already queued, up to ``batch_max`` events,
+   into **one** engine ``ingest()`` call.  There is no timer — batches
+   form on their own while the previous flush applies, fsyncs or fans
+   out, so a lone batch on an idle server leaves at once and a loaded
+   server rides the facade's vectorized batch machinery instead of a
    per-request engine transaction;
 3. acks are written per request (pipelining clients match them by id),
    but grouped into one socket write per connection per flush.
@@ -450,14 +452,11 @@ class ProfileServer:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port` after :meth:`start`).
     batch_max:
-        Flush as soon as this many *events* (not wire batches) are
-        coalesced.  ``1`` disables micro-batching — every wire batch
-        becomes its own engine call (the unbatched baseline of the
-        ``serve`` perf trajectory).
-    linger_ms:
-        How long a non-full flush may wait for more arrivals.  The
-        throughput/latency dial: 0 acks as fast as possible, a few ms
-        rides the vectorized batch path at light load too.
+        Most *events* (not wire batches) one flush takes from the
+        queue; a single wire batch larger than this flushes alone.
+        ``1`` disables micro-batching — every wire batch becomes its
+        own engine call (the unbatched baseline of the ``serve`` perf
+        trajectory).
     queue_size:
         Bound of the ingest queue, in pipeline items; the backpressure
         valve for writers.
@@ -487,7 +486,6 @@ class ProfileServer:
         host: str = "127.0.0.1",
         port: int = 0,
         batch_max: int = 512,
-        linger_ms: float = 1.0,
         queue_size: int = 4096,
         write_timeout: float = 30.0,
         max_frame: int = DEFAULT_MAX_FRAME,
@@ -498,15 +496,12 @@ class ProfileServer:
     ) -> None:
         if batch_max < 1:
             raise CapacityError(f"batch_max must be >= 1, got {batch_max}")
-        if linger_ms < 0:
-            raise CapacityError(f"linger_ms must be >= 0, got {linger_ms}")
         if queue_size < 1:
             raise CapacityError(f"queue_size must be >= 1, got {queue_size}")
         self._profiler = profiler
         self._host = host
         self._bind_port = port
         self._batch_max = batch_max
-        self._linger = linger_ms / 1000.0
         self._queue_size = queue_size
         self._write_timeout = write_timeout
         self._max_frame = max_frame
@@ -531,9 +526,6 @@ class ProfileServer:
         self._obs_ingest_events = self._obs.counter("server.ingest.events")
         self._obs_flush_events = self._obs.histogram(
             "server.flush.events", bounds=SIZE_BOUNDS
-        )
-        self._obs_flush_linger = self._obs.histogram(
-            "server.flush.linger_ms"
         )
         self._obs_queue_wait = self._obs.histogram("server.queue.wait_ms")
         self._obs_queue_depth = self._obs.gauge("server.queue.depth")
@@ -926,49 +918,40 @@ class ProfileServer:
     # -- the flusher ---------------------------------------------------
 
     async def _flush_loop(self) -> None:
+        """Group commit: flush whatever queued while the last flush ran.
+
+        The flusher never waits for a batch to fill.  Once free, it
+        takes the wire batches already queued — stopping before the
+        one that would push the flush past ``batch_max`` events — and
+        flushes them as one.  A non-ingest item ends the group: it is
+        a barrier, executed after the flush it follows.
+        """
         queue = self._queue
-        loop = asyncio.get_running_loop()
         batch_max = self._batch_max
-        linger = self._linger
-        pending: list[_Item] = []
-        pending_events = 0
-        deadline = 0.0
         item: _Item | None = None
         while True:
             if item is None:
                 item = await queue.get()
             if item.kind == "stop":
-                await self._flush(pending)
                 return
-            if item.kind == "ingest":
-                if not pending:
-                    deadline = loop.time() + linger
-                pending.append(item)
-                pending_events += len(item.data)
-                item = None
-                if pending_events < batch_max:
-                    try:
-                        item = queue.get_nowait()
-                        continue
-                    except asyncio.QueueEmpty:
-                        timeout = deadline - loop.time()
-                        if timeout > 0:
-                            try:
-                                item = await asyncio.wait_for(
-                                    queue.get(), timeout
-                                )
-                                continue
-                            except asyncio.TimeoutError:
-                                pass
-                await self._flush(pending)
-                pending = []
-                pending_events = 0
-            else:
-                await self._flush(pending)
-                pending = []
-                pending_events = 0
+            if item.kind != "ingest":
                 await self._execute(item)
                 item = None
+                continue
+            group = [item]
+            events = len(item.data)
+            item = None
+            while events < batch_max:
+                try:
+                    nxt = queue.get_nowait()
+                except asyncio.QueueEmpty:
+                    break
+                if nxt.kind != "ingest" or events + len(nxt.data) > batch_max:
+                    item = nxt  # starts the next round
+                    break
+                group.append(nxt)
+                events += len(nxt.data)
+            await self._flush(group)
 
     async def _flush(self, batch: list[_Item]) -> None:
         """Apply one coalesced flush and ack every wire batch in it."""
@@ -1048,19 +1031,14 @@ class ProfileServer:
             await conn.send(self._pack_acks(conn, acks))
 
     def _observe_flush(self, batch: list[_Item], n_events: int) -> None:
-        """Record one coalesced flush: size/linger histograms, per-item
-        queue waits, and spans for traced connections.  Called only
-        when obs is enabled, so the disabled hot path pays one bool."""
+        """Record one coalesced flush: size histogram, per-item queue
+        waits, and spans for traced connections.  Called only when obs
+        is enabled, so the disabled hot path pays one bool."""
         now = asyncio.get_running_loop().time()
         self._obs_ingest_batches.inc(len(batch))
         self._obs_ingest_events.inc(n_events)
         self._obs_flush_events.observe(n_events)
         self._obs_queue_depth.set(self._queue.qsize() if self._queue else 0)
-        first = batch[0].t_enq
-        if first:
-            # Coalesce window: how long the oldest wire batch waited
-            # from enqueue to flush (queue wait + linger).
-            self._obs_flush_linger.observe((now - first) * 1000.0)
         spans = self._obs.spans
         for item in batch:
             if not item.t_enq:
@@ -1484,7 +1462,6 @@ class ProfileServer:
             "strategy": self._strategy,
             "codecs": ["json", "binary"] if self._binary else ["json"],
             "batch_max": self._batch_max,
-            "linger_ms": self._linger * 1000.0,
             "queue_size": self._queue_size,
             "write_timeout": self._write_timeout,
             "seq": self._seq,

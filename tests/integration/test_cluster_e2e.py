@@ -66,7 +66,6 @@ class TestKillOneReplica:
                 snapshot_every=8,
                 port=0,
                 batch_max=16,
-                linger_ms=1.0,
             )
             await router.start()
             client = await AsyncProfileClient.connect(
@@ -160,7 +159,6 @@ class TestTracePropagation:
                 supervisor=supervisor,
                 port=0,
                 batch_max=16,
-                linger_ms=1.0,
             )
             await router.start()
             client = await AsyncProfileClient.connect(

@@ -25,7 +25,8 @@ import asyncio
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Profiler
@@ -35,6 +36,7 @@ from repro.testing.faults import FaultSchedule, arm, disarm
 
 from test_prop_cluster_equivalence import (
     DASHBOARD,
+    FULL4,
     InProcessSupervisor,
     assert_dashboard_matches,
 )
@@ -58,7 +60,8 @@ async def drive_with_router_crashes(
 ):
     """Pipeline ``batches`` through a WAL-backed router under an armed
     crash schedule; if the router dies, cold-boot a new one on the same
-    directory.  Returns (statuses, recovered frequencies, answers)."""
+    directory.  Returns (crashed, statuses, recovered frequencies,
+    answers, snapshots taken by both routers)."""
     supervisor = await InProcessSupervisor(m, n_parts).start()
     router = ClusterRouter(
         m,
@@ -67,7 +70,6 @@ async def drive_with_router_crashes(
         journal_dir=wal_dir,
         port=0,
         batch_max=4,
-        linger_ms=1.0,
     )
     await router.start()
     client = await AsyncProfileClient.connect(router.host, router.port)
@@ -111,13 +113,16 @@ async def drive_with_router_crashes(
         journal_dir=wal_dir,
         port=0,
         batch_max=4,
-        linger_ms=1.0,
     )
     await router2.start()
     client2 = await AsyncProfileClient.connect(router2.host, router2.port)
     try:
         state = await client2.checkpoint()
         answers = await client2.evaluate(*DASHBOARD)
+        snapshots = (
+            router.cluster_stats["snapshots"]
+            + router2.cluster_stats["snapshots"]
+        )
     finally:
         await client2.aclose()
         await router2.stop()
@@ -128,7 +133,7 @@ async def drive_with_router_crashes(
         frequencies = restored.frequencies()
     finally:
         restored.close()
-    return crashed, statuses, frequencies, answers
+    return crashed, statuses, frequencies, answers, snapshots
 
 
 def candidate_reference(m, batches, statuses, k):
@@ -183,9 +188,20 @@ def test_router_crash_schedule_loses_no_acked_event(
         actions=("crash", "crash", 0.001),
         max_occurrence=8,
     )
+    snapshots = check_router_crashes(
+        capacity, n_parts, snapshot_every, batches, schedule
+    )
+    event("snapshot taken" if snapshots else "no snapshot")
 
+
+def check_router_crashes(
+    capacity, n_parts, snapshot_every, batches, schedule
+):
+    """Run one crash schedule and hold the recovered state to some
+    send-order prefix containing every acked batch; returns the
+    number of snapshots taken."""
     with tempfile.TemporaryDirectory(prefix="prop-wal-") as tmp:
-        crashed, statuses, frequencies, answers = asyncio.run(
+        crashed, statuses, frequencies, answers, snapshots = asyncio.run(
             drive_with_router_crashes(
                 capacity,
                 n_parts,
@@ -211,13 +227,66 @@ def test_router_crash_schedule_loses_no_acked_event(
         try:
             if reference.frequencies() == frequencies:
                 assert_dashboard_matches(answers, reference)
-                return
+                return snapshots
         finally:
             reference.close()
     raise AssertionError(
         f"recovered state matches no send-order prefix >= the acked "
         f"count {acked} (crashed={crashed}, statuses={statuses})"
     )
+
+
+#: Explicit examples that snapshot before and after the crash (random
+#: streams seldom fill a partition's capacity in journalled events,
+#: which the snapshot rule requires): cold boot then restores from
+#: persisted snapshots plus the WAL behind them.
+
+
+@pytest.mark.parametrize(
+    "capacity, n_parts, snapshot_every, batches, triggers",
+    [
+        pytest.param(
+            4, 2, 1, [FULL4] * 8, [("router.acks", 4, "crash")],
+            id="crash-before-ack",
+        ),
+        pytest.param(
+            6,
+            2,
+            2,
+            [[(i % 6, 1), ((i + 1) % 6, 2), ((i + 2) % 6, -1), (9, 1)]
+             if i % 4 == 3 else
+             [(i % 6, 1), ((i + 1) % 6, 2), ((i + 2) % 6, 1)]
+             for i in range(10)],
+            [("wal.sync", 6, "crash"), ("router.fanout", 2, 0.001)],
+            id="crash-in-sync",
+        ),
+        pytest.param(
+            4, 2, 1, [FULL4] * 6, [("wal.synced", 3, "crash")],
+            id="crash-after-sync",
+        ),
+    ],
+)
+def test_router_crash_after_snapshots_loses_no_acked_event(
+    capacity, n_parts, snapshot_every, batches, triggers
+):
+    schedule = FaultSchedule(triggers)
+    snapshots = check_router_crashes(
+        capacity, n_parts, snapshot_every, batches, schedule
+    )
+    assert snapshots >= 1
+    assert not schedule.unfired()
+
+
+def test_crash_between_partition_appends_leaves_no_half_batch():
+    """Death after partition 0's WAL record of a wire batch but before
+    partition 1's: the unsynced half must not survive into recovery
+    (found by the property above; the WAL now writes a flush at its
+    fsync, whole)."""
+    schedule = FaultSchedule([("wal.append", 3, "crash")])
+    check_router_crashes(
+        2, 2, 1, [[(0, 0), (1, 0)], [(0, 1), (1, 1)]], schedule
+    )
+    assert not schedule.unfired()
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +314,6 @@ async def drive_strict_with_replica_crashes(
         strict=True,
         port=0,
         batch_max=4,
-        linger_ms=1.0,
     )
     await router.start()
     client = await AsyncProfileClient.connect(router.host, router.port)
@@ -272,7 +340,7 @@ async def drive_strict_with_replica_crashes(
     return outcomes, state, answers, stats
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=800, deadline=None)
 @given(
     capacity=st.integers(min_value=4, max_value=14),
     n_parts=st.integers(min_value=2, max_value=3),
@@ -308,6 +376,13 @@ def test_strict_two_phase_all_or_nothing_under_replica_crashes(
         )
     )
 
+    stats = check_strict(capacity, n_parts, snapshot_every, batches, triggers)
+    event("snapshot taken" if stats["snapshots"] else "no snapshot")
+
+
+def check_strict(capacity, n_parts, snapshot_every, batches, triggers):
+    """Run one strict scenario and hold every batch to all-or-nothing;
+    returns the router's cluster stats."""
     outcomes, state, answers, stats = asyncio.run(
         drive_strict_with_replica_crashes(
             capacity, n_parts, batches, triggers, snapshot_every
@@ -344,3 +419,34 @@ def test_strict_two_phase_all_or_nothing_under_replica_crashes(
     finally:
         reference.close()
     assert stats["strict_commits"] + stats["strict_aborts"] >= 1
+    return stats
+
+
+@pytest.mark.parametrize(
+    "capacity, n_parts, snapshot_every, batches, triggers",
+    [
+        pytest.param(
+            4,
+            2,
+            1,
+            [FULL4, FULL4, [(0, -5), (1, 1)], FULL4, FULL4, FULL4],
+            [("router.commit", 3, 0), ("router.prepare", 4, 1)],
+            id="crashes-between-phases",
+        ),
+        pytest.param(
+            6,
+            3,
+            2,
+            [[(p, 1) for p in range(6)]] * 3
+            + [[(0, -1), (4, 2)], [(5, -9)], [(p, 2) for p in range(6)]],
+            [("router.prepare", 2, 2), ("router.commit", 4, 0)],
+            id="three-partitions",
+        ),
+    ],
+)
+def test_strict_all_or_nothing_after_snapshots(
+    capacity, n_parts, snapshot_every, batches, triggers
+):
+    stats = check_strict(capacity, n_parts, snapshot_every, batches, triggers)
+    assert stats["snapshots"] >= 1
+    assert stats["recoveries"] >= 1

@@ -20,7 +20,8 @@ never stops the stream.
 import asyncio
 import tempfile
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Profiler, Query
@@ -66,7 +67,6 @@ class InProcessSupervisor:
             port=0,
             role="replica",
             partition=(p, n),
-            linger_ms=0.2,
         )
         await server.start()
         return (server, profiler)
@@ -135,7 +135,6 @@ async def drive_rescaling_cluster(
             snapshot_every=snapshot_every,
             port=0,
             batch_max=4,
-            linger_ms=1.0,
         )
         await router.start()
         client = await AsyncProfileClient.connect(router.host, router.port)
@@ -175,7 +174,8 @@ async def drive_rescaling_cluster(
             state = await client.checkpoint()
             answers = await client.evaluate(*DASHBOARD)
             health = await client.health()
-            return outcomes, state, answers, receipt, health
+            snapshots = router.cluster_stats["snapshots"]
+            return outcomes, state, answers, receipt, health, snapshots
         finally:
             if rescale_task is not None:
                 rescale_task.cancel()
@@ -259,7 +259,18 @@ def test_rescale_concurrent_with_ingest_is_bit_identical(
         st.integers(min_value=0, max_value=len(batches))
     )
 
-    outcomes, state, answers, receipt, health = asyncio.run(
+    snapshots = check_rescale(
+        capacity, n_parts, n_new, batches, rescale_at, snapshot_every
+    )
+    event("snapshot taken" if snapshots else "no snapshot")
+
+
+def check_rescale(
+    capacity, n_parts, n_new, batches, rescale_at, snapshot_every
+):
+    """Run one rescale scenario against the reference; returns the
+    number of snapshots the router took."""
+    outcomes, state, answers, receipt, health, snapshots = asyncio.run(
         drive_rescaling_cluster(
             capacity, n_parts, n_new, batches, rescale_at, snapshot_every
         )
@@ -278,3 +289,30 @@ def test_rescale_concurrent_with_ingest_is_bit_identical(
         assert_dashboard_matches(answers, reference)
     finally:
         reference.close()
+    return snapshots
+
+
+#: Explicit examples that snapshot on both sides of the cutover (the
+#: snapshot rule wants a partition's capacity in journalled events,
+#: which short random streams seldom reach).
+FULL6 = [(k, 1) for k in range(6)]
+
+
+@pytest.mark.parametrize(
+    "capacity, n_parts, n_new, batches, rescale_at, snapshot_every",
+    [
+        pytest.param(4, 2, 3, [[(k, 1) for k in range(4)]] * 6, 3, 1,
+                     id="grow"),
+        pytest.param(
+            6, 3, 2,
+            [FULL6, [(0, 2), (9, 1)], FULL6, [(1, -1), (5, 3)], FULL6],
+            2, 2, id="shrink",
+        ),
+    ],
+)
+def test_rescale_bit_identical_across_snapshots(
+    capacity, n_parts, n_new, batches, rescale_at, snapshot_every
+):
+    assert check_rescale(
+        capacity, n_parts, n_new, batches, rescale_at, snapshot_every
+    ) >= 1

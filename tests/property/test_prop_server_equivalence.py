@@ -28,10 +28,12 @@ from hypothesis import strategies as st
 
 from repro.api import Profiler, Query
 from repro.server import AsyncProfileClient, ProfileServer
+from repro.testing import hold_flusher
 
-# Small batch_max + nonzero linger: flushes constantly split and merge
-# wire batches from different clients.
-SERVER_KNOBS = dict(batch_max=5, linger_ms=2.0)
+# Small batch_max, and every batch queued while the flusher is held:
+# group commit then splits and merges wire batches from different
+# clients at every flush boundary.
+SERVER_KNOBS = dict(batch_max=5)
 
 DASHBOARD = (
     Query.mode(),
@@ -68,10 +70,11 @@ async def drive_server(profiler, batches, n_clients, codecs=None):
             for i in range(n_clients)
         ]
         futures = []
-        for i, batch in enumerate(batches):
-            futures.append(
-                await clients[i % n_clients].ingest(batch, wait=False)
-            )
+        async with hold_flusher(server, queued=len(batches)):
+            for i, batch in enumerate(batches):
+                futures.append(
+                    await clients[i % n_clients].ingest(batch, wait=False)
+                )
         outcomes = []
         for batch, future in zip(batches, futures):
             try:

@@ -329,7 +329,6 @@ def serve_path(speedups, binary_speedups=None):
         "events": 6400,
         "wire_batch": 64,
         "batch_max": 512,
-        "linger_ms": 1.0,
         "clients": clients,
         "speedup": speedups[int(top)],
     }
@@ -456,7 +455,6 @@ def cluster_path(cpus, speedups, failover=None):
         "events": 16384,
         "wire_batch": 1024,
         "batch_max": 1024,
-        "linger_ms": 1.0,
         "snapshot_every": 8,
         "codec": "binary",
         "cpus": cpus,

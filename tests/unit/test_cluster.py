@@ -30,7 +30,7 @@ from repro.cluster.merge import (
     rank_frequency,
 )
 from repro.errors import CapacityError
-from repro.server import ProfileServer
+from repro.server import AsyncProfileClient, ProfileServer
 from repro.server.cli import _parse_partition, _write_port_file
 from repro.server.protocol import ProtocolError
 
@@ -64,6 +64,16 @@ class TestPartitionJournal:
             journal.clear(5)
         # The tape survives a refused truncation intact.
         assert [e.seq for e in journal.entries()] == [2, 7]
+
+    def test_events_count_follows_the_tape(self):
+        journal = PartitionJournal(0)
+        journal.append(1, [1, 2, 3], [1, 1, -1])
+        journal.append(2, [4], [2])
+        assert journal.events == 4
+        journal.clear(2)
+        assert journal.events == 0
+        journal.append(3, [5, 6], [1, 1])
+        assert journal.events == 2
 
     def test_boot_state_is_the_implicit_empty_snapshot(self):
         journal = PartitionJournal(2)
@@ -246,6 +256,74 @@ class TestRouterValidation:
                 caps = [partition_capacity(m, p, n) for p in range(n)]
                 assert sum(caps) == m
                 assert min(caps) >= 1
+
+
+class TestSnapshotRule:
+    """A partition snapshots once its journal holds ``snapshot_every``
+    batches *and* its capacity in events — not before, and right after
+    the batch that completes both."""
+
+    def test_both_floors_must_hold(self):
+        m, n = 40, 2
+        cap = partition_capacity(m, 0, n)  # 20 keys on partition 0
+
+        async def scenario():
+            profilers = [
+                Profiler.open(partition_capacity(m, p, n), backend="flat")
+                for p in range(n)
+            ]
+            replicas = [
+                await ProfileServer(prof, port=0).start()
+                for prof in profilers
+            ]
+            router = ClusterRouter(
+                m,
+                [(r.host, r.port) for r in replicas],
+                snapshot_every=3,
+                port=0,
+            )
+            await router.start()
+            client = await AsyncProfileClient.connect(port=router.port)
+            seen = []
+
+            async def send(ids):
+                await client.ingest([(x, 1) for x in ids])
+                await client.ping()  # barrier: the flush is finished
+                journal = router._journals[0]
+                seen.append(
+                    (
+                        len(journal),
+                        journal.events,
+                        router.cluster_stats["snapshots"],
+                    )
+                )
+
+            try:
+                # Batch floor met early, event floor not: 10 batches
+                # of 2 events reach 20 only on the last one.
+                for i in range(10):
+                    await send([4 * i % m, (4 * i + 2) % m])
+                # Event floor met at once, batch floor not: a whole
+                # partition per batch snapshots on the 3rd batch.
+                for _ in range(3):
+                    await send(range(0, m, 2))
+            finally:
+                await client.aclose()
+                await router.stop()
+                for replica in replicas:
+                    await replica.stop()
+                for prof in profilers:
+                    prof.close()
+            return seen
+
+        seen = asyncio.run(scenario())
+        # 9 batches, 18 < 20 events: no snapshot yet.
+        assert seen[:9] == [(i, 2 * i, 0) for i in range(1, 10)]
+        # The 10th batch completes both floors: snapshot, tape cleared.
+        assert seen[9] == (0, 0, 1)
+        assert seen[10] == (1, cap, 1)
+        assert seen[11] == (2, 2 * cap, 1)
+        assert seen[12] == (0, 0, 2)
 
 
 class TestServeCliClusterPieces:

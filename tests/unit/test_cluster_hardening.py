@@ -243,7 +243,7 @@ class TestBackoffJitter:
 
 async def _start_replica(m=32):
     profiler = Profiler.open(m, backend="flat")
-    server = ProfileServer(profiler, linger_ms=0.2)
+    server = ProfileServer(profiler)
     await server.start()
     client = await AsyncProfileClient.connect(port=server.port)
     return server, client

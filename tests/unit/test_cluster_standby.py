@@ -11,6 +11,8 @@ tests/integration/test_cluster_failover.py.
 """
 
 import asyncio
+import threading
+import time
 
 import pytest
 
@@ -43,8 +45,7 @@ class InProcessSupervisor:
             partition_capacity(self.m, p, n), backend="flat"
         )
         server = ProfileServer(
-            profiler, port=0, role="replica", partition=(p, n),
-            linger_ms=0.2,
+            profiler, port=0, role="replica", partition=(p, n)
         )
         await server.start()
         return (server, profiler)
@@ -119,7 +120,6 @@ async def kill_router(router):
 def make_primary(sup, wal_dir, **kw):
     kw.setdefault("snapshot_every", 3)
     kw.setdefault("batch_max", 4)
-    kw.setdefault("linger_ms", 0.5)
     kw.setdefault("lease_interval", 0.1)
     return ClusterRouter(
         CAPACITY, supervisor=sup, journal_dir=wal_dir, port=0, **kw
@@ -132,7 +132,6 @@ def make_standby(sup, wal_dir, **kw):
     kw.setdefault("probe_timeout", 0.2)
     kw.setdefault("snapshot_every", 3)
     kw.setdefault("batch_max", 4)
-    kw.setdefault("linger_ms", 0.5)
     kw.setdefault("lease_interval", 0.1)
     return StandbyRouter(
         CAPACITY, wal_dir, endpoints=sup.endpoints, port=0, **kw
@@ -354,6 +353,32 @@ class TestPromotionMechanics:
             await sup.stop()
 
         asyncio.run(scenario())
+
+    def test_stop_outlasts_an_inflight_poll(self, tmp_path):
+        """Cancelling the watch loop does not stop its poll thread; stop
+        must wait it out, or the poll rewrites the cursor just removed
+        and the primary keeps deferring prunes for a dead reader."""
+
+        async def scenario():
+            sup = await InProcessSupervisor(CAPACITY, 2).start()
+            standby = await make_standby(sup, tmp_path).start()
+            tail = standby._tail
+            poll = tail.poll
+            started = threading.Event()
+
+            def slow_poll():
+                started.set()
+                time.sleep(0.2)
+                return poll()
+
+            tail.poll = slow_poll
+            await asyncio.to_thread(started.wait, 5.0)
+            await standby.stop()
+            await asyncio.sleep(0.3)  # past the poll, had it run on
+            await sup.stop()
+            return (tmp_path / "cursor-standby.json").exists()
+
+        assert asyncio.run(scenario()) is False
 
     def test_wait_promoted_times_out(self, tmp_path):
         async def scenario():

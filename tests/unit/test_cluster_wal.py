@@ -8,12 +8,14 @@ durable commit decision behind them; segments prune once snapshots
 cover them.
 """
 
+import io
+import json
 import struct
 import time
 
 import pytest
 
-from repro.cluster.journal import RouterWal, WalTail
+from repro.cluster.journal import RouterWal, WalTail, _read_json
 from repro.errors import CheckpointError, FencedWriterError
 
 
@@ -95,6 +97,24 @@ class TestSnapshots:
         assert recovery.snapshots[1] == {"v": 2}
         assert recovery.snapshot_seqs[1] == 9
 
+    def test_snapshot_file_is_compact_json(self, tmp_path):
+        state = {"profile": {"freq": list(range(40))}, "name": "caf\u00e9"}
+        with RouterWal(tmp_path) as wal:
+            write_entries(wal, [(0, 1, [1], [1]), (0, 2, [2], [1])])
+            wal.note_snapshot(0, 1, state)
+        path = next(tmp_path.glob("snapshot-p*.json"))
+        payload = {"partition": 0, "snapshot_seq": 1, "state": state}
+        text = json.dumps(payload, separators=(",", ":"))
+        assert path.read_text(encoding="utf-8") == text
+        # Byte-identical to the streaming json.dump it replaced.
+        streamed = io.StringIO()
+        json.dump(payload, streamed, separators=(",", ":"))
+        assert streamed.getvalue() == text
+        assert _read_json(path) == payload
+        recovery = RouterWal(tmp_path).load()
+        assert recovery.snapshots[0] == state
+        assert [e.seq for e in recovery.entries[0]] == [2]
+
     def test_malformed_snapshot_refuses(self, tmp_path):
         with RouterWal(tmp_path) as wal:
             wal.note_snapshot(0, 1, {"v": 1})
@@ -162,6 +182,65 @@ class TestTornAndCorrupt:
         assert [e.seq for e in recovery.entries[0]] == [1]
 
 
+class TestUnwrittenSegmentHeader:
+    """A writer creates a segment and its header reaches the file with
+    the first flush, so a reader can meet an empty file or a prefix of
+    the header.  That means "not written yet", never corruption; a
+    head that is not such a prefix is still refused."""
+
+    def _segment(self, tmp_path):
+        src = tmp_path / "src"
+        with RouterWal(src) as wal:
+            write_entries(wal, [(0, 1, [1, 2], [1, 1])])
+        seg = next(src.glob("wal-*.log"))
+        wal_dir = tmp_path / "wal"
+        wal_dir.mkdir()
+        return wal_dir / seg.name, seg.read_bytes()
+
+    @pytest.mark.parametrize(
+        "cut",
+        [0, 4, 8, 12],
+        ids=["empty", "partial-magic", "magic-only", "partial-epoch"],
+    )
+    def test_tail_waits_for_the_header(self, tmp_path, cut):
+        seg, data = self._segment(tmp_path)
+        seg.write_bytes(data[:cut])
+        tail = WalTail(seg.parent, write_cursor=False)
+        assert tail.poll() == 0
+        assert tail.poll() == 0  # no offset was cached: still waiting
+        seg.write_bytes(data)  # the writer's first flush lands
+        assert tail.poll() == 1
+        assert tail.last_seq == 1
+        assert [e.seq for e in tail.entries[0]] == [1]
+
+    @pytest.mark.parametrize(
+        "head",
+        [b"XXXXXXXX" + bytes(8), b"RWAL0009" + bytes(8), b"RWAL0009", b"XX"],
+        ids=["wrong-magic", "wrong-version", "short-wrong-version", "junk"],
+    )
+    def test_tail_refuses_a_wrong_magic(self, tmp_path, head):
+        seg, _data = self._segment(tmp_path)
+        seg.write_bytes(head)
+        tail = WalTail(seg.parent, write_cursor=False)
+        with pytest.raises(CheckpointError, match="bad magic"):
+            tail.poll()
+
+    def test_cold_load_drops_a_segment_never_flushed(self, tmp_path):
+        with RouterWal(tmp_path) as wal:
+            write_entries(wal, [(0, 1, [1], [1])])
+        # The next writer died right after creating its segment.
+        orphan = tmp_path / "wal-00000099.log"
+        orphan.write_bytes(b"RWAL")
+        wal = RouterWal(tmp_path)
+        recovery = wal.load()
+        assert [e.seq for e in recovery.entries[0]] == [1]
+        assert not orphan.exists()
+        write_entries(wal, [(0, 2, [2], [1])])
+        wal.close()
+        again = RouterWal(tmp_path).load()
+        assert [e.seq for e in again.entries[0]] == [1, 2]
+
+
 class TestTwoPhase:
     def test_committed_prepared_entries_replay(self, tmp_path):
         with RouterWal(tmp_path) as wal:
@@ -213,8 +292,10 @@ class TestSegments:
     def test_rotation_and_prune(self, tmp_path):
         wal = RouterWal(tmp_path, segment_bytes=4096)
         for seq in range(1, 40):
+            # One sync per append, as the router syncs once per flush:
+            # rotation happens between syncs.
             wal.append_entry(0, seq, [seq % 7] * 100, [1] * 100)
-        wal.sync()
+            wal.sync()
         segments = sorted(tmp_path.glob("wal-*.log"))
         assert len(segments) > 1
         wal.note_snapshot(0, 39, {"v": 1})
@@ -230,7 +311,7 @@ class TestSegments:
         wal = RouterWal(tmp_path, segment_bytes=4096)
         for seq in range(1, 40):
             wal.append_entry(seq % 2, seq, [0] * 100, [1] * 100)
-        wal.sync()
+            wal.sync()
         before = len(sorted(tmp_path.glob("wal-*.log")))
         # Snapshot covers only partition 0: segments holding partition
         # 1 entries past seq 0 must all survive.
@@ -239,6 +320,35 @@ class TestSegments:
         recovery = RouterWal(tmp_path).load()
         assert before >= 2
         assert [e.seq for e in recovery.entries[1]] == list(range(1, 40, 2))
+
+    def test_a_flush_reaches_the_file_whole_at_sync(self, tmp_path):
+        wal = RouterWal(tmp_path, segment_bytes=4096)
+        write_entries(wal, [(0, 1, [1], [1])])
+        synced = wal.describe()["bytes"]
+        seg = sorted(tmp_path.glob("wal-*.log"))[-1]
+        size = seg.stat().st_size
+        # A flush far past the rotation threshold: nothing reaches the
+        # file before sync, and it all lands in one segment.
+        for seq in range(2, 12):
+            wal.append_entry(seq % 2, seq, [0] * 100, [1] * 100)
+        assert seg.stat().st_size == size
+        wal.sync()
+        assert sorted(tmp_path.glob("wal-*.log")) == [seg]
+        assert seg.stat().st_size == size + wal.describe()["bytes"] - synced
+        # Past the threshold now, so the next flush opens a segment.
+        write_entries(wal, [(0, 12, [1], [1])])
+        assert len(list(tmp_path.glob("wal-*.log"))) == 2
+        wal.close()
+
+    def test_abandon_drops_unsynced_records(self, tmp_path):
+        wal = RouterWal(tmp_path)
+        write_entries(wal, [(0, 1, [1], [1])])
+        # Half a wire batch appended (partition 0 of 2), then death.
+        wal.append_entry(0, 2, [2], [1])
+        wal.abandon()
+        recovery = RouterWal(tmp_path).load()
+        assert recovery.last_seq == 1
+        assert [e.seq for e in recovery.entries[0]] == [1]
 
     def test_describe_counters(self, tmp_path):
         wal = RouterWal(tmp_path, segment_bytes=1 << 20)

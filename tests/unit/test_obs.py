@@ -301,7 +301,7 @@ class TestServedMetricsAndTrace:
     def served(self):
         reg = MetricsRegistry()
         prof = Profiler.open(1000, backend="flat", obs=reg)
-        with ServerThread(prof, obs=reg, linger_ms=0.5) as server:
+        with ServerThread(prof, obs=reg) as server:
             yield server
 
     def test_metrics_wire_op_returns_the_registry(self, served):

@@ -27,6 +27,13 @@ from repro.server import (
     ServerThread,
 )
 from repro.server.service import _FlushPlanner, _resolve_strategy
+from repro.testing import (
+    FaultSchedule,
+    active_schedule,
+    arm,
+    disarm,
+    hold_flusher,
+)
 
 
 def run(coro):
@@ -36,7 +43,7 @@ def run(coro):
 class TestBlockingRoundTrip:
     @pytest.fixture(scope="class")
     def served(self):
-        with ServerThread(Profiler.open(100), linger_ms=0.5) as server:
+        with ServerThread(Profiler.open(100)) as server:
             with ProfileClient(server.host, server.port) as client:
                 yield client
 
@@ -100,13 +107,14 @@ class TestMicroBatching:
     def test_pipelined_writes_coalesce(self):
         async def scenario():
             async with ProfileServer(
-                Profiler.open(50), batch_max=512, linger_ms=20.0
+                Profiler.open(50), batch_max=512
             ) as server:
                 client = await AsyncProfileClient.connect(port=server.port)
-                futures = [
-                    await client.ingest([(i % 50, +1)], wait=False)
-                    for i in range(40)
-                ]
+                async with hold_flusher(server, queued=40):
+                    futures = [
+                        await client.ingest([(i % 50, +1)], wait=False)
+                        for i in range(40)
+                    ]
                 acks = await asyncio.gather(*futures)
                 await client.aclose()
                 return server.stats, [a["applied"] for a in acks]
@@ -115,15 +123,76 @@ class TestMicroBatching:
         assert applied == [1] * 40
         assert stats.wire_batches == 40
         # Coalescing must have merged wire batches into fewer engine
-        # calls (the first flush may be small; the rest pile up while
-        # it runs).
+        # calls (all 40 queued while the flusher was busy).
         assert stats.flushes < 40
         assert stats.max_flush_events > 1
+
+    def test_group_commit_needs_no_timer(self):
+        """A lone batch on an idle server flushes at once — the flusher
+        schedules no timer before it — and batches that queue during a
+        slow flush leave together, in groups of at most batch_max."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            timer_tasks = []
+            call_at = loop.call_at
+
+            def spy(when, callback, *args, **kwargs):
+                timer_tasks.append(asyncio.current_task())
+                return call_at(when, callback, *args, **kwargs)
+
+            server = ProfileServer(Profiler.open(50), batch_max=8)
+            async with server:
+                flushes = []
+                flush = server._flush
+
+                async def recorded(batch):
+                    flushes.append(
+                        (
+                            sum(len(item.data) for item in batch),
+                            timer_tasks.count(server._flusher),
+                        )
+                    )
+                    await flush(batch)
+
+                server._flush = recorded
+                client = await AsyncProfileClient.connect(port=server.port)
+                loop.call_at = spy
+                try:
+                    assert await client.ingest([(1, +1)]) == 1
+                finally:
+                    del loop.call_at
+                gate = asyncio.Event()
+                arm(FaultSchedule([("service.flush", 0, gate.wait)]))
+                try:
+                    slow = await client.ingest([(2, +1)], wait=False)
+                    while not active_schedule().fired:
+                        await asyncio.sleep(0.001)
+                    queued = [
+                        await client.ingest([(3, +1)], wait=False)
+                        for _ in range(12)
+                    ]
+                    while server._queue.qsize() < 12:
+                        await asyncio.sleep(0.001)
+                    gate.set()
+                    await slow
+                    await asyncio.gather(*queued)
+                finally:
+                    disarm()
+                await client.aclose()
+                return flushes, server.stats
+
+        flushes, stats = run(scenario())
+        # The lone batch: flushed, no timer scheduled by the flusher.
+        assert flushes[0] == (1, 0)
+        # The slow flush, then the 12 queued behind it in two groups.
+        assert [events for events, _timers in flushes] == [1, 1, 8, 4]
+        assert stats.max_flush_events == 8
 
     def test_batch_max_one_disables_coalescing(self):
         async def scenario():
             async with ProfileServer(
-                Profiler.open(50), batch_max=1, linger_ms=0.0
+                Profiler.open(50), batch_max=1
             ) as server:
                 client = await AsyncProfileClient.connect(port=server.port)
                 futures = [
@@ -140,9 +209,7 @@ class TestMicroBatching:
 
     def test_seq_is_a_total_order(self):
         async def scenario():
-            async with ProfileServer(
-                Profiler.open(50), linger_ms=10.0
-            ) as server:
+            async with ProfileServer(Profiler.open(50)) as server:
                 client = await AsyncProfileClient.connect(port=server.port)
                 futures = [
                     await client.ingest([(1, +1)], wait=False)
@@ -161,14 +228,19 @@ class TestMicroBatching:
 
         async def scenario():
             async with ProfileServer(
-                Profiler.open(50), linger_ms=50.0, batch_max=10_000
+                Profiler.open(50), batch_max=10_000
             ) as server:
                 client = await AsyncProfileClient.connect(port=server.port)
-                for _ in range(7):
-                    await client.ingest([(3, +1)], wait=False)
-                # The evaluate rides the same pipeline: it must flush
-                # the 7 batches before answering, long linger or not.
-                result = await client.evaluate(Query.frequency(3))
+                async with hold_flusher(server, queued=8):
+                    for _ in range(7):
+                        await client.ingest([(3, +1)], wait=False)
+                    # The evaluate rides the same pipeline, queued in
+                    # one group with the 7 batches: it must flush them
+                    # before answering.
+                    query = asyncio.ensure_future(
+                        client.evaluate(Query.frequency(3))
+                    )
+                result = await query
                 await client.aclose()
                 return result[0]
 
@@ -179,12 +251,13 @@ class TestRejectionIsolation:
     def test_strict_underflow_hits_only_the_offender(self):
         async def scenario():
             profiler = Profiler.open(20, strict=True)
-            async with ProfileServer(profiler, linger_ms=20.0) as server:
+            async with ProfileServer(profiler) as server:
                 good = await AsyncProfileClient.connect(port=server.port)
                 bad = await AsyncProfileClient.connect(port=server.port)
-                f_good = await good.ingest([(1, +2)], wait=False)
-                f_bad = await bad.ingest([(2, -1)], wait=False)
-                f_good2 = await good.ingest([(3, +1)], wait=False)
+                async with hold_flusher(server, queued=3):
+                    f_good = await good.ingest([(1, +2)], wait=False)
+                    f_bad = await bad.ingest([(2, -1)], wait=False)
+                    f_good2 = await good.ingest([(3, +1)], wait=False)
                 ok1 = await f_good
                 ok2 = await f_good2
                 with pytest.raises(FrequencyUnderflowError):
@@ -210,11 +283,12 @@ class TestRejectionIsolation:
 
         async def scenario():
             profiler = Profiler.open(10, strict=True)
-            async with ProfileServer(profiler, linger_ms=50.0) as server:
+            async with ProfileServer(profiler) as server:
                 a = await AsyncProfileClient.connect(port=server.port)
                 b = await AsyncProfileClient.connect(port=server.port)
-                f_a = await a.ingest([(4, -1)], wait=False)
-                f_b = await b.ingest([(4, +1)], wait=False)
+                async with hold_flusher(server, queued=2):
+                    f_a = await a.ingest([(4, -1)], wait=False)
+                    f_b = await b.ingest([(4, +1)], wait=False)
                 outcome_a = None
                 try:
                     await f_a
@@ -336,21 +410,24 @@ class TestLifecycle:
     def test_graceful_drain_acks_everything_queued(self):
         async def scenario():
             profiler = Profiler.open(100)
-            server = ProfileServer(profiler, linger_ms=50.0)
+            server = ProfileServer(profiler)
             await server.start()
             client = await AsyncProfileClient.connect(port=server.port)
-            futures = [
-                await client.ingest([(i % 100, +1)], wait=False)
-                for i in range(30)
-            ]
-            # Wait until the reader has accepted all 30 into the
-            # pipeline (the drain guarantee covers queued requests,
-            # not bytes still in socket buffers), then stop while the
-            # linger is still holding the batch open: the drain must
-            # flush and ack all 30.
-            while server.stats.requests < 30:
-                await asyncio.sleep(0.001)
-            await server.stop()
+            # 30 batches plus the drain's stop marker.
+            async with hold_flusher(server, queued=31):
+                futures = [
+                    await client.ingest([(i % 100, +1)], wait=False)
+                    for i in range(30)
+                ]
+                # Wait until the reader has accepted all 30 into the
+                # pipeline (the drain guarantee covers queued requests,
+                # not bytes still in socket buffers), then stop while
+                # the flusher is still busy: the drain must flush and
+                # ack all 30.
+                while server.stats.requests < 30:
+                    await asyncio.sleep(0.001)
+                stopping = asyncio.ensure_future(server.stop())
+            await stopping
             acks = await asyncio.gather(*futures, return_exceptions=True)
             await client.aclose()
             return profiler, acks
@@ -374,7 +451,7 @@ class TestLifecycle:
         async def scenario():
             profiler = Profiler.open(50)
             async with ProfileServer(
-                profiler, queue_size=2, batch_max=4, linger_ms=0.0
+                profiler, queue_size=2, batch_max=4
             ) as server:
                 client = await AsyncProfileClient.connect(port=server.port)
                 futures = [
@@ -401,7 +478,7 @@ class TestLifecycle:
         async def scenario():
             profiler = Profiler.open(50)
             async with ProfileServer(
-                profiler, write_timeout=0.05, linger_ms=0.0
+                profiler, write_timeout=0.05
             ) as server:
                 victim = await AsyncProfileClient.connect(port=server.port)
                 assert await victim.ingest([(1, +1)]) == 1
@@ -433,16 +510,21 @@ class TestCli:
         args = build_parser().parse_args(
             [
                 "--capacity", "100", "--backend", "sharded", "--shards",
-                "4", "--port", "0", "--batch-max", "128", "--linger-ms",
-                "2.5", "--queue-size", "64", "--strict",
+                "4", "--port", "0", "--batch-max", "128",
+                "--queue-size", "64", "--strict",
             ]
         )
         assert args.capacity == 100
         assert args.backend == "sharded"
         assert args.shards == 4
         assert args.batch_max == 128
-        assert args.linger_ms == 2.5
+        assert args.queue_size == 64
         assert args.strict is True
+        # Group commit replaced the linger timer: the flag is gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["--capacity", "100", "--linger-ms", "2.5"]
+            )
 
     def test_serve_module_exposes_main(self):
         from repro import serve
@@ -464,10 +546,11 @@ class TestCoalescingEdgeCases:
             profiler = Profiler.open(
                 1, backend="flat", keys="hashable"
             )
-            async with ProfileServer(profiler, linger_ms=50.0) as server:
+            async with ProfileServer(profiler) as server:
                 client = await AsyncProfileClient.connect(port=server.port)
-                f1 = await client.ingest([("x", +1)], wait=False)
-                f2 = await client.ingest([("x", -1)], wait=False)
+                async with hold_flusher(server, queued=2):
+                    f1 = await client.ingest([("x", +1)], wait=False)
+                    f2 = await client.ingest([("x", -1)], wait=False)
                 await asyncio.gather(f1, f2)
                 outcome = None
                 try:
@@ -485,10 +568,11 @@ class TestCoalescingEdgeCases:
     def test_cancelled_fresh_key_registers_on_dynamic_universe(self):
         async def scenario():
             profiler = Profiler.open(keys="hashable")
-            async with ProfileServer(profiler, linger_ms=50.0) as server:
+            async with ProfileServer(profiler) as server:
                 client = await AsyncProfileClient.connect(port=server.port)
-                f1 = await client.ingest([("ghost", +2)], wait=False)
-                f2 = await client.ingest([("ghost", -2)], wait=False)
+                async with hold_flusher(server, queued=2):
+                    f1 = await client.ingest([("ghost", +2)], wait=False)
+                    f2 = await client.ingest([("ghost", -2)], wait=False)
                 await asyncio.gather(f1, f2)
                 support = (await client.evaluate(Query.support(0)))[0]
                 await client.aclose()
@@ -505,24 +589,23 @@ class TestCoalescingEdgeCases:
         async def scenario():
             from repro.server.protocol import pack_frame, read_frame
 
-            async with ProfileServer(
-                Profiler.open(5), linger_ms=50.0
-            ) as server:
+            async with ProfileServer(Profiler.open(5)) as server:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )
                 await read_frame(reader)  # hello
-                writer.write(
-                    pack_frame(
-                        {"id": 1, "op": "ingest", "events": [[1, 1]]}
+                async with hold_flusher(server, queued=2):
+                    writer.write(
+                        pack_frame(
+                            {"id": 1, "op": "ingest", "events": [[1, 1]]}
+                        )
                     )
-                )
-                writer.write(
-                    pack_frame(
-                        {"id": 2, "op": "ingest", "events": [[99, 1]]}
+                    writer.write(
+                        pack_frame(
+                            {"id": 2, "op": "ingest", "events": [[99, 1]]}
+                        )
                     )
-                )
-                await writer.drain()
+                    await writer.drain()
                 first = await read_frame(reader)
                 second = await read_frame(reader)
                 writer.close()
@@ -825,19 +908,18 @@ class TestHealthOp:
         """The liveness probe overtakes queued ingest work."""
 
         async def scenario():
-            server = ProfileServer(
-                Profiler.open(50), batch_max=1000, linger_ms=200.0
-            )
+            server = ProfileServer(Profiler.open(50), batch_max=1000)
             async with server:
                 client = await AsyncProfileClient.connect(
                     port=server.port, codec="json"
                 )
-                futures = [
-                    await client.ingest([(i % 50, 1)], wait=False)
-                    for i in range(64)
-                ]
-                info = await client.health()
-                assert info["queue_depth"] >= 0
+                async with hold_flusher(server, queued=64):
+                    futures = [
+                        await client.ingest([(i % 50, 1)], wait=False)
+                        for i in range(64)
+                    ]
+                    info = await client.health()
+                    assert info["queue_depth"] >= 0
                 for future in futures:
                     await future
                 await client.aclose()
@@ -876,14 +958,14 @@ class TestRestoreOp:
                 await client.ingest([(1, 1)])
                 state = await client.checkpoint()
                 await client.aclose()
-            async with ProfileServer(
-                Profiler.open(30), linger_ms=50.0, batch_max=100
-            ) as b:
+            async with ProfileServer(Profiler.open(30), batch_max=100) as b:
                 client = await AsyncProfileClient.connect(port=b.port)
-                # Pipelined ahead of the restore: applies to (and is
-                # acked against) the old profiler, then is wiped.
-                before = await client.ingest([(2, 7)], wait=False)
-                assert await client.restore(state) == "flat"
+                async with hold_flusher(b, queued=2):
+                    # Pipelined ahead of the restore: applies to (and
+                    # is acked against) the old profiler, then is wiped.
+                    before = await client.ingest([(2, 7)], wait=False)
+                    restoring = asyncio.ensure_future(client.restore(state))
+                assert await restoring == "flat"
                 assert (await before)["applied"] == 7
                 # Behind the restore: lands on the restored state.
                 assert await client.ingest([(2, 1)]) == 1
@@ -963,19 +1045,20 @@ class TestReconnect:
     def test_async_in_flight_futures_fail_descriptively(self):
         async def scenario():
             profiler = Profiler.open(40)
-            server = ProfileServer(
-                profiler, batch_max=1000, linger_ms=500.0
-            )
+            server = ProfileServer(profiler, batch_max=1000)
             await server.start()
             client = await AsyncProfileClient.connect(
                 port=server.port, reconnect=True
             )
-            future = await client.ingest([(1, 1)], wait=False)
-            # Drop every connection server-side without acking.
-            for conn in list(server._conns):
-                conn.writer.transport.abort()
-            with pytest.raises(ConnectionError, match="will not resend"):
-                await future
+            async with hold_flusher(server):
+                future = await client.ingest([(1, 1)], wait=False)
+                # Drop every connection server-side without acking.
+                for conn in list(server._conns):
+                    conn.writer.transport.abort()
+                with pytest.raises(
+                    ConnectionError, match="will not resend"
+                ):
+                    await future
             await client.aclose()
             await server.stop()
             profiler.close()
