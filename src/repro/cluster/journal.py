@@ -479,6 +479,9 @@ class RouterWal:
         self._last_synced_seq = 0
         self._owner = ""
         self._endpoint: str | None = None
+        #: the fence check's parse cache: (stat identity, held epoch,
+        #: owner) of the lease file as last read
+        self._lease_seen: tuple | None = None
         #: generation -> {partition -> seq} staged by
         #: note_generation_snapshot, adopted at commit_rescale.
         self._staged_snapshot_seqs: dict[int, dict[int, int]] = {}
@@ -891,15 +894,34 @@ class RouterWal:
     # -- fencing lease -------------------------------------------------
 
     def _check_fence(self) -> None:
+        """Raise if a higher epoch holds the lease.
+
+        Runs before every sync, so the parsed lease is cached under
+        the file's stat identity and re-read only when that changes.
+        Every lease write is tmp + rename, so a rewrite made since the
+        last check is a new inode (the old file still existed when it
+        was created) even at the same size and timestamp.  The stat
+        comes first: a rename landing between stat and read leaves a
+        stale identity beside fresh content, and only costs a re-read.
+        """
         if not self._epoch:
             return
-        lease = _read_json(self._dir / _LEASE_NAME) or {}
-        held = int(lease.get("epoch", 0))
+        path = self._dir / _LEASE_NAME
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            return
+        ident = (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        seen = self._lease_seen
+        if seen is None or seen[0] != ident:
+            lease = _read_json(path) or {}
+            seen = (ident, int(lease.get("epoch", 0)), lease.get("owner"))
+            self._lease_seen = seen
+        _ident, held, owner = seen
         if held > self._epoch:
             raise FencedWriterError(
                 f"WAL writer fenced: lease epoch {held} supersedes "
-                f"held epoch {self._epoch} "
-                f"(owner={lease.get('owner')!r})"
+                f"held epoch {self._epoch} (owner={owner!r})"
             )
 
     def _write_lease(self, *, renewed: float | None = None) -> None:
@@ -912,6 +934,9 @@ class RouterWal:
                 "renewed": time.time() if renewed is None else renewed,
             },
         )
+        # Our own write freed the inode last cached: forget it, so a
+        # later file that reuses that number is always re-read.
+        self._lease_seen = None
         self._fsync_dir()
 
     def acquire_lease(

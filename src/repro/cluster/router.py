@@ -17,8 +17,9 @@ flush *does*: instead of one engine call, the router
    before any fan-out byte);
 2. pipelines each partition's sub-batches to its replica over the
    negotiated codec (binary where both ends support it): every
-   sub-batch is sent, then the acks are gathered — one round trip per
-   partition per flush, bounded by ``replica_timeout`` when set;
+   partition's sub-batches are sent, then the flusher awaits the ack
+   futures in place — one round trip per partition per flush, no Task
+   per partition, bounded by ``replica_timeout`` when set;
 3. acks its own clients — per connection, in pipeline order, exactly
    like the base server.
 
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import os
 from typing import Any
 
@@ -98,6 +100,13 @@ __all__ = ["ClusterRouter", "partition_capacity"]
 def partition_capacity(m: int, p: int, n_parts: int) -> int:
     """Capacity of partition ``p``: its share of ``x % n_parts`` ids."""
     return (m - p + n_parts - 1) // n_parts
+
+
+def _drop_outcome(future: asyncio.Future) -> None:
+    """Retrieve a fire-and-forget reply's outcome, so a failure is
+    dropped quietly instead of logged as never retrieved."""
+    if not future.cancelled():
+        future.exception()
 
 
 class _RouterFacade:
@@ -644,7 +653,7 @@ class ClusterRouter(ProfileServer):
                     snapshot = self._empty_state(p, client.hello)
                 await client.restore(snapshot, recovering=True)
                 tape = [(e.ids, e.deltas) for e in journal.entries()]
-                await self._send_chunks(client, tape)
+                await self._settle(await self._send_chunks(client, tape))
                 replayed = len(tape)
                 await client.resume()
                 self.cluster_stats["replayed_batches"] += replayed
@@ -793,21 +802,48 @@ class ClusterRouter(ProfileServer):
         return await client.ingest(list(zip(ids, deltas)), wait=False)
 
     @classmethod
-    async def _send_chunks(cls, client, chunks) -> None:
-        """Pipeline ``chunks`` to one replica, then gather the acks.
+    async def _send_chunks(cls, client, chunks) -> list[asyncio.Future]:
+        """Pipeline ``chunks`` to one replica; return the pending acks.
 
         One round trip per partition per flush instead of one per
         chunk; the replica's group commit coalesces what arrives
         together.  Chunks stay separate wire batches (the replica's
         planner keeps their coalesced flush sequential-equivalent).
-        Acks still pending when a send fails or the round is cancelled
-        are cancelled, so a lost connection leaves no orphan futures.
+        A send that fails cancels the acks already pending, so a lost
+        connection leaves no orphan futures.
         """
-        acks = []
+        acks: list[asyncio.Future] = []
         try:
             for ids, deltas in chunks:
                 acks.append(await cls._send_batch(client, ids, deltas))
-            await asyncio.gather(*acks)
+        except BaseException:
+            for ack in acks:
+                ack.cancel()
+            raise
+        return acks
+
+    @staticmethod
+    async def _settle(acks, deadline: float | None = None) -> None:
+        """Await pending acks in place, oldest first.
+
+        No Task per partition: the flusher suspends on the futures
+        themselves.  ``deadline`` (loop time) bounds the wait with
+        :func:`asyncio.wait` and raises :class:`asyncio.TimeoutError`
+        when acks are still missing at it.  Whatever happens, acks
+        still pending on exit are cancelled.
+        """
+        try:
+            if deadline is not None:
+                late = [ack for ack in acks if not ack.done()]
+                if late:
+                    loop = asyncio.get_running_loop()
+                    _done, late = await asyncio.wait(
+                        late, timeout=max(0.0, deadline - loop.time())
+                    )
+                    if late:
+                        raise asyncio.TimeoutError
+            for ack in acks:
+                await ack
         finally:
             for ack in acks:
                 ack.cancel()
@@ -918,12 +954,7 @@ class ClusterRouter(ProfileServer):
             self._wal_sync(wal)
         if pending:
             await fault_point("router.fanout")
-            await asyncio.gather(
-                *(
-                    self._deliver(p, chunks, flush_last[p])
-                    for p, chunks in pending.items()
-                )
-            )
+            await self._fan_out(pending, flush_last)
         await fault_point("router.acks")
         per_conn: dict[Any, list[tuple[_Item, Any]]] = {}
         for item, result in outcomes:
@@ -963,8 +994,10 @@ class ClusterRouter(ProfileServer):
         span (queue-to-ack latency against the enqueue stamp) and one
         best-effort ``trace`` mark forwarded to each partition the
         batch touched, so the replica's own span log carries the
-        client's id.  Never fails the flush — the batch is already
-        acked; tracing is observability, not delivery.
+        client's id.  Marks are pipelined like ingest chunks and never
+        awaited: the flusher moves on as soon as they are written, and
+        a mark that fails (or is never answered) fails silently — the
+        batch is already acked; tracing is observability, not delivery.
         """
         loop = asyncio.get_running_loop()
         for item, parts in traced:
@@ -985,44 +1018,74 @@ class ClusterRouter(ProfileServer):
                 client = self._clients.get(p)
                 if client is None:
                     continue
-                with contextlib.suppress(Exception):
-                    await client.request(
+                try:
+                    mark = await client.submit(
                         "trace", trace=trace, source="router",
                         seq=item.seq,
                     )
+                except Exception:
+                    continue
+                mark.add_done_callback(_drop_outcome)
 
-    async def _deliver(self, p: int, chunks, last_seq: int) -> None:
-        """Send one flush's sub-batches to partition ``p``; await acks.
+    async def _fan_out(self, pending: dict, flush_last: dict) -> None:
+        """Send every partition its sub-batches, then await the acks.
 
+        All sends leave before any ack is awaited, and the flusher
+        waits on the ack futures in place — no Task per partition.
         On connection loss there is nothing to resend: the journal
         already holds this flush's entries, so :meth:`_recover`'s
         restore + replay applies them as a side effect.  Under a
-        deadline the whole partition round must land inside
-        ``replica_timeout`` or the breaker trips — the batch is still
-        acked to the client (it is journaled; replay delivers it when
-        the partition heals), but *new* batches for this partition
-        fail fast until then.
+        deadline each partition's acks must land within
+        ``replica_timeout`` of the send or its breaker trips — the
+        batch is still acked to the client (it is journaled; replay
+        delivers it when the partition heals), but *new* batches for
+        this partition fail fast until then.
         """
+        loop = asyncio.get_running_loop()
+        rounds: list[tuple[int, list[asyncio.Future]]] = []
         try:
-            t0 = (
-                asyncio.get_running_loop().time() if self._obs_on else 0.0
+            for p, chunks in pending.items():
+                try:
+                    client = await self._ensure_client(p)
+                    t0 = loop.time()
+                    acks = await self._send_chunks(client, chunks)
+                except (ConnectionError, OSError):
+                    await self._replica_failed(p)
+                    continue
+                if self._obs_on:
+                    # Send to the partition's last ack, stamped when
+                    # that ack resolves — not when the flusher gets to
+                    # it behind earlier partitions.
+                    acks[-1].add_done_callback(
+                        functools.partial(self._observe_rtt, t0)
+                    )
+                rounds.append((p, acks))
+            deadline = (
+                None
+                if self._replica_timeout is None
+                else loop.time() + self._replica_timeout
             )
-            client = await self._ensure_client(p)
-            sends = self._send_chunks(client, chunks)
-            if self._replica_timeout is not None:
-                await asyncio.wait_for(sends, self._replica_timeout)
-            else:
-                await sends
-            if self._obs_on:
-                self._obs_fanout.observe(
-                    (asyncio.get_running_loop().time() - t0) * 1e3
-                )
-            self.cluster_stats["replica_batches"] += len(chunks)
-            self._delivered[p] = max(self._delivered[p], last_seq)
-        except asyncio.TimeoutError:
-            self._trip(p)
-        except (ConnectionError, OSError):
-            await self._replica_failed(p)
+            for p, acks in rounds:
+                try:
+                    await self._settle(acks, deadline)
+                except asyncio.TimeoutError:
+                    self._trip(p)
+                    continue
+                except (ConnectionError, OSError):
+                    await self._replica_failed(p)
+                    continue
+                self.cluster_stats["replica_batches"] += len(acks)
+                self._delivered[p] = max(self._delivered[p], flush_last[p])
+        finally:
+            for _p, acks in rounds:
+                for ack in acks:
+                    ack.cancel()
+
+    def _observe_rtt(self, t0: float, ack: asyncio.Future) -> None:
+        if not ack.cancelled() and ack.exception() is None:
+            self._obs_fanout.observe(
+                (asyncio.get_running_loop().time() - t0) * 1e3
+            )
 
     async def _commit_strict(self, seq: int, parts: dict) -> None:
         """One all-or-nothing wire batch across ``parts`` (2PC).
@@ -1277,7 +1340,9 @@ class ClusterRouter(ProfileServer):
                 start = mig["consumed"][q]
                 chunks = mig["pending"][q][start:]
                 if chunks:
-                    await self._send_chunks(client, chunks)
+                    await self._settle(
+                        await self._send_chunks(client, chunks)
+                    )
                     mig["consumed"][q] = start + len(chunks)
                     progress = True
             if not progress:

@@ -9,7 +9,8 @@ and the standby's cursor file tells the primary's prune to defer
 segments the tail has not finished.  Promotion is therefore a bounded
 amount of work no matter how long the pair has been running: re-read
 the sealed tail (at most one poll interval of records), write the
-fence, restore the replicas, bind the port.
+fence, restore the replicas, bind the port.  For the same reason the
+steady-state poll runs on the event loop, not in a thread.
 
 Failure detection is two independent signals, both of which must agree
 before the standby moves:
@@ -99,7 +100,10 @@ class StandbyRouter:
     poll_interval:
         Seconds between tail polls — the replication-lag bound while
         the primary lives, and the detection-latency floor once it
-        stops.
+        stops.  Each poll reads at most one interval of log and runs
+        on the event loop; only the initial catch-up in :meth:`start`
+        and the sealed-tail read in :meth:`promote` use a worker
+        thread.
     probe_timeout:
         Seconds a confirming health probe waits for a connection.
     **router_kwargs:
@@ -152,9 +156,6 @@ class StandbyRouter:
         self._router_kwargs = dict(router_kwargs)
         self._tail: WalTail | None = None
         self._watch_task: asyncio.Task | None = None
-        #: the watch loop's in-flight tail poll (a worker thread, which
-        #: cancelling the loop does not stop)
-        self._polling: asyncio.Future | None = None
         self._promote_lock = asyncio.Lock()
         self._promoted = asyncio.Event()
         self._stopped = False
@@ -175,7 +176,11 @@ class StandbyRouter:
     # -- following ------------------------------------------------------
 
     async def start(self) -> "StandbyRouter":
-        """Open the tail and start the watch loop (returns at once)."""
+        """Open the tail and start the watch loop.
+
+        The initial catch-up (the whole retained log) replays in a
+        worker thread; :meth:`start` returns once it is done.
+        """
         self._dir.mkdir(parents=True, exist_ok=True)
         self._tail = WalTail(self._dir, reader_id=self._reader_id)
         await asyncio.to_thread(self._tail.poll)
@@ -183,16 +188,17 @@ class StandbyRouter:
         return self
 
     async def _watch(self) -> None:
-        """Poll the tail; promote when the primary is confirmed dead."""
+        """Poll the tail; promote when the primary is confirmed dead.
+
+        A steady-state poll reads at most one poll interval of WAL, so
+        it runs on the event loop, between awaits: a cancellation can
+        never land mid-poll, and no thread outlives the loop.
+        """
         while True:
             await asyncio.sleep(self._poll_interval)
             tail = self._tail
             behind = tail.last_seq
-            self._polling = asyncio.ensure_future(
-                asyncio.to_thread(tail.poll)
-            )
-            await asyncio.shield(self._polling)
-            self._polling = None
+            tail.poll()
             if self._obs.enabled:
                 # Replay lag at poll time: how many acked batches the
                 # shadow state was behind when this poll caught it up.
@@ -204,13 +210,6 @@ class StandbyRouter:
             self.promote_reason = reason
             await self.promote()
             return
-
-    async def _settle_poll(self) -> None:
-        """Wait out the poll thread of a cancelled watch loop."""
-        polling, self._polling = self._polling, None
-        if polling is not None:
-            with contextlib.suppress(Exception):
-                await polling
 
     async def _primary_dead(self) -> str | None:
         """The two-signal death verdict (None = leave the primary be)."""
@@ -272,12 +271,12 @@ class StandbyRouter:
             watcher = self._watch_task
             if watcher is not None and watcher is not asyncio.current_task():
                 # Operator-forced promotion: the watch loop must not
-                # poll the (not thread-safe) tail under our feet.
+                # poll the tail while the sealed-tail read below runs
+                # in a worker thread (the tail is not thread-safe).
                 watcher.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
                     await watcher
                 self._watch_task = None
-                await self._settle_poll()
             await fault_point("standby.promote")
             t0 = time.monotonic()
             tail = self._tail
@@ -403,8 +402,6 @@ class StandbyRouter:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._watch_task
             self._watch_task = None
-        # A poll still running would rewrite the cursor just removed.
-        await self._settle_poll()
         if self.router is not None:
             await self.router.stop()
         elif self._tail is not None:

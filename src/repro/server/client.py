@@ -548,7 +548,13 @@ class AsyncProfileClient:
         self._host, self._port = self._endpoints[idx]
         self._install(reader, writer, hello, negotiated)
 
-    async def _send(self, op: str, **fields) -> asyncio.Future:
+    async def submit(self, op: str, **fields) -> asyncio.Future:
+        """Send one raw request; return its response as a pending Future.
+
+        The pipelining form of :meth:`request`, as ``wait=False`` is of
+        :meth:`ingest`: the request is on the wire when this returns,
+        and the caller decides whether (and when) to await the reply.
+        """
         await self._ensure_connected()
         req_id = next(self._ids)
         return await self._send_bytes(
@@ -557,7 +563,7 @@ class AsyncProfileClient:
 
     async def request(self, op: str, **fields) -> dict:
         """Send one raw request and await its response payload."""
-        return await (await self._send(op, **fields))
+        return await (await self.submit(op, **fields))
 
     # -- the facade verbs ----------------------------------------------
 
@@ -582,7 +588,7 @@ class AsyncProfileClient:
             )
         else:
             pairs = [[obj, d] for obj, d in _normalize_batch(batch)]
-            future = await self._send("ingest", events=pairs)
+            future = await self.submit("ingest", events=pairs)
         if not wait:
             return future
         return (await future)["applied"]

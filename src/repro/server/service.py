@@ -408,17 +408,31 @@ class _Connection:
         self.trace = None
 
     async def send(self, data: bytes) -> None:
-        """Write + drain under the slow-client timeout; abort on stall."""
+        """Write one frame; abort the peer if it stalls the drain.
+
+        A healthy peer costs a buffered write and nothing else: the
+        drain (under the slow-client timeout) is awaited only once the
+        transport buffer sits above its high-water mark, or the
+        transport is closing — the only states in which ``drain()``
+        would suspend at all.
+        """
         if not self.alive:
             return
         async with self.lock:
             if not self.alive:
                 return
+            writer = self.writer
             try:
-                self.writer.write(data)
-                await asyncio.wait_for(
-                    self.writer.drain(), self.server._write_timeout
-                )
+                writer.write(data)
+                transport = writer.transport
+                if (
+                    transport.is_closing()
+                    or transport.get_write_buffer_size()
+                    > transport.get_write_buffer_limits()[1]
+                ):
+                    await asyncio.wait_for(
+                        writer.drain(), self.server._write_timeout
+                    )
             except (asyncio.TimeoutError, ConnectionError, OSError):
                 self.abort()
 

@@ -472,6 +472,7 @@ def cluster_path(cpus, speedups, failover=None):
             "workload": "failover (fabricated)",
             "prime_events": 8192,
             "promotion_ms": 50.0,
+            "cold_restore_ms": 50.0 * promotion,
             "promotion_speed": promotion,
             "steady_eps": 150e3,
             "migrating_eps": 150e3 * migration,
@@ -619,10 +620,25 @@ class TestCommittedClusterArtifact:
                 == clu["replicas"][str(clu["max_replicas"])]["speedup"]
             )
 
+    def test_repo_baseline_config_matches_the_scales(self):
+        """The committed artifact was measured with today's knobs: its
+        recorded config has exactly the keys ``SCALES`` defines (no
+        knob a past version had and this one lost, like linger)."""
+        import json as json_mod
+        from pathlib import Path
+
+        from repro.bench.trajectory import SCALES
+
+        root = Path(__file__).resolve().parents[2]
+        data = json_mod.loads((root / "BENCH_core.json").read_text())
+        assert set(data["config"]) == set(SCALES["full"])
+        assert set(data["quick"]["config"]) == set(SCALES["quick"])
+
     def test_repo_baseline_records_failover(self):
         """Both scales carry the failover block: promotion downtime
-        plus the double-write migration duel, with migration always
-        costing something (steady > migrating throughput)."""
+        against a cold restore of the same state, plus the
+        double-write migration duel, with migration always costing
+        something (steady > migrating throughput)."""
         import json as json_mod
         from pathlib import Path
 
@@ -632,7 +648,9 @@ class TestCommittedClusterArtifact:
             failover = section["cluster"]["failover"]
             assert failover["prime_events"] >= 1
             assert failover["promotion_ms"] > 0
-            assert failover["promotion_speed"] > 0
+            assert failover["cold_restore_ms"] > 0
+            speed = failover["cold_restore_ms"] / failover["promotion_ms"]
+            assert abs(failover["promotion_speed"] - speed) < 1e-6
             assert failover["steady_eps"] > failover["migrating_eps"] > 0
             assert 0 < failover["migration_overhead"] < 1
             ratio = failover["migrating_eps"] / failover["steady_eps"]

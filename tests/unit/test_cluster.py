@@ -326,6 +326,134 @@ class TestSnapshotRule:
         assert seen[12] == (0, 0, 2)
 
 
+class InProcessSupervisor:
+    """The replica tier as in-process servers on this event loop
+    (duck-types the supervisor calls the router makes)."""
+
+    def __init__(self, m, n_parts):
+        self.profilers = [
+            Profiler.open(partition_capacity(m, p, n_parts), backend="flat")
+            for p in range(n_parts)
+        ]
+        self.servers = []
+
+    async def start(self):
+        n = len(self.profilers)
+        for p, profiler in enumerate(self.profilers):
+            server = ProfileServer(
+                profiler, port=0, role="replica", partition=(p, n)
+            )
+            self.servers.append(await server.start())
+        return self
+
+    @property
+    def endpoints(self):
+        return [(srv.host, srv.port) for srv in self.servers]
+
+    async def ensure_replica(self, p):
+        return self.endpoints[p]
+
+    async def stop(self):
+        for server in self.servers:
+            await server.stop()
+        for profiler in self.profilers:
+            profiler.close()
+
+
+class TestLoopTurns:
+    """Every hop of a steady-state ingest finishes in the loop turn
+    that received it: acks are buffered writes, the fan-out awaits ack
+    futures in place, trace marks are pipelined."""
+
+    def test_steady_ingest_creates_no_tasks(self, tmp_path):
+        m, n = 64, 2
+        frame = [(x, 1) for x in range(0, m, 3)]  # both partitions
+
+        async def scenario():
+            sup = await InProcessSupervisor(m, n).start()
+            router = ClusterRouter(
+                m,
+                supervisor=sup,
+                journal_dir=tmp_path,
+                snapshot_every=8,
+                port=0,
+            )
+            await router.start()
+            client = await AsyncProfileClient.connect(port=router.port)
+            loop = asyncio.get_running_loop()
+            created = []
+
+            def count_tasks(loop, coro, **kwargs):
+                created.append(coro.__qualname__)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            try:
+                for _ in range(5):  # warm-up: dials, first snapshots
+                    await client.ingest(frame)
+                loop.set_task_factory(count_tasks)
+                for _ in range(40):
+                    assert await client.ingest(frame) == len(frame)
+                loop.set_task_factory(None)
+                flushes = router.stats.flushes
+                snapshots = router.cluster_stats["snapshots"]
+            finally:
+                loop.set_task_factory(None)
+                await client.aclose()
+                await router.stop()
+                await sup.stop()
+            return created, flushes, snapshots
+
+        created, flushes, snapshots = asyncio.run(scenario())
+        assert flushes == 45
+        assert snapshots > 1  # the steady state includes snapshots
+        assert created == []
+
+    def test_stalled_trace_reply_does_not_hold_the_flusher(self):
+        """A replica that never answers a ``trace`` mark must not delay
+        the next flush: marks are sent, not awaited."""
+        m, n = 40, 2
+
+        async def scenario():
+            sup = await InProcessSupervisor(m, n).start()
+            for replica in sup.servers:
+                read = replica._read_request
+
+                async def swallow_marks(conn, read=read):
+                    while True:
+                        item = await read(conn)
+                        if item is None or item.kind != "trace_mark":
+                            return item
+                        # ...and the mark's reply never comes.
+
+                replica._read_request = swallow_marks
+            router = ClusterRouter(m, supervisor=sup, port=0)
+            await router.start()
+            client = await AsyncProfileClient.connect(
+                port=router.port, trace=True
+            )
+            try:
+                first = await client.ingest([(1, 1), (2, 1)])
+                second = await asyncio.wait_for(
+                    client.ingest([(3, 1), (4, 1)]), 5.0
+                )
+                total = await asyncio.wait_for(client.total(), 5.0)
+                spans = [
+                    s for s in router._obs.spans.snapshot()
+                    if s["name"] == "router.flush"
+                    and s.get("trace") == client.trace
+                ]
+            finally:
+                await client.aclose()
+                # Bounded: a flusher stuck on a mark would never drain.
+                await asyncio.wait_for(router.stop(), 10.0)
+                await sup.stop()
+            return first, second, total, spans
+
+        first, second, total, spans = asyncio.run(scenario())
+        assert (first, second, total) == (2, 2, 4)
+        assert [s["partitions"] for s in spans] == [[0, 1], [0, 1]]
+
+
 class TestServeCliClusterPieces:
     def test_parse_partition(self):
         assert _parse_partition(None) is None

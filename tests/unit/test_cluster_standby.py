@@ -355,9 +355,10 @@ class TestPromotionMechanics:
         asyncio.run(scenario())
 
     def test_stop_outlasts_an_inflight_poll(self, tmp_path):
-        """Cancelling the watch loop does not stop its poll thread; stop
-        must wait it out, or the poll rewrites the cursor just removed
-        and the primary keeps deferring prunes for a dead reader."""
+        """A poll in flight when stop() is called must finish before the
+        cursor is removed, or it rewrites the cursor and the primary
+        keeps deferring prunes for a dead reader.  The watch loop polls
+        on the event loop, so stop() can only run between polls."""
 
         async def scenario():
             sup = await InProcessSupervisor(CAPACITY, 2).start()
@@ -379,6 +380,34 @@ class TestPromotionMechanics:
             return (tmp_path / "cursor-standby.json").exists()
 
         assert asyncio.run(scenario()) is False
+
+    def test_steady_polls_run_on_the_loop_thread(self, tmp_path):
+        """After the initial catch-up, the watch loop polls in place:
+        no worker thread per poll."""
+
+        async def scenario():
+            sup = await InProcessSupervisor(CAPACITY, 2).start()
+            standby = await make_standby(sup, tmp_path).start()
+            tail = standby._tail
+            poll = tail.poll
+            threads = []
+
+            def spy():
+                threads.append(threading.current_thread())
+                return poll()
+
+            tail.poll = spy
+            for _ in range(500):
+                if len(threads) >= 3:
+                    break
+                await asyncio.sleep(0.01)
+            await standby.stop()
+            await sup.stop()
+            return threads
+
+        threads = asyncio.run(scenario())
+        assert len(threads) >= 3
+        assert set(threads) == {threading.main_thread()}
 
     def test_wait_promoted_times_out(self, tmp_path):
         async def scenario():

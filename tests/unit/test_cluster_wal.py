@@ -10,12 +10,18 @@ cover them.
 
 import io
 import json
+import os
 import struct
 import time
 
 import pytest
 
-from repro.cluster.journal import RouterWal, WalTail, _read_json
+from repro.cluster.journal import (
+    RouterWal,
+    WalTail,
+    _atomic_write_json,
+    _read_json,
+)
 from repro.errors import CheckpointError, FencedWriterError
 
 
@@ -472,6 +478,67 @@ class TestLeaseAndFence:
         assert new.read_lease()["renewed"] > 0
         old.close()
         new.close()
+
+    def test_promotion_lease_write_fences_the_very_next_sync(self, tmp_path):
+        from repro.cluster import StandbyRouter
+
+        old = RouterWal(tmp_path)
+        old.acquire_lease("old-primary")
+        for seq in (1, 2):  # the parsed lease is cached by now
+            old.append_entry(0, seq, [seq], [1])
+            old.sync()
+        standby = StandbyRouter(20, tmp_path, endpoints=[("127.0.0.1", 1)])
+        assert standby._claim_epoch("standby") == 2
+        old.append_entry(0, 3, [3], [1])
+        with pytest.raises(FencedWriterError):
+            old.sync()
+        assert old.last_synced_seq == 2
+        old.close()
+
+    def test_same_size_lease_rewrite_still_fences(self, tmp_path):
+        """The cache key is the lease file's stat identity, so a
+        rewrite of the same size and mtime is still seen: an atomic
+        rename always lands a new inode."""
+        old = RouterWal(tmp_path)
+        old.acquire_lease("primary")
+        old.append_entry(0, 1, [1], [1])
+        old.sync()
+        path = tmp_path / "lease.json"
+        lease = json.loads(path.read_text())
+        before = os.stat(path)
+        _atomic_write_json(path, {**lease, "epoch": lease["epoch"] + 1})
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (
+            before.st_size, before.st_mtime_ns
+        )
+        old.append_entry(0, 2, [2], [1])
+        with pytest.raises(FencedWriterError, match="epoch 2"):
+            old.sync()
+        old.close()
+
+    def test_unchanged_lease_is_parsed_once(self, tmp_path, monkeypatch):
+        from repro.cluster import journal as journal_mod
+
+        wal = RouterWal(tmp_path)
+        wal.acquire_lease("primary")
+        reads = []
+        read_json = journal_mod._read_json
+
+        def counting(path):
+            reads.append(path.name)
+            return read_json(path)
+
+        monkeypatch.setattr(journal_mod, "_read_json", counting)
+        for seq in range(1, 6):
+            wal.append_entry(0, seq, [seq], [1])
+            wal.sync()
+        assert reads.count("lease.json") == 1
+        wal.renew_lease()  # our own write: the next check re-reads
+        wal.append_entry(0, 6, [6], [1])
+        wal.sync()
+        assert reads.count("lease.json") == 2
+        wal.close()
 
     def test_epoch_zero_never_fences(self, tmp_path):
         # Without acquire_lease the fencing machinery stays disarmed:

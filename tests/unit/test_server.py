@@ -469,10 +469,11 @@ class TestLifecycle:
         """A peer whose ack writes stall must not hold the flusher
         (and everyone else) past write_timeout.
 
-        The stall is injected by stubbing the victim connection's
-        ``drain`` (kernel socket buffers on loopback are far too
-        generous to fill quickly in a unit test); what is under test
-        is the server's timeout -> abort -> carry-on path.
+        The stall is injected by making the victim's transport report
+        a buffer above its high-water mark (so the server drains) and
+        stubbing its ``drain`` (kernel socket buffers on loopback are
+        far too generous to fill quickly in a unit test); what is
+        under test is the server's timeout -> abort -> carry-on path.
         """
 
         async def scenario():
@@ -483,6 +484,11 @@ class TestLifecycle:
                 victim = await AsyncProfileClient.connect(port=server.port)
                 assert await victim.ingest([(1, +1)]) == 1
                 for conn in server._conns:
+                    transport = conn.writer.transport
+                    high = transport.get_write_buffer_limits()[1]
+                    transport.get_write_buffer_size = (
+                        lambda high=high: high + 1
+                    )
                     conn.writer.drain = lambda: asyncio.sleep(3600)
                 stalled = await victim.ingest([(1, +1)], wait=False)
                 healthy = await AsyncProfileClient.connect(port=server.port)
@@ -501,6 +507,42 @@ class TestLifecycle:
         dropped, applied, freq = run(scenario())
         assert dropped >= 1
         assert (applied, freq) == (1, 1)
+
+    def test_healthy_ack_skips_the_drain_timeout(self, monkeypatch):
+        """An ack to a peer that keeps reading is one buffered write:
+        it never enters ``wait_for`` (no Task, no timer handle, no
+        extra loop turn per ack).  Only a transport above its
+        high-water mark is drained under ``write_timeout``."""
+        drains = []
+        wait_for = asyncio.wait_for
+
+        def spy(aw, timeout):
+            if getattr(aw, "__qualname__", "") == "StreamWriter.drain":
+                drains.append(timeout)
+            return wait_for(aw, timeout)
+
+        async def scenario():
+            profiler = Profiler.open(50)
+            async with ProfileServer(
+                profiler, write_timeout=7.0
+            ) as server:
+                client = await AsyncProfileClient.connect(port=server.port)
+                for i in range(20):
+                    assert await client.ingest([(i, +1)]) == 1
+                assert await client.total() == 20
+                healthy = list(drains)
+                (conn,) = server._conns
+                transport = conn.writer.transport
+                high = transport.get_write_buffer_limits()[1]
+                transport.get_write_buffer_size = lambda: high + 1
+                assert await client.ingest([(0, +1)]) == 1
+                del transport.get_write_buffer_size
+                await client.aclose()
+                return healthy
+
+        monkeypatch.setattr(asyncio, "wait_for", spy)
+        assert run(scenario()) == []
+        assert drains == [7.0]
 
 
 class TestCli:
