@@ -234,8 +234,15 @@ def _unpack_i64(buf: bytes):
     return list(struct.unpack(f"<{len(buf) // 8}q", buf))
 
 
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    """tmp + fsync + rename: readers see the old file or the new one."""
+def _atomic_write_json(
+    path: Path, payload: dict, *, durable: bool = True
+) -> None:
+    """tmp + fsync + rename: readers see the old file or the new one.
+
+    ``durable=False`` skips the fsync, for advisory files whose loss in
+    a machine crash is harmless: the rename alone keeps them atomic
+    for readers.
+    """
     tmp = path.with_name(path.name + ".tmp")
     # One dumps + one write: json.dump streams through the pure-Python
     # encoder chunk by chunk, while dumps runs the C encoder.  Same
@@ -243,8 +250,9 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, separators=(",", ":"))
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
+        if durable:
+            fh.flush()
+            os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -479,9 +487,6 @@ class RouterWal:
         self._last_synced_seq = 0
         self._owner = ""
         self._endpoint: str | None = None
-        #: the fence check's parse cache: (stat identity, held epoch,
-        #: owner) of the lease file as last read
-        self._lease_seen: tuple | None = None
         #: generation -> {partition -> seq} staged by
         #: note_generation_snapshot, adopted at commit_rescale.
         self._staged_snapshot_seqs: dict[int, dict[int, int]] = {}
@@ -894,34 +899,15 @@ class RouterWal:
     # -- fencing lease -------------------------------------------------
 
     def _check_fence(self) -> None:
-        """Raise if a higher epoch holds the lease.
-
-        Runs before every sync, so the parsed lease is cached under
-        the file's stat identity and re-read only when that changes.
-        Every lease write is tmp + rename, so a rewrite made since the
-        last check is a new inode (the old file still existed when it
-        was created) even at the same size and timestamp.  The stat
-        comes first: a rename landing between stat and read leaves a
-        stale identity beside fresh content, and only costs a re-read.
-        """
         if not self._epoch:
             return
-        path = self._dir / _LEASE_NAME
-        try:
-            st = os.stat(path)
-        except FileNotFoundError:
-            return
-        ident = (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-        seen = self._lease_seen
-        if seen is None or seen[0] != ident:
-            lease = _read_json(path) or {}
-            seen = (ident, int(lease.get("epoch", 0)), lease.get("owner"))
-            self._lease_seen = seen
-        _ident, held, owner = seen
+        lease = _read_json(self._dir / _LEASE_NAME) or {}
+        held = int(lease.get("epoch", 0))
         if held > self._epoch:
             raise FencedWriterError(
                 f"WAL writer fenced: lease epoch {held} supersedes "
-                f"held epoch {self._epoch} (owner={owner!r})"
+                f"held epoch {self._epoch} "
+                f"(owner={lease.get('owner')!r})"
             )
 
     def _write_lease(self, *, renewed: float | None = None) -> None:
@@ -934,9 +920,6 @@ class RouterWal:
                 "renewed": time.time() if renewed is None else renewed,
             },
         )
-        # Our own write freed the inode last cached: forget it, so a
-        # later file that reuses that number is always re-read.
-        self._lease_seen = None
         self._fsync_dir()
 
     def acquire_lease(
@@ -1557,6 +1540,14 @@ class WalTail:
         return self._dir / f"cursor-{self.reader_id}.json"
 
     def _write_cursor_file(self) -> None:
+        """Advertise the read position; also the reader's heartbeat.
+
+        Rewritten every poll, moved or not: a cursor not refreshed for
+        ``reader_ttl`` stops pinning prune.  Not fsynced — a cursor
+        lost or rolled back by a machine crash only pins less (or
+        more) until the next poll, and a restarted tail re-reads from
+        the oldest retained segment whatever the file said.
+        """
         if not self._write_cursor:
             return
         index = self._current
@@ -1574,6 +1565,7 @@ class WalTail:
                     "seq": self.last_seq,
                     "updated": time.time(),
                 },
+                durable=False,
             )
         except OSError:  # pragma: no cover - directory racing teardown
             pass

@@ -787,35 +787,47 @@ class ClusterRouter(ProfileServer):
             wal.sync()
 
     @staticmethod
-    async def _send_batch(client: AsyncProfileClient, ids, deltas):
+    async def _send_batch(
+        client: AsyncProfileClient, ids, deltas, drain: bool = True
+    ):
         """One partitioned column pair -> one replica ingest, sent.
 
         Returns the pending ack (a future): callers send a whole run
         of chunks before awaiting any of them.
         """
         if client.codec == "binary":
-            return await client.ingest((ids, deltas), wait=False)
+            return await client.ingest(
+                (ids, deltas), wait=False, drain=drain
+            )
         ids = ids.tolist() if hasattr(ids, "tolist") else list(ids)
         deltas = (
             deltas.tolist() if hasattr(deltas, "tolist") else list(deltas)
         )
-        return await client.ingest(list(zip(ids, deltas)), wait=False)
+        return await client.ingest(
+            list(zip(ids, deltas)), wait=False, drain=drain
+        )
 
     @classmethod
-    async def _send_chunks(cls, client, chunks) -> list[asyncio.Future]:
+    async def _send_chunks(
+        cls, client, chunks, *, drain: bool = True
+    ) -> list[asyncio.Future]:
         """Pipeline ``chunks`` to one replica; return the pending acks.
 
         One round trip per partition per flush instead of one per
         chunk; the replica's group commit coalesces what arrives
         together.  Chunks stay separate wire batches (the replica's
         planner keeps their coalesced flush sequential-equivalent).
-        A send that fails cancels the acks already pending, so a lost
-        connection leaves no orphan futures.
+        ``drain=False`` never suspends on the transport (see
+        :meth:`_fan_out`); replay and the rescale drain keep the drain
+        as their backpressure.  A send that fails cancels the acks
+        already pending, so a lost connection leaves no orphan futures.
         """
         acks: list[asyncio.Future] = []
         try:
             for ids, deltas in chunks:
-                acks.append(await cls._send_batch(client, ids, deltas))
+                acks.append(
+                    await cls._send_batch(client, ids, deltas, drain)
+                )
         except BaseException:
             for ack in acks:
                 ack.cancel()
@@ -1032,25 +1044,47 @@ class ClusterRouter(ProfileServer):
 
         All sends leave before any ack is awaited, and the flusher
         waits on the ack futures in place — no Task per partition.
-        On connection loss there is nothing to resend: the journal
-        already holds this flush's entries, so :meth:`_recover`'s
-        restore + replay applies them as a side effect.  Under a
-        deadline each partition's acks must land within
-        ``replica_timeout`` of the send or its breaker trips — the
-        batch is still acked to the client (it is journaled; replay
-        delivers it when the partition heals), but *new* batches for
-        this partition fail fast until then.
+        The sends do not await the transport drain: a replica acks a
+        sub-batch only after reading it, and this flush settles every
+        ack (or trips the partition, which drops its connection)
+        before the next flush sends, so at most one flush's bytes wait
+        in a replica's buffer, and one replica that stops reading
+        cannot hold up the sends to the others.
+
+        Under a deadline (taken before the first send) each
+        partition's sends and acks must land within
+        ``replica_timeout`` or its breaker trips — the batch is still
+        acked to the client (it is journaled; replay delivers it when
+        the partition heals), but *new* batches for this partition
+        fail fast until then.  On connection loss there is nothing to
+        resend: the journal already holds this flush's entries, so
+        :meth:`_replica_failed`'s restore + replay applies them — run
+        once every other partition has settled.
         """
         loop = asyncio.get_running_loop()
+        deadline = (
+            None
+            if self._replica_timeout is None
+            else loop.time() + self._replica_timeout
+        )
         rounds: list[tuple[int, list[asyncio.Future]]] = []
+        failed: list[int] = []
         try:
             for p, chunks in pending.items():
                 try:
-                    client = await self._ensure_client(p)
-                    t0 = loop.time()
-                    acks = await self._send_chunks(client, chunks)
+                    # Bounds the rare dial + restore of a partition
+                    # with no live connection; the sends never wait.
+                    async with asyncio.timeout_at(deadline):
+                        client = await self._ensure_client(p)
+                        t0 = loop.time()
+                        acks = await self._send_chunks(
+                            client, chunks, drain=False
+                        )
+                except asyncio.TimeoutError:
+                    self._trip(p)
+                    continue
                 except (ConnectionError, OSError):
-                    await self._replica_failed(p)
+                    failed.append(p)
                     continue
                 if self._obs_on:
                     # Send to the partition's last ack, stamped when
@@ -1060,11 +1094,6 @@ class ClusterRouter(ProfileServer):
                         functools.partial(self._observe_rtt, t0)
                     )
                 rounds.append((p, acks))
-            deadline = (
-                None
-                if self._replica_timeout is None
-                else loop.time() + self._replica_timeout
-            )
             for p, acks in rounds:
                 try:
                     await self._settle(acks, deadline)
@@ -1072,7 +1101,7 @@ class ClusterRouter(ProfileServer):
                     self._trip(p)
                     continue
                 except (ConnectionError, OSError):
-                    await self._replica_failed(p)
+                    failed.append(p)
                     continue
                 self.cluster_stats["replica_batches"] += len(acks)
                 self._delivered[p] = max(self._delivered[p], flush_last[p])
@@ -1080,6 +1109,8 @@ class ClusterRouter(ProfileServer):
             for _p, acks in rounds:
                 for ack in acks:
                     ack.cancel()
+        for p in failed:
+            await self._replica_failed(p)
 
     def _observe_rtt(self, t0: float, ack: asyncio.Future) -> None:
         if not ack.cancelled() and ack.exception() is None:

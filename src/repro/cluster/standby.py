@@ -10,7 +10,12 @@ segments the tail has not finished.  Promotion is therefore a bounded
 amount of work no matter how long the pair has been running: re-read
 the sealed tail (at most one poll interval of records), write the
 fence, restore the replicas, bind the port.  For the same reason the
-steady-state poll runs on the event loop, not in a thread.
+steady-state poll runs on the event loop, not in a thread: it reads
+``fence.json``, lists the segments, parses the records appended since
+the last poll and rewrites the cursor file (renamed into place, not
+fsynced).  A poll that finds its segment pruned (only once the cursor
+went stale) or that crosses a rescale cutover also re-reads that
+generation's snapshot files — on the loop, once.
 
 Failure detection is two independent signals, both of which must agree
 before the standby moves:
@@ -100,10 +105,11 @@ class StandbyRouter:
     poll_interval:
         Seconds between tail polls — the replication-lag bound while
         the primary lives, and the detection-latency floor once it
-        stops.  Each poll reads at most one interval of log and runs
-        on the event loop; only the initial catch-up in :meth:`start`
-        and the sealed-tail read in :meth:`promote` use a worker
-        thread.
+        stops.  Each poll reads what the primary appended since the
+        last one (one interval of log while the standby keeps up) and
+        runs on the event loop; only the initial catch-up in
+        :meth:`start` and the sealed-tail read in :meth:`promote` use
+        a worker thread.
     probe_timeout:
         Seconds a confirming health probe waits for a connection.
     **router_kwargs:
@@ -190,9 +196,11 @@ class StandbyRouter:
     async def _watch(self) -> None:
         """Poll the tail; promote when the primary is confirmed dead.
 
-        A steady-state poll reads at most one poll interval of WAL, so
-        it runs on the event loop, between awaits: a cancellation can
-        never land mid-poll, and no thread outlives the loop.
+        A poll reads the WAL appended since the last one (one poll
+        interval of records while the standby keeps up; see the module
+        docstring for what else it touches), so it runs on the event
+        loop, between awaits: a cancellation can never land mid-poll,
+        and no thread outlives the loop.
         """
         while True:
             await asyncio.sleep(self._poll_interval)

@@ -497,7 +497,9 @@ class AsyncProfileClient:
             if not future.done():
                 future.set_exception(exc)
 
-    async def _send_bytes(self, data: bytes, req_id: int) -> asyncio.Future:
+    async def _send_bytes(
+        self, data: bytes, req_id: int, drain: bool = True
+    ) -> asyncio.Future:
         future = asyncio.get_running_loop().create_future()
         self._pending[req_id] = future
         try:
@@ -505,7 +507,8 @@ class AsyncProfileClient:
             # drain() is the client-side backpressure valve: a no-op
             # while the transport buffer is shallow, suspends when the
             # server stops reading.
-            await self._writer.drain()
+            if drain:
+                await self._writer.drain()
         except (ConnectionError, OSError) as exc:
             self._pending.pop(req_id, None)
             raise ConnectionError(
@@ -567,13 +570,20 @@ class AsyncProfileClient:
 
     # -- the facade verbs ----------------------------------------------
 
-    async def ingest(self, batch, *, wait: bool = True):
+    async def ingest(self, batch, *, wait: bool = True, drain: bool = True):
         """Apply one wire batch; return net unit events applied.
 
         With ``wait=False`` the pending ack is returned as a Future
         resolving to the response payload (``{"applied": n, "seq": s}``)
         — the pipelining hook: keep a window of futures in flight and
         award the ack latency to the micro-batch flush that served it.
+
+        ``drain=False`` writes the frame without awaiting the transport
+        drain, so the send never suspends, not even on a server that
+        has stopped reading.  The caller then bounds the buffer itself:
+        a server acks a frame only after reading it, so a sender that
+        awaits its acks (under its own deadline) before sending more
+        holds at most one window of frames in the buffer.
 
         On a binary connection the batch leaves as one raw int64 array
         frame; a batch already shaped as ``(ids, deltas)`` numpy arrays
@@ -584,11 +594,16 @@ class AsyncProfileClient:
             ids, deltas = _as_arrays(batch)
             req_id = next(self._ids)
             future = await self._send_bytes(
-                encode_binary_ingest(req_id, ids, deltas), req_id
+                encode_binary_ingest(req_id, ids, deltas), req_id, drain
             )
         else:
             pairs = [[obj, d] for obj, d in _normalize_batch(batch)]
-            future = await self.submit("ingest", events=pairs)
+            req_id = next(self._ids)
+            future = await self._send_bytes(
+                self._wrap({"id": req_id, "op": "ingest", "events": pairs}),
+                req_id,
+                drain,
+            )
         if not wait:
             return future
         return (await future)["applied"]

@@ -25,8 +25,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Profiler, Query
-from repro.cluster import ClusterRouter, partition_capacity
-from repro.server import AsyncProfileClient, ProfileServer
+from repro.cluster import ClusterRouter
+from repro.server import AsyncProfileClient
+from repro.testing.replicas import InProcessSupervisor
 
 DASHBOARD = (
     Query.total(),
@@ -41,66 +42,6 @@ DASHBOARD = (
     Query.top_k(3),
     Query.support(1),
 )
-
-
-class InProcessSupervisor:
-    """Replica tier in this process, with a SIGKILL-alike crash hook."""
-
-    def __init__(self, m, n_parts):
-        self.m = m
-        self.n = n_parts
-        self.cells = [None] * n_parts
-        self.respawns = 0
-
-    async def start(self):
-        for p in range(self.n):
-            await self._spawn(p)
-        return self
-
-    async def _spawn(self, p):
-        profiler = Profiler.open(
-            partition_capacity(self.m, p, self.n), backend="flat"
-        )
-        server = ProfileServer(
-            profiler,
-            port=0,
-            role="replica",
-            partition=(p, self.n),
-        )
-        await server.start()
-        self.cells[p] = (server, profiler)
-
-    @property
-    def endpoints(self):
-        return [(srv.host, srv.port) for srv, _ in self.cells]
-
-    async def ensure_replica(self, p):
-        server, _profiler = self.cells[p]
-        if server._server is None or not server._server.is_serving():
-            self.respawns += 1
-            await self._spawn(p)
-            server, _profiler = self.cells[p]
-        return (server.host, server.port)
-
-    async def crash(self, p):
-        """What SIGKILL leaves: aborted sockets, no drain, state gone."""
-        server, profiler = self.cells[p]
-        server._server.close()
-        for task in list(server._reader_tasks):
-            task.cancel()
-        if server._flusher is not None:
-            server._flusher.cancel()
-        for conn in list(server._conns):
-            conn.writer.transport.abort()
-        profiler.close()
-
-    async def stop(self):
-        for server, profiler in self.cells:
-            try:
-                await server.stop()
-            except Exception:  # noqa: BLE001 - crashed cells
-                pass
-            profiler.close()
 
 
 async def drive_cluster(m, n_parts, batches, crashes, snapshot_every):

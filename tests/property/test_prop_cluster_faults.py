@@ -33,11 +33,11 @@ from repro.api import Profiler
 from repro.cluster import ClusterRouter
 from repro.server import AsyncProfileClient
 from repro.testing.faults import FaultSchedule, arm, disarm
+from repro.testing.replicas import InProcessSupervisor
 
 from test_prop_cluster_equivalence import (
     DASHBOARD,
     FULL4,
-    InProcessSupervisor,
     assert_dashboard_matches,
 )
 

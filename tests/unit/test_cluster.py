@@ -33,6 +33,7 @@ from repro.errors import CapacityError
 from repro.server import AsyncProfileClient, ProfileServer
 from repro.server.cli import _parse_partition, _write_port_file
 from repro.server.protocol import ProtocolError
+from repro.testing.replicas import InProcessSupervisor
 
 
 class TestPartitionJournal:
@@ -326,40 +327,6 @@ class TestSnapshotRule:
         assert seen[12] == (0, 0, 2)
 
 
-class InProcessSupervisor:
-    """The replica tier as in-process servers on this event loop
-    (duck-types the supervisor calls the router makes)."""
-
-    def __init__(self, m, n_parts):
-        self.profilers = [
-            Profiler.open(partition_capacity(m, p, n_parts), backend="flat")
-            for p in range(n_parts)
-        ]
-        self.servers = []
-
-    async def start(self):
-        n = len(self.profilers)
-        for p, profiler in enumerate(self.profilers):
-            server = ProfileServer(
-                profiler, port=0, role="replica", partition=(p, n)
-            )
-            self.servers.append(await server.start())
-        return self
-
-    @property
-    def endpoints(self):
-        return [(srv.host, srv.port) for srv in self.servers]
-
-    async def ensure_replica(self, p):
-        return self.endpoints[p]
-
-    async def stop(self):
-        for server in self.servers:
-            await server.stop()
-        for profiler in self.profilers:
-            profiler.close()
-
-
 class TestLoopTurns:
     """Every hop of a steady-state ingest finishes in the loop turn
     that received it: acks are buffered writes, the fan-out awaits ack
@@ -452,6 +419,73 @@ class TestLoopTurns:
         first, second, total, spans = asyncio.run(scenario())
         assert (first, second, total) == (2, 2, 4)
         assert [s["partitions"] for s in spans] == [[0, 1], [0, 1]]
+
+
+class TestStalledReplica:
+    def test_deadline_covers_a_send_the_replica_never_reads(self):
+        """A replica that stops reading cannot suspend the fan-out.
+
+        Its sub-batch is bigger than the socket buffers plus the
+        transport's high-water mark, so a send that awaited the drain
+        would never return.  The partition must still trip within
+        ``replica_timeout`` of the send, the flush must still ack, and
+        the other partition of the same flush must not trip.
+        """
+        import socket
+
+        import numpy as np
+
+        m, n, timeout = 64, 2, 0.5
+        events = 250_000  # 4 MB of columns, all for partition 1
+
+        async def scenario():
+            sup = await InProcessSupervisor(m, n).start()
+            router = ClusterRouter(
+                m, supervisor=sup, replica_timeout=timeout, port=0
+            )
+            await router.start()
+            client = await AsyncProfileClient.connect(port=router.port)
+            loop = asyncio.get_running_loop()
+            try:
+                assert await client.ingest([(0, 1), (1, 1)]) == 2
+                link = router._clients[1]._writer.transport
+                link.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                )
+                for conn in sup.servers[1]._conns:
+                    conn.writer.transport.pause_reading()
+                ids = np.full(events + 1, 1, dtype=np.int64)
+                ids[-1] = 2  # one event for partition 0
+                deltas = np.ones(events + 1, dtype=np.int64)
+                t0 = loop.time()
+                big = asyncio.ensure_future(client.ingest((ids, deltas)))
+                await asyncio.sleep(timeout / 2)
+                backed_up = (
+                    link.get_write_buffer_size()
+                    > link.get_write_buffer_limits()[1]
+                )
+                applied = await asyncio.wait_for(big, 10 * timeout)
+                elapsed = loop.time() - t0
+                trips = router.cluster_stats["deadline_trips"]
+                open_breakers = sorted(router._breakers)
+                # The live partition keeps ingesting at speed.
+                t1 = loop.time()
+                assert await client.ingest([(0, 1)]) == 1
+                live = loop.time() - t1
+            finally:
+                await client.aclose()
+                await asyncio.wait_for(router.stop(), 10.0)
+                await asyncio.wait_for(sup.stop(), 10.0)
+            return backed_up, applied, elapsed, trips, open_breakers, live
+
+        backed_up, applied, elapsed, trips, open_breakers, live = (
+            asyncio.run(scenario())
+        )
+        assert backed_up  # the send really outgrew every buffer
+        assert applied == events + 1
+        assert elapsed < timeout + 1.0
+        assert (trips, open_breakers) == (1, [1])
+        assert live < timeout
 
 
 class TestServeCliClusterPieces:

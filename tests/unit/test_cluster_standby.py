@@ -17,86 +17,12 @@ import time
 import pytest
 
 from repro.api.facade import Profiler
-from repro.cluster import ClusterRouter, StandbyRouter, partition_capacity
+from repro.cluster import ClusterRouter, StandbyRouter
 from repro.errors import CapacityError, FencedWriterError
 from repro.server.client import AsyncProfileClient
-from repro.server.service import ProfileServer
+from repro.testing.replicas import InProcessSupervisor
 
 CAPACITY = 20
-
-
-class InProcessSupervisor:
-    """Replica tier as in-process servers (duck-types the real one)."""
-
-    def __init__(self, m, n_parts):
-        self.m = m
-        self.n = n_parts
-        self.cells = [None] * n_parts
-        self.staged = None
-        self.generation = 0
-
-    async def start(self):
-        for p in range(self.n):
-            self.cells[p] = await self._spawn(p, self.n)
-        return self
-
-    async def _spawn(self, p, n):
-        profiler = Profiler.open(
-            partition_capacity(self.m, p, n), backend="flat"
-        )
-        server = ProfileServer(
-            profiler, port=0, role="replica", partition=(p, n)
-        )
-        await server.start()
-        return (server, profiler)
-
-    @property
-    def endpoints(self):
-        return [(srv.host, srv.port) for srv, _ in self.cells]
-
-    async def ensure_replica(self, p):
-        server, _profiler = self.cells[p]
-        if server._server is None or not server._server.is_serving():
-            self.cells[p] = await self._spawn(p, self.n)
-            server, _profiler = self.cells[p]
-        return (server.host, server.port)
-
-    async def spawn_generation(self, n_new):
-        assert self.staged is None
-        cells = [await self._spawn(q, n_new) for q in range(n_new)]
-        self.staged = (n_new, cells)
-        return [(srv.host, srv.port) for srv, _ in cells]
-
-    async def commit_generation(self):
-        n_new, cells = self.staged
-        self.staged = None
-        old = self.cells
-        self.n = n_new
-        self.cells = cells
-        self.generation += 1
-        await self._stop_cells(old)
-
-    async def abort_generation(self):
-        if self.staged is None:
-            return
-        _n, cells = self.staged
-        self.staged = None
-        await self._stop_cells(cells)
-
-    @staticmethod
-    async def _stop_cells(cells):
-        for server, profiler in cells:
-            try:
-                await server.stop()
-            except Exception:
-                pass
-            profiler.close()
-
-    async def stop(self):
-        cells = list(self.cells)
-        if self.staged is not None:
-            cells.extend(self.staged[1])
-        await self._stop_cells(cells)
 
 
 async def kill_router(router):
