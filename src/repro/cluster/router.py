@@ -1072,14 +1072,17 @@ class ClusterRouter(ProfileServer):
         try:
             for p, chunks in pending.items():
                 try:
-                    # Bounds the rare dial + restore of a partition
-                    # with no live connection; the sends never wait.
-                    async with asyncio.timeout_at(deadline):
-                        client = await self._ensure_client(p)
-                        t0 = loop.time()
-                        acks = await self._send_chunks(
-                            client, chunks, drain=False
-                        )
+                    client = self._clients.get(p)
+                    if client is None:
+                        # A partition with no live connection dials and
+                        # restores first, inside the deadline.
+                        async with asyncio.timeout_at(deadline):
+                            client = await self._ensure_client(p)
+                    t0 = loop.time()
+                    # Never suspends: no drain, no redial.
+                    acks = await self._send_chunks(
+                        client, chunks, drain=False
+                    )
                 except asyncio.TimeoutError:
                     self._trip(p)
                     continue
