@@ -487,6 +487,41 @@ class TestStalledReplica:
         assert (trips, open_breakers) == (1, [1])
         assert live < timeout
 
+    def test_lost_partition_recovers_after_the_others_settle(self):
+        """A partition whose link died is restored and replayed only
+        once the flush's other partitions have their acks: recovery
+        must not delay a healthy partition's round."""
+        m, n = 40, 2
+
+        async def scenario():
+            sup = await InProcessSupervisor(m, n).start()
+            router = ClusterRouter(m, supervisor=sup, port=0)
+            await router.start()
+            client = await AsyncProfileClient.connect(port=router.port)
+            seen = []
+            recover = router._recover
+
+            async def watched(p, **kwargs):
+                seen.append((p, list(router._delivered)))
+                return await recover(p, **kwargs)
+
+            router._recover = watched
+            try:
+                assert await client.ingest([(0, 1), (1, 1)]) == 2
+                await sup.crash(0)
+                assert await client.ingest([(2, 1), (3, 1)]) == 2
+                total = await client.total()
+            finally:
+                await client.aclose()
+                await router.stop()
+                await sup.stop()
+            return seen, total
+
+        seen, total = asyncio.run(scenario())
+        assert total == 4
+        # Partition 1 had acked seq 2 before partition 0's replay began.
+        assert seen == [(0, [1, 2])]
+
 
 class TestServeCliClusterPieces:
     def test_parse_partition(self):
