@@ -12,5 +12,6 @@ setup(
     packages=find_packages("src"),
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
+    install_requires=["numpy"],
     zip_safe=False,
 )

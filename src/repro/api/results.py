@@ -42,7 +42,10 @@ class EvalResult:
     router serving degraded reads sets it ``True`` when the answers
     were merged from a subset of live partitions (one or more replicas
     were circuit-broken) — the explicit staleness marker of the
-    degraded-read contract.
+    degraded-read contract.  A partial answer is the one a profile
+    holding only the live partitions' objects would give: ranks
+    (``median``, ``quantile``, ``kth_most_frequent``) count over that
+    live universe, not the full capacity.
     """
 
     queries: tuple

@@ -1,47 +1,25 @@
-"""Pure partition/merge helpers for the cluster router.
+"""Pure partition helpers for the cluster router's ingest side.
 
 The routing rule is the engines' own: partition ``p = x % P`` owns
 object ``x`` under the local dense id ``x // P`` — the single
 definition lives in :func:`repro.engine.sharding.partition_ids` and is
 reused here, so the wire tier and the in-process sharded engine can
-never drift.  Merging replica answers mirrors
-:class:`~repro.engine.sharding.ShardedProfiler` method for method:
-extremes merge in O(P), histograms k-way-merge summing equal
-frequencies, order statistics walk the merged histogram, ``top_k``
-heap-merges descending per-partition walks.
+never drift.  The query side — merging replica answers — is
+:mod:`repro.engine.merge`, shared with
+:class:`~repro.engine.sharding.ShardedProfiler`.
 
-Everything here is pure (arrays/answers in, answers out) so the
-algebra is unit-testable against ``ShardedProfiler`` ground truth
-without a single socket.
+Everything here is pure (arrays in, arrays or states out), so it is
+unit-testable without a single socket.
 """
 
 from __future__ import annotations
 
-from heapq import merge as _heap_merge
-from itertools import islice
+import numpy as np
 
-from repro.core.profile import net_deltas
-from repro.core.queries import ModeResult, TopEntry
 from repro.engine.sharding import partition_ids
-from repro.errors import CapacityError
 from repro.server.protocol import ArrayBatch
 
-try:  # the vectorized partition path; pure-Python fallback below
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None
-
-__all__ = [
-    "count_above",
-    "count_at",
-    "merge_extremes",
-    "merge_histograms",
-    "merge_top_entries",
-    "partition_batch",
-    "rank_frequency",
-    "repartition_states",
-    "to_global",
-]
+__all__ = ["partition_batch", "repartition_states"]
 
 
 # ----------------------------------------------------------------------
@@ -55,8 +33,8 @@ def partition_batch(data, n_parts: int, m: int):
     ``data`` is either a binary-codec :class:`ArrayBatch` or the JSON
     decoder's ``(obj, delta)`` pair list.  Returns ``(parts, applied)``
     where ``parts`` maps partition index to ``(local_ids, deltas)``
-    parallel columns (numpy ``int64`` when available) and ``applied``
-    is the facade's would-be ``ingest`` return value — the net unit
+    parallel numpy ``int64`` columns and ``applied`` is the facade's
+    would-be ``ingest`` return value — the net unit
     events of the *whole* batch, which equals the sum of the per
     -partition replica answers because the partition splits objects.
 
@@ -66,24 +44,15 @@ def partition_batch(data, n_parts: int, m: int):
     connection loss, never by content.
     """
     if isinstance(data, ArrayBatch):
-        ids, deltas = data.ids, data.deltas
-        if _np is not None and not isinstance(ids, list):
-            return _partition_np(ids, deltas, n_parts, m)
-        pairs = data.pairs()
+        ids = np.asarray(data.ids, dtype=np.int64)
+        deltas = np.asarray(data.deltas, dtype=np.int64)
     else:
-        pairs = data
-    if _np is not None and len(pairs):
-        ids = _np.fromiter(
-            (x for x, _ in pairs), dtype=_np.int64, count=len(pairs)
+        ids = np.fromiter(
+            (x for x, _ in data), dtype=np.int64, count=len(data)
         )
-        deltas = _np.fromiter(
-            (d for _, d in pairs), dtype=_np.int64, count=len(pairs)
+        deltas = np.fromiter(
+            (d for _, d in data), dtype=np.int64, count=len(data)
         )
-        return _partition_np(ids, deltas, n_parts, m)
-    return _partition_pairs(pairs, n_parts, m)
-
-
-def _partition_np(ids, deltas, n_parts: int, m: int):
     if len(ids) == 0:
         return {}, 0
     residue, local = partition_ids(ids, n_parts, m)
@@ -91,26 +60,13 @@ def _partition_np(ids, deltas, n_parts: int, m: int):
     for p in range(n_parts):
         sel = residue == p
         if sel.any():
-            parts[p] = (local[sel], _np.asarray(deltas)[sel])
+            parts[p] = (local[sel], deltas[sel])
     # Net unit events of the whole batch (the facade's return value):
     # sum |net delta| over distinct objects.
-    keys, inverse = _np.unique(ids, return_inverse=True)
-    sums = _np.zeros(len(keys), dtype=_np.int64)
-    _np.add.at(sums, inverse, deltas)
-    return parts, int(_np.abs(sums).sum())
-
-
-def _partition_pairs(pairs, n_parts: int, m: int):
-    for x, _ in pairs:
-        if not 0 <= x < m:
-            raise CapacityError(f"object id {x} out of range [0, {m})")
-    parts: dict[int, tuple[list, list]] = {}
-    for x, d in pairs:
-        cols = parts.setdefault(x % n_parts, ([], []))
-        cols[0].append(x // n_parts)
-        cols[1].append(d)
-    net = net_deltas(pairs)
-    return parts, sum(abs(d) for d in net.values())
+    keys, inverse = np.unique(ids, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, inverse, deltas)
+    return parts, int(np.abs(sums).sum())
 
 
 def repartition_states(
@@ -162,88 +118,3 @@ def repartition_states(
         finally:
             target.close()
     return out
-
-
-# ----------------------------------------------------------------------
-# Query-side: merge replica answers
-# ----------------------------------------------------------------------
-
-
-def to_global(entry: TopEntry, p: int, n_parts: int) -> TopEntry:
-    """Map a replica-local ``(object, frequency)`` entry to global ids."""
-    return TopEntry(int(entry.obj) * n_parts + p, entry.frequency)
-
-
-def merge_extremes(
-    results: list[ModeResult], n_parts: int, *, desc: bool
-) -> ModeResult:
-    """Merge per-partition ``mode()``/``least()`` answers.
-
-    Mirror of ``ShardedProfiler._extreme``: the winning frequency is
-    the max (min), counts sum over every partition achieving it, and
-    the example is the first winner's, mapped to its global id.
-    """
-    best_f: int | None = None
-    count = 0
-    example = -1
-    for p, result in enumerate(results):
-        f = result.frequency
-        if best_f is None or (f > best_f if desc else f < best_f):
-            best_f = f
-            count = result.count
-            example = int(result.example) * n_parts + p
-        elif f == best_f:
-            count += result.count
-    assert best_f is not None, "merge_extremes needs >= 1 partition"
-    return ModeResult(frequency=best_f, count=count, example=example)
-
-
-def merge_histograms(hists) -> list[tuple[int, int]]:
-    """K-way merge of ascending ``(frequency, count)`` histograms."""
-    out: list[tuple[int, int]] = []
-    for f, count in _heap_merge(*hists):
-        if out and out[-1][0] == f:
-            out[-1] = (f, out[-1][1] + count)
-        else:
-            out.append((f, count))
-    return out
-
-
-def merge_top_entries(per_part, n_parts: int, k: int) -> list[TopEntry]:
-    """Merge per-partition descending top lists into the global top-k.
-
-    Each global top-k entry is necessarily in its partition's local
-    top-k, so a heap-merge of the per-partition lists (mapped to
-    global ids) truncated at ``k`` is exact.
-    """
-    # Map eagerly: a lazy genexp here would close over the loop's
-    # ``p`` and stamp every entry with the last partition's index.
-    walks = [
-        [to_global(e, p, n_parts) for e in entries]
-        for p, entries in enumerate(per_part)
-    ]
-    merged = _heap_merge(*walks, key=lambda e: -e.frequency)
-    return list(islice(merged, k))
-
-
-def rank_frequency(hist, rank: int) -> int:
-    """``T[rank]`` of the ascending frequency array a histogram spans."""
-    remaining = rank
-    for f, count in hist:
-        if remaining < count:
-            return f
-        remaining -= count
-    raise CapacityError(
-        f"rank {rank} out of range for histogram covering "
-        f"{rank - remaining} objects"
-    )
-
-
-def count_above(hist, f: int) -> int:
-    """Objects with frequency strictly greater than ``f``."""
-    return sum(c for ff, c in hist if ff > f)
-
-
-def count_at(hist, f: int) -> int:
-    """Objects with frequency exactly ``f``."""
-    return sum(c for ff, c in hist if ff == f)

@@ -51,11 +51,12 @@ an undecided transaction is dropped at replay (no replica applied it —
 commits are only sent after the decision record is durable), a decided
 one replays from the journal whatever the replica saw.
 
-Queries merge replica answers exactly like
-:class:`~repro.engine.sharding.ShardedProfiler` merges shard answers
-(see :mod:`repro.cluster.merge`); ``checkpoint`` assembles the replica
-checkpoints into one standard *sharded* facade state, restorable by
-``Profiler.from_state`` anywhere.
+Queries merge replica answers with the same pure functions
+:class:`~repro.engine.sharding.ShardedProfiler` applies to its shards
+(:mod:`repro.engine.merge`), over whichever partitions answered;
+``checkpoint`` assembles the replica checkpoints into one standard
+*sharded* facade state, restorable by ``Profiler.from_state``
+anywhere.
 """
 
 from __future__ import annotations
@@ -69,18 +70,8 @@ from typing import Any
 from repro.api.facade import API_STATE_VERSION, Profiler
 from repro.api.plan import Query
 from repro.cluster.journal import PartitionJournal, RouterWal
-from repro.cluster.merge import (
-    count_above,
-    count_at,
-    merge_extremes,
-    merge_histograms,
-    merge_top_entries,
-    partition_batch,
-    rank_frequency,
-    repartition_states,
-    to_global,
-)
-from repro.core.queries import quantile_rank
+from repro.cluster.merge import partition_batch, repartition_states
+from repro.engine import merge
 from repro.errors import (
     CapacityError,
     CheckpointError,
@@ -199,9 +190,14 @@ class ClusterRouter(ProfileServer):
     degraded_reads:
         With breakers open, answer aggregate queries from the live
         partitions only, marking the result ``partial=True`` —
-        instead of failing the whole evaluate.  Per-object reads on a
-        broken partition still raise (there is no partial answer to
-        ``frequency``).
+        instead of failing the whole evaluate.  A partial answer is
+        the one a profile holding only the live partitions' objects
+        would give: ``total`` sums them, ``mode`` compares them, and
+        every rank (``median``, ``quantile``, ``kth_most_frequent``)
+        counts over the live universe, not the full capacity — a
+        ``k`` beyond it raises :class:`~repro.errors.CapacityError`.
+        Per-object reads on a broken partition still raise (there is
+        no partial answer to ``frequency``).
     """
 
     def __init__(
@@ -1572,7 +1568,10 @@ class ClusterRouter(ProfileServer):
         Returns ``(values, partial)``: ``partial`` is ``True`` when
         ``degraded_reads`` let the plan answer from a subset of live
         partitions (broken ones skipped) — the explicit staleness
-        marker the degraded-read contract promises.
+        marker the degraded-read contract promises.  Either way the
+        answers are :mod:`repro.engine.merge` over the partitions
+        that answered: a partial answer is exactly what a profile
+        holding only the live partitions would give, ranks included.
         """
         m = self.capacity
         n = self._n_parts
@@ -1593,29 +1592,13 @@ class ClusterRouter(ProfileServer):
                 owned[x % n].setdefault(
                     q.key, Query.frequency(x // n)
                 )
-            elif kind == "total":
-                need(Query.total())
-            elif kind in ("mode", "least", "max_frequency",
-                          "min_frequency", "active_count", "histogram"):
-                need(Query(kind))
-            elif kind == "support":
-                need(q)
-            elif kind == "top_k":
-                need(q)
-            elif kind in ("median", "quantile"):
-                need(Query.histogram())
-            elif kind == "kth_most_frequent":
-                k = q.args[0]
-                if not 1 <= k <= m:
-                    raise CapacityError(
-                        f"k must be in [1, {m}], got {k}"
-                    )
+            elif kind in ("median", "quantile", "kth_most_frequent"):
                 need(Query.histogram())
             elif kind == "heavy_hitters":
                 need(Query.histogram())
                 need(Query.total())
-            else:  # pragma: no cover - Query validates kinds
-                raise ProtocolError(f"unknown query kind {kind!r}")
+            else:
+                need(q)
 
         shared_list = list(shared.values())
         per_part: list[dict[str, Any] | None] = [None] * n
@@ -1649,8 +1632,8 @@ class ClusterRouter(ProfileServer):
         if partial:
             self.cluster_stats["degraded_queries"] += 1
 
-        def gather_key(key: str) -> list:
-            return [per_part[p][key] for p in live]
+        def answers(key: str) -> list:
+            return [(p, per_part[p][key]) for p in live]
 
         hist_key = Query.histogram().key
         merged_hist = None
@@ -1658,7 +1641,7 @@ class ClusterRouter(ProfileServer):
         def histogram() -> list[tuple[int, int]]:
             nonlocal merged_hist
             if merged_hist is None:
-                merged_hist = merge_histograms(gather_key(hist_key))
+                merged_hist = merge.merge_histograms(answers(hist_key))
             return merged_hist
 
         values: list[Any] = []
@@ -1666,139 +1649,70 @@ class ClusterRouter(ProfileServer):
             kind = q.kind
             if kind == "frequency":
                 values.append(per_part[q.args[0] % n][q.key])
-            elif kind in ("total", "active_count"):
-                values.append(sum(gather_key(q.key)))
-            elif kind == "support":
-                values.append(sum(gather_key(q.key)))
+            elif kind in ("total", "active_count", "support"):
+                values.append(sum(v for _, v in answers(q.key)))
             elif kind in ("mode", "least"):
                 values.append(
-                    self._merge_extremes_live(
-                        gather_key(q.key), live, desc=kind == "mode"
+                    merge.merge_extremes(
+                        answers(q.key), n, desc=kind == "mode"
                     )
                 )
-            elif kind == "max_frequency":
-                values.append(max(gather_key(q.key)))
-            elif kind == "min_frequency":
-                values.append(min(gather_key(q.key)))
-            elif kind == "top_k":
-                k = min(q.args[0], m)
+            elif kind in ("max_frequency", "min_frequency"):
                 values.append(
-                    self._merge_top_live(gather_key(q.key), live, k)
+                    merge.extreme_frequency(
+                        answers(q.key), desc=kind == "max_frequency"
+                    )
                 )
+            elif kind == "top_k":
+                values.append(merge.merge_top(answers(q.key), n, q.args[0]))
             elif kind == "histogram":
                 values.append(histogram())
             elif kind == "median":
-                values.append(rank_frequency(histogram(), (m - 1) // 2))
+                values.append(merge.median_frequency(histogram()))
             elif kind == "quantile":
-                values.append(
-                    rank_frequency(
-                        histogram(), quantile_rank(q.args[0], m)
-                    )
-                )
+                values.append(merge.quantile(histogram(), q.args[0]))
             elif kind == "kth_most_frequent":
                 values.append(
-                    await self._kth_cluster(
-                        q.args[0], histogram(), gather_key(hist_key), live
-                    )
+                    await self._kth_cluster(answers(hist_key), q.args[0])
                 )
             elif kind == "heavy_hitters":
+                total = sum(v for _, v in answers(Query.total().key))
                 values.append(
                     await self._heavy_hitters_cluster(
-                        q.args[0],
-                        sum(gather_key(Query.total().key)),
-                        gather_key(hist_key),
-                        live,
+                        merge.heavy_cut(answers(hist_key), total, q.args[0])
                     )
                 )
         return values, partial
 
-    def _merge_extremes_live(self, entries, live, *, desc: bool):
-        """Partition-aware extreme merge over the live subset only."""
-        if len(live) == self._n_parts:
-            return merge_extremes(entries, self._n_parts, desc=desc)
-        full = [None] * self._n_parts
-        for p, e in zip(live, entries):
-            full[p] = e
-        placeholder = min(entries, key=lambda e: e[1]) if desc else max(
-            entries, key=lambda e: e[1]
+    async def _kth_cluster(self, hists, k: int):
+        """Ask the partition :func:`~repro.engine.merge.kth_holder`
+        names for its first object at the k-th frequency."""
+        _f, p, local_rank = merge.kth_holder(hists, k)
+        result = await self._replica_call(
+            p,
+            lambda client: client.evaluate(
+                Query.kth_most_frequent(local_rank)
+            ),
         )
-        # Dead partitions cannot win: fill with the worst live entry
-        # so the merge's partition arithmetic stays intact, then rely
-        # on tie-breaking order favoring real winners.
-        best = None
-        for p, e in enumerate(full):
-            if e is None:
-                continue
-            g = to_global(e[0], p, self._n_parts)
-            key = (e[1], -g) if desc else (-e[1], -g)
-            if best is None or key > best[0]:
-                best = (key, (g, e[1]))
-        return best[1]
+        return merge.to_global(result.values[0], p, self._n_parts)
 
-    def _merge_top_live(self, lists, live, k: int):
-        """Top-k merge over the live subset only."""
-        if len(live) == self._n_parts:
-            return merge_top_entries(lists, self._n_parts, k)
-        merged = []
-        for p, entries in zip(live, lists):
-            merged.extend(
-                (to_global(x, p, self._n_parts), f) for x, f in entries
-            )
-        merged.sort(key=lambda e: (-e[1], e[0]))
-        return merged[:k]
+    async def _heavy_hitters_cluster(self, cut):
+        """Fetch each partition's qualifiers (its ``top_k`` at the
+        :func:`~repro.engine.merge.heavy_cut` count) and merge them."""
+        lists: dict[int, list] = {}
 
-    async def _kth_cluster(self, k: int, merged_hist, hists, live):
-        """Resolve the k-th frequency globally, then name one holder.
-
-        Mirror of ``ShardedProfiler.kth_most_frequent``: the merged
-        histogram fixes the frequency ``f`` at global rank ``m - k``;
-        the first partition holding an object at ``f`` names it — its
-        local descending rank is (objects above ``f``) + 1.
-        """
-        m = self.capacity
-        f = rank_frequency(merged_hist, m - k)
-        for p, hist in zip(live, hists):
-            if count_at(hist, f) > 0:
-                local_rank = count_above(hist, f) + 1
-                entry = await self._replica_call(
-                    p,
-                    lambda client: client.evaluate(
-                        Query.kth_most_frequent(local_rank)
-                    ),
-                )
-                return to_global(entry.values[0], p, self._n_parts)
-        raise AssertionError("rank frequency vanished mid-query")
-
-    async def _heavy_hitters_cluster(
-        self, phi: float, total: int, hists, live
-    ):
-        """Objects above ``phi * total`` — the global threshold.
-
-        Phase 1 already bought each partition's histogram, which fixes
-        *how many* qualifiers each holds (``count_above`` the global
-        cut); phase 2 fetches exactly those via per-partition
-        ``top_k`` and merges descending.
-        """
-        if total <= 0:
-            return []
-        threshold = phi * total
-        wanted = [count_above(hist, threshold) for hist in hists]
-        lists: list[list] = [[] for _ in hists]
-
-        async def fetch(i: int, p: int, k: int) -> None:
+        async def fetch(p: int, k: int) -> None:
             result = await self._replica_call(
                 p, lambda client: client.evaluate(Query.top_k(k))
             )
-            lists[i] = result.values[0]
+            lists[p] = result.values[0]
 
-        await asyncio.gather(
-            *(
-                fetch(i, p, k)
-                for i, (p, k) in enumerate(zip(live, wanted))
-                if k > 0
-            )
+        await asyncio.gather(*(fetch(p, k) for p, k in cut))
+        return merge.merge_top(
+            [(p, lists[p]) for p, _ in cut],
+            self._n_parts,
+            sum(k for _, k in cut),
         )
-        return self._merge_top_live(lists, live, sum(wanted))
 
     # -- checkpoint assembly -------------------------------------------
 

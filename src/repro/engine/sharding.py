@@ -15,14 +15,12 @@ batch per shard and rides each shard's climb fast path — the unit of
 work a thread/process pool would distribute; the partition guarantees
 the per-shard batches touch disjoint state.
 
-Queries merge per-shard block walks:
-
-- extremes (mode / least / max / min) scan the N shard extremes, O(N);
-- ``support`` / ``histogram`` merge the per-shard block runs,
-  O(N + total blocks);
-- order statistics (median / quantile / k-th) walk the merged histogram
-  accumulating counts until the target rank is covered, O(total blocks);
-- ``top_k`` heap-merges the N descending block walks, O(N + k log N).
+Queries are merges of the shards' own answers, computed by the pure
+functions of :mod:`repro.engine.merge` — the same ones the cluster
+router applies to its replicas' answers.  Extremes compare the shard
+extremes, O(N); histogram-based answers (order statistics, the
+k-th holder, the heavy-hitter cut) k-way merge the shard histograms,
+O(N + total blocks); ``top_k`` heap-merges the shards' own top lists.
 
 Every answer is *exact* — sharding trades the O(1) query bound for an
 O(N + B) merge, never for approximation.  Equivalence with a single
@@ -34,36 +32,27 @@ from __future__ import annotations
 
 from collections import Counter
 from heapq import merge as _heap_merge
-from itertools import islice
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile
-
-try:  # optional vectorized batch splitting
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the test env
-    _np = None
-from repro.core.queries import ModeResult, TopEntry, quantile_rank
+from repro.core.queries import ModeResult, TopEntry
 from repro.core.snapshot import ProfileSnapshot
 from repro.core.validation import audit_profile
-from repro.errors import (
-    CapacityError,
-    EmptyProfileError,
-    FrequencyUnderflowError,
-)
+from repro.engine import merge
+from repro.errors import CapacityError, FrequencyUnderflowError
 
 __all__ = ["ShardedProfiler", "coerce_id_batch", "partition_ids"]
 
 
 def coerce_id_batch(xs):
     """The materialized batch as a clean 1-d integer ndarray, or
-    ``None`` when the vectorized partition does not apply (no NumPy,
-    or a batch that is not integer-array-shaped — callers then take
-    their per-key dict pipeline)."""
-    if _np is None:
-        return None
-    arr = _np.asarray(xs)
+    ``None`` when the vectorized partition does not apply (a batch
+    that is not integer-array-shaped — callers then take their
+    per-key dict pipeline)."""
+    arr = np.asarray(xs)
     if arr.ndim != 1 or arr.dtype.kind not in "iu":
         return None
     return arr
@@ -281,7 +270,7 @@ class ShardedProfiler:
     def _split_np(self, xs):
         """Partition a materialized integer batch into per-shard dense
         ndarrays, or ``None`` when the vectorized path does not apply
-        (no NumPy, or not a clean one-dimensional integer batch).
+        (not a clean one-dimensional integer batch).
 
         Validates the global id range first, so a bad id rejects the
         whole batch before any shard mutates.
@@ -361,25 +350,18 @@ class ShardedProfiler:
     def frequencies(self) -> list[int]:
         """Materialize the global frequency array (O(m)).
 
-        With NumPy importable the gather is one strided assignment per
-        shard into a preallocated ``int64`` buffer (flat cores hand
-        over their frequency ndarray directly — no per-key Python
-        interleaving at all); the pure-Python fallback interleaves
-        lists.
+        One strided assignment per shard into a preallocated ``int64``
+        buffer (flat cores hand over their frequency ndarray directly
+        — no per-key Python interleaving at all).
         """
         n_shards = self._n_shards
-        if _np is not None:
-            out = _np.zeros(self._m, dtype=_np.int64)
-            for s, shard in enumerate(self._shards):
-                native = getattr(shard, "_frequencies_np", None)
-                out[s::n_shards] = (
-                    native() if native is not None else shard.frequencies()
-                )
-            return out.tolist()
-        out = [0] * self._m
+        out = np.zeros(self._m, dtype=np.int64)
         for s, shard in enumerate(self._shards):
-            out[s::n_shards] = shard.frequencies()
-        return out
+            native = getattr(shard, "_frequencies_np", None)
+            out[s::n_shards] = (
+                native() if native is not None else shard.frequencies()
+            )
+        return out.tolist()
 
     @property
     def capacity(self) -> int:
@@ -415,52 +397,39 @@ class ShardedProfiler:
         return self._shards[0].allow_negative if self._shards else True
 
     # ------------------------------------------------------------------
-    # Extremes — O(n_shards) merges of the shard extremes
+    # Merged queries — see repro.engine.merge
     # ------------------------------------------------------------------
+
+    def _answers(self, query: str, *args) -> list:
+        """``(s, shard.query(*args))`` for every shard holding ids."""
+        return [
+            (s, getattr(shard, query)(*args))
+            for s, shard in enumerate(self._shards)
+            if shard.capacity
+        ]
 
     def mode(self) -> ModeResult:
         """Most frequent object(s): merge the shard maxima.  O(N)."""
-        return self._extreme(desc=True)
+        return merge.merge_extremes(
+            self._answers("mode"), self._n_shards, desc=True
+        )
 
     def least(self) -> ModeResult:
         """Least frequent object(s): merge the shard minima.  O(N)."""
-        return self._extreme(desc=False)
-
-    def _extreme(self, *, desc: bool) -> ModeResult:
-        self._require_nonempty()
-        best_f: int | None = None
-        count = 0
-        example = -1
-        for s, shard in enumerate(self._shards):
-            if shard.capacity == 0:
-                continue
-            result = shard.mode() if desc else shard.least()
-            f = result.frequency
-            if best_f is None or (f > best_f if desc else f < best_f):
-                best_f = f
-                count = result.count
-                example = result.example * self._n_shards + s
-            elif f == best_f:
-                count += result.count
-        assert best_f is not None
-        return ModeResult(frequency=best_f, count=count, example=example)
+        return merge.merge_extremes(
+            self._answers("least"), self._n_shards, desc=False
+        )
 
     def max_frequency(self) -> int:
         """The largest frequency.  O(N)."""
-        self._require_nonempty()
-        return max(
-            shard.max_frequency()
-            for shard in self._shards
-            if shard.capacity
+        return merge.extreme_frequency(
+            self._answers("max_frequency"), desc=True
         )
 
     def min_frequency(self) -> int:
         """The smallest frequency.  O(N)."""
-        self._require_nonempty()
-        return min(
-            shard.min_frequency()
-            for shard in self._shards
-            if shard.capacity
+        return merge.extreme_frequency(
+            self._answers("min_frequency"), desc=False
         )
 
     def majority(self) -> int | None:
@@ -475,98 +444,45 @@ class ShardedProfiler:
             return top.example
         return None
 
-    # ------------------------------------------------------------------
-    # Rank queries — merged descending/ascending block walks
-    # ------------------------------------------------------------------
-
-    def _iter_desc(self) -> Iterator[TopEntry]:
-        """Global ``(object, frequency)`` walk, descending frequency."""
-        walks = (
-            self._shard_walk_desc(s, shard)
-            for s, shard in enumerate(self._shards)
-        )
-        return _heap_merge(*walks, key=lambda e: -e.frequency)
-
-    def _shard_walk_desc(
-        self, s: int, shard: SProfile
-    ) -> Iterator[TopEntry]:
-        n_shards = self._n_shards
-        ttof = shard._ttof
-        for block in shard.blocks.iter_blocks_desc():
-            f = block.f
-            for rank in range(block.r, block.l - 1, -1):
-                # int() keeps np.int64 ids (array-engine shard cores)
-                # out of user-facing entries.
-                yield TopEntry(int(ttof[rank]) * n_shards + s, f)
-
     def top_k(self, k: int) -> list[TopEntry]:
         """The ``min(k, m)`` most frequent objects, descending.
 
-        O(N + k log N): a lazy heap-merge of the per-shard descending
-        block walks, stopped after ``k`` entries.
+        Heap-merges the shards' own ``top_k(k)`` lists.
         """
-        if k < 0:
-            raise CapacityError(f"k must be >= 0, got {k}")
-        return list(islice(self._iter_desc(), min(k, self._m)))
+        return merge.merge_top(
+            self._answers("top_k", k), self._n_shards, k
+        )
 
     def kth_most_frequent(self, k: int) -> TopEntry:
-        """The object of k-th largest frequency (1-based, ties arbitrary).
+        """The object of k-th largest frequency (1-based).
 
-        O(total blocks): resolve the frequency via the merged histogram,
-        then name one object holding it.
+        O(total blocks): the merged histogram fixes the frequency and
+        the first shard holding it; that shard names its object.
         """
-        m = self._require_nonempty()
-        if not 1 <= k <= m:
-            raise CapacityError(f"k must be in [1, {m}], got {k}")
-        f = self.frequency_at_rank(m - k)
-        for s, shard in enumerate(self._shards):
-            local = shard.objects_with_frequency(f, limit=1)
-            if local:
-                return TopEntry(local[0] * self._n_shards + s, f)
-        raise AssertionError("rank frequency vanished mid-query")
+        _f, s, local_rank = merge.kth_holder(self._answers("histogram"), k)
+        return merge.to_global(
+            self._shards[s].kth_most_frequent(local_rank), s, self._n_shards
+        )
 
     def frequency_at_rank(self, rank: int) -> int:
         """``T[rank]`` of the merged sorted array.  O(total blocks)."""
-        m = self._require_nonempty()
-        if not 0 <= rank < m:
-            raise CapacityError(f"rank {rank} out of range [0, {m})")
-        remaining = rank
-        for f, count in self.histogram():
-            if remaining < count:
-                return f
-            remaining -= count
-        raise AssertionError("histogram does not cover the universe")
+        return merge.rank_frequency(self.histogram(), rank)
 
     def median_frequency(self) -> int:
         """Lower median of the merged frequency array.  O(total blocks)."""
-        m = self._require_nonempty()
-        return self.frequency_at_rank((m - 1) // 2)
+        return merge.median_frequency(self.histogram())
 
     def quantile(self, q: float) -> int:
         """Frequency at quantile ``q`` (see
         :func:`~repro.core.queries.quantile_rank`).  O(total blocks)."""
-        m = self._require_nonempty()
-        return self.frequency_at_rank(quantile_rank(q, m))
-
-    # ------------------------------------------------------------------
-    # Distribution
-    # ------------------------------------------------------------------
+        return merge.quantile(self.histogram(), q)
 
     def histogram(self) -> list[tuple[int, int]]:
         """``(frequency, #objects)`` ascending: merged shard histograms.
 
         O(N + total blocks) via a k-way merge summing equal frequencies.
         """
-        out: list[tuple[int, int]] = []
-        merged = _heap_merge(
-            *(shard.histogram() for shard in self._shards if shard.capacity)
-        )
-        for f, count in merged:
-            if out and out[-1][0] == f:
-                out[-1] = (f, out[-1][1] + count)
-            else:
-                out.append((f, count))
-        return out
+        return merge.merge_histograms(self._answers("histogram"))
 
     def support(self, f: int) -> int:
         """Number of objects at frequency exactly ``f``.  O(N) lookups."""
@@ -590,21 +506,16 @@ class ShardedProfiler:
     def heavy_hitters(self, phi: float) -> list[TopEntry]:
         """Objects with frequency > ``phi * total`` — exact, merged.
 
-        The threshold uses the *global* total, so per-shard walks stop
-        at the same cut the unsharded profile would use.
+        The threshold uses the *global* total; the merged histograms
+        say how many qualifiers each shard holds, and each shard hands
+        over exactly those from its own ``top_k``.
         """
-        if not 0.0 < phi <= 1.0:
-            raise CapacityError(f"phi must be in (0, 1], got {phi}")
-        total = self.total
-        out: list[TopEntry] = []
-        if total <= 0:
-            return out
-        threshold = phi * total
-        for entry in self._iter_desc():
-            if entry.frequency <= threshold:
-                break
-            out.append(entry)
-        return out
+        cut = merge.heavy_cut(self._answers("histogram"), self.total, phi)
+        return merge.merge_top(
+            [(s, self._shards[s].top_k(count)) for s, count in cut],
+            self._n_shards,
+            sum(count for _, count in cut),
+        )
 
     def iter_sorted(self) -> Iterator[TopEntry]:
         """Yield global ``(object, frequency)`` ascending by frequency."""
@@ -656,11 +567,6 @@ class ShardedProfiler:
             raise CapacityError(
                 f"object id {x} out of range [0, {self._m})"
             )
-
-    def _require_nonempty(self) -> int:
-        if self._m == 0:
-            raise EmptyProfileError("profile tracks zero objects")
-        return self._m
 
     def __repr__(self) -> str:
         return (

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Profiler, Query
+from repro.api import ModeResult, Profiler, Query
 from repro.errors import ReplicaUnavailableError
 from repro.server import AsyncProfileClient, ProfileClient
 
@@ -267,9 +267,38 @@ class TestFrozenReplica:
                 assert info["replicas"][0]["breaker"] == "closed"
 
                 # Degraded aggregate reads answer from live partitions,
-                # marked partial.
+                # marked partial: the dashboard's kinds answer exactly
+                # as a profile holding only partition 0's objects (the
+                # 150 even ids; 0 at frequency 2, 2 at frequency 1).
                 result = client.evaluate(Query.total())
                 assert result.partial is True
+                dashboard = (
+                    Query.total(),
+                    Query.mode(),
+                    Query.top_k(10),
+                    Query.histogram(),
+                    Query.quantile(0.5),
+                    Query.quantile(0.99),
+                    Query.support(0),
+                )
+                result = client.evaluate(*dashboard)
+                assert result.partial is True
+                with Profiler.open(150, backend="flat") as live:
+                    live.ingest([(0, 2), (1, 1)])  # local id = x // 2
+                    expected = live.evaluate(*dashboard)
+                for query in dashboard:
+                    value, ref = result[query], expected[query]
+                    if query.kind == "mode":
+                        assert value == ModeResult(2, 1, 0)
+                        assert ref == ModeResult(2, 1, 0)
+                    elif query.kind == "top_k":
+                        assert [e.frequency for e in value] == [
+                            e.frequency for e in ref
+                        ]
+                        assert [e.obj % 2 for e in value] == [0] * 10
+                        assert value[:2] == [(0, 2), (2, 1)]
+                    else:
+                        assert value == ref, query
 
                 # SIGCONT: after the breaker cooldown the next touch
                 # probes, heals, and the replay delivers the batch

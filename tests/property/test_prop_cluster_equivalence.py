@@ -14,6 +14,12 @@ counts), the assembled cluster checkpoint must restore to the same
 dense frequency array bit for bit, and the merged dashboard must agree
 (tie-arbitrary kinds compared by frequency).
 
+A second property drops the tie allowance: without crashes, the
+router, a directly driven ``ShardedProfiler`` and the sharded facade
+over the same partition must return *equal* values for every kind,
+tie examples included — all three merge through
+:mod:`repro.engine.merge`.
+
 This is the acceptance property of the replicated tier: zero
 acknowledged-event loss, no double counts, whatever dies.
 """
@@ -26,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.api import Profiler, Query
 from repro.cluster import ClusterRouter
+from repro.engine.sharding import ShardedProfiler
 from repro.server import AsyncProfileClient
 from repro.testing.replicas import InProcessSupervisor
 
@@ -41,6 +48,9 @@ DASHBOARD = (
     Query.quantile(0.25),
     Query.top_k(3),
     Query.support(1),
+    Query.kth_most_frequent(2),
+    Query.heavy_hitters(0.25),
+    Query.quantile(0.99),
 )
 
 
@@ -111,12 +121,19 @@ def assert_dashboard_matches(answers, reference):
                 ref_value.count,
             ), query
             assert reference.frequency(value.example) == value.frequency
-        elif query.kind == "top_k":
+        elif query.kind in ("top_k", "heavy_hitters"):
             assert [e.frequency for e in value] == [
                 e.frequency for e in ref_value
             ], query
             for entry in value:
                 assert reference.frequency(entry.obj) == entry.frequency
+            if query.kind == "heavy_hitters":  # the set is tie-free
+                assert sorted(e.obj for e in value) == sorted(
+                    e.obj for e in ref_value
+                ), query
+        elif query.kind == "kth_most_frequent":
+            assert value.frequency == ref_value.frequency, query
+            assert reference.frequency(value.obj) == value.frequency
         else:
             assert value == ref_value, query
 
@@ -226,3 +243,91 @@ def test_cluster_bit_identical_through_snapshots(
     assert check_through_crashes(
         capacity, n_parts, snapshot_every, batches, crashes
     ) >= 1
+
+
+def every_kind(m):
+    """Every query kind, with each k-th rank and several cuts."""
+    return DASHBOARD + (
+        Query.quantile(0.0),
+        Query.quantile(1.0),
+        Query.top_k(m),
+        Query.support(0),
+        Query.heavy_hitters(0.1),
+        Query.heavy_hitters(1.0),
+    ) + tuple(Query.kth_most_frequent(k) for k in range(1, m + 1))
+
+
+async def drive_router(m, n_parts, batches, plan):
+    """Push ``batches`` through a crash-free router; return each
+    batch's ack (or error type) and the answers to ``plan``.
+
+    Replicas take the JSON codec, so each partition core applies its
+    keys in first-seen order, as ``ShardedProfiler.apply`` does.  (The
+    binary codec's vectorized apply places equal-frequency objects in
+    key order instead: a difference of ingest layout, not of merge.)
+    """
+    supervisor = await InProcessSupervisor(m, n_parts).start()
+    router = ClusterRouter(
+        m, supervisor=supervisor, replica_codec="json", port=0
+    )
+    await router.start()
+    client = await AsyncProfileClient.connect(router.host, router.port)
+    try:
+        outcomes = []
+        for batch in batches:
+            try:
+                outcomes.append(await client.ingest(batch))
+            except Exception as exc:  # noqa: BLE001 - compared by type
+                outcomes.append(type(exc))
+        return outcomes, (await client.evaluate(*plan)).values
+    finally:
+        await client.aclose()
+        await router.stop()
+        await supervisor.stop()
+
+
+def sharded_answer(engine, query):
+    """One query against a ``ShardedProfiler``'s own methods."""
+    if query.kind in ("total", "active_count"):
+        return getattr(engine, query.kind)
+    if query.kind == "median":
+        return engine.median_frequency()
+    return getattr(engine, query.kind)(*query.args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(min_value=2, max_value=14),
+    n_parts=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_router_engine_and_facade_agree_exactly(capacity, n_parts, data):
+    n_parts = min(n_parts, capacity)
+    keys = st.integers(min_value=-1, max_value=capacity)
+    pair = st.tuples(keys, st.integers(min_value=-2, max_value=3))
+    batches = data.draw(
+        st.lists(
+            st.lists(pair, min_size=1, max_size=6), min_size=1, max_size=10
+        )
+    )
+    plan = every_kind(capacity)
+    outcomes, routed = asyncio.run(
+        drive_router(capacity, n_parts, batches, plan)
+    )
+    engine = ShardedProfiler(capacity, n_shards=n_parts, core="flat")
+    facade = Profiler.open(capacity, backend="sharded", shards=n_parts)
+    try:
+        for batch, outcome in zip(batches, outcomes):
+            for target in (engine.apply, facade.ingest):
+                try:
+                    applied = target(batch)
+                except Exception as exc:  # noqa: BLE001 - by type
+                    assert type(exc) is outcome, batch
+                else:
+                    assert applied == outcome, batch
+        direct = [sharded_answer(engine, q) for q in plan]
+        fused = list(facade.evaluate(*plan).values)
+    finally:
+        facade.close()
+    for query, a, b, c in zip(plan, routed, direct, fused):
+        assert a == b == c, (query, a, b, c)

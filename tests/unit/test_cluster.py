@@ -1,11 +1,10 @@
-"""Unit tests for the cluster tier: journal, partition/merge algebra,
-router validation, and the two CLIs' cluster-facing pieces.
+"""Unit tests for the cluster tier: journal, batch partitioning,
+router validation, degraded reads, and the two CLIs' cluster-facing
+pieces.
 
-The merge helpers are pinned against :class:`ShardedProfiler` ground
-truth — partition ``p`` of the cluster is shard ``p`` of a sharded
-engine over the same universe by construction, so every merged answer
-must match the in-process engine bit for bit.  Full wire-level
-equivalence (with crashes) lives in
+The query-side merge algebra is :mod:`repro.engine.merge`, tested in
+``tests/unit/test_engine_merge.py``.  Full wire-level equivalence
+(with crashes) lives in
 ``tests/property/test_prop_cluster_equivalence.py`` and
 ``tests/integration/test_cluster_e2e.py``.
 """
@@ -20,15 +19,7 @@ from repro.cluster import (
     PartitionJournal,
     partition_capacity,
 )
-from repro.cluster.merge import (
-    count_above,
-    count_at,
-    merge_extremes,
-    merge_histograms,
-    merge_top_entries,
-    partition_batch,
-    rank_frequency,
-)
+from repro.cluster.merge import partition_batch
 from repro.errors import CapacityError
 from repro.server import AsyncProfileClient, ProfileServer
 from repro.server.cli import _parse_partition, _write_port_file
@@ -130,95 +121,6 @@ class TestPartitionBatch:
     def test_empty_batch(self):
         parts, applied = partition_batch([], 3, 9)
         assert parts == {} and applied == 0
-
-
-def partitioned_reference(m, n_parts, events):
-    """Per-partition flat facades fed the partition split of ``events``,
-    plus one whole-universe facade — the merge helpers' ground truth."""
-    locals_ = [
-        Profiler.open(partition_capacity(m, p, n_parts), backend="flat")
-        for p in range(n_parts)
-    ]
-    whole = Profiler.open(m, backend="flat")
-    for x, d in events:
-        locals_[x % n_parts].ingest([(x // n_parts, d)])
-        whole.ingest([(x, d)])
-    return locals_, whole
-
-
-EVENTS = [(0, 3), (1, 1), (2, 4), (3, 1), (4, 1), (5, 2), (6, 4),
-          (2, -2), (8, 1), (9, 1), (6, 1), (0, 1)]
-
-
-class TestMergeAlgebra:
-    @pytest.fixture(scope="class")
-    def ground(self):
-        locals_, whole = partitioned_reference(10, 3, EVENTS)
-        yield locals_, whole
-        for prof in locals_:
-            prof.close()
-        whole.close()
-
-    def test_extremes(self, ground):
-        locals_, whole = ground
-        for kind, desc in (("mode", True), ("least", False)):
-            merged = merge_extremes(
-                [p.evaluate(Query(kind)).values[0] for p in locals_],
-                3,
-                desc=desc,
-            )
-            ref = whole.evaluate(Query(kind)).values[0]
-            assert (merged.frequency, merged.count) == (
-                ref.frequency, ref.count,
-            )
-            # The example maps back to a global id at that frequency.
-            assert whole.frequency(merged.example) == merged.frequency
-
-    def test_histogram(self, ground):
-        locals_, whole = ground
-        merged = merge_histograms(
-            [p.histogram() for p in locals_]
-        )
-        assert merged == whole.histogram()
-
-    def test_rank_walks_match_order_statistics(self, ground):
-        locals_, whole = ground
-        hist = merge_histograms([p.histogram() for p in locals_])
-        m = 10
-        assert rank_frequency(hist, (m - 1) // 2) == (
-            whole.median_frequency()
-        )
-        for rank in range(m):
-            assert rank_frequency(hist, rank) == sorted(
-                whole.frequencies()
-            )[rank]
-        with pytest.raises(CapacityError, match="rank 10 out of range"):
-            rank_frequency(hist, m)
-
-    def test_top_k_merge(self, ground):
-        locals_, whole = ground
-        for k in (0, 1, 3, 10, 15):
-            merged = merge_top_entries(
-                [p.top_k(min(k, p.capacity)) for p in locals_],
-                3,
-                min(k, 10),
-            )
-            ref = whole.top_k(k)
-            assert [e.frequency for e in merged] == [
-                e.frequency for e in ref
-            ]
-            for entry in merged:
-                assert whole.frequency(entry.obj) == entry.frequency
-
-    def test_count_above_and_at(self, ground):
-        locals_, whole = ground
-        hist = merge_histograms([p.histogram() for p in locals_])
-        freqs = whole.frequencies()
-        for f in (-1, 0, 1, 2, 3.5, 4, 99):
-            assert count_above(hist, f) == sum(
-                1 for v in freqs if v > f
-            )
-        assert count_at(hist, 1) == freqs.count(1)
 
 
 class TestRouterValidation:
@@ -521,6 +423,125 @@ class TestStalledReplica:
         assert total == 4
         # Partition 1 had acked seq 2 before partition 0's replay began.
         assert seen == [(0, [1, 2])]
+
+
+class TestDegradedReads:
+    """With a partition down, every aggregate answers ``partial=True``
+    exactly as a profile holding only the live partitions' objects
+    would — ranks counted over that live universe."""
+
+    KINDS = (
+        Query.total(),
+        Query.active_count(),
+        Query.support(0),
+        Query.support(2),
+        Query.mode(),
+        Query.least(),
+        Query.max_frequency(),
+        Query.min_frequency(),
+        Query.histogram(),
+        Query.median(),
+        Query.quantile(0.9),
+        Query.quantile(0.99),
+        Query.top_k(10),
+        Query.kth_most_frequent(1),
+        Query.kth_most_frequent(12),
+        Query.heavy_hitters(0.02),
+    )
+
+    @pytest.mark.parametrize("n, dead", [(2, 0), (3, 1)], ids=["r2", "r3"])
+    def test_every_kind_answers_over_the_live_universe(self, n, dead):
+        import numpy as np
+
+        from repro.core.queries import quantile_rank
+        from repro.errors import ReplicaUnavailableError
+
+        m = 40
+        rng = np.random.default_rng(n)
+        ids = rng.integers(0, m, 400, dtype=np.int64)
+        deltas = rng.integers(-1, 4, 400, dtype=np.int64)
+
+        async def scenario():
+            sup = await InProcessSupervisor(m, n).start()
+            router = ClusterRouter(
+                m,
+                supervisor=sup,
+                replica_timeout=0.3,
+                breaker_cooldown=60.0,
+                degraded_reads=True,
+                port=0,
+            )
+            await router.start()
+            client = await AsyncProfileClient.connect(port=router.port)
+            try:
+                await client.ingest((ids, deltas))
+                await sup.crash(dead)
+                result = await client.evaluate(*self.KINDS)
+                errors = []
+                for query in (
+                    Query.frequency(dead),
+                    Query.kth_most_frequent(m - m // n + 1),
+                ):
+                    try:
+                        await client.evaluate(query)
+                    except Exception as exc:  # noqa: BLE001 - by type
+                        errors.append(type(exc))
+            finally:
+                await client.aclose()
+                await router.stop()
+                await sup.ensure_replica(dead)  # replace the crashed cell
+                await sup.stop()
+            return result, errors
+
+        result, errors = asyncio.run(scenario())
+        freq = np.zeros(m, dtype=np.int64)
+        np.add.at(freq, ids, deltas)
+        live = np.arange(m) % n != dead
+        f = freq[live]
+        size = len(f)
+        asc = np.sort(f).tolist()
+        desc = asc[::-1]
+        total = int(f.sum())
+
+        def holds(obj, frequency):
+            return live[obj] and freq[obj] == frequency
+
+        assert result.partial
+        got = dict(zip((q.key for q in self.KINDS), result.values))
+        assert got[Query.total().key] == total
+        assert got[Query.active_count().key] == int((f != 0).sum())
+        for v in (0, 2):
+            assert got[Query.support(v).key] == int((f == v).sum())
+        for kind, best in (("mode", max(asc)), ("least", min(asc))):
+            value = got[Query(kind).key]
+            assert (value.frequency, value.count) == (best, asc.count(best))
+            assert holds(value.example, best)
+        assert got[Query.max_frequency().key] == max(asc)
+        assert got[Query.min_frequency().key] == min(asc)
+        values, counts = np.unique(f, return_counts=True)
+        assert got[Query.histogram().key] == list(
+            zip(values.tolist(), counts.tolist())
+        )
+        assert got[Query.median().key] == asc[(size - 1) // 2]
+        for q in (0.9, 0.99):
+            assert got[Query.quantile(q).key] == asc[quantile_rank(q, size)]
+        top = got[Query.top_k(10).key]
+        assert [e.frequency for e in top] == desc[:10]
+        assert len({e.obj for e in top}) == 10
+        assert all(holds(e.obj, e.frequency) for e in top)
+        for k in (1, 12):
+            entry = got[Query.kth_most_frequent(k).key]
+            assert entry.frequency == desc[k - 1]
+            assert holds(entry.obj, entry.frequency)
+        hitters = got[Query.heavy_hitters(0.02).key]
+        expected = np.flatnonzero(live & (freq > 0.02 * total))
+        assert sorted(e.obj for e in hitters) == expected.tolist()
+        assert [e.frequency for e in hitters] == sorted(
+            freq[expected].tolist(), reverse=True
+        )
+        # No partial answer to a per-object read on the dead partition;
+        # a k past the live universe is out of range.
+        assert errors == [ReplicaUnavailableError, CapacityError]
 
 
 class TestServeCliClusterPieces:

@@ -15,6 +15,7 @@ import repro.bench.reporting
 import repro.core.dynamic
 import repro.core.profile
 import repro.core.queries
+import repro.engine.merge
 import repro.engine.service
 import repro.engine.sharding
 
@@ -30,6 +31,7 @@ MODULES = [
     repro.core.dynamic,
     repro.core.profile,
     repro.core.queries,
+    repro.engine.merge,
     repro.engine.service,
     repro.engine.sharding,
 ]
