@@ -548,7 +548,6 @@ class ClusterRouter(ProfileServer):
             host,
             port,
             codec=self._replica_codec,
-            max_frame=self._max_frame,
             reconnect=True,
             # Under a supervisor a refused dial means the process is
             # dying: go back to ensure_replica (which respawns it)

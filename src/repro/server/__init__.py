@@ -13,7 +13,9 @@ wire so many concurrent writers can share one profiler:
   changing per-batch semantics), plus :class:`ServerThread` for
   blocking callers;
 - :mod:`repro.server.client` — :class:`AsyncProfileClient`
-  (pipelining) and the blocking :class:`ProfileClient`;
+  (pipelining), the one protocol implementation, and
+  :class:`ProfileClient`, which drives it blocking on a private event
+  loop;
 - :mod:`repro.server.cli` — the ``python -m repro.serve`` entry point.
 
 See ``docs/api.md`` (usage) and ``docs/perf.md`` §7 (the
@@ -25,7 +27,6 @@ from repro.server.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     RemoteError,
-    binary_supported,
 )
 from repro.server.service import ProfileServer, ServerStats, ServerThread
 
@@ -38,5 +39,4 @@ __all__ = [
     "RemoteError",
     "ServerStats",
     "ServerThread",
-    "binary_supported",
 ]

@@ -1,31 +1,40 @@
 """Client libraries for the profiling service.
 
-Two clients, one vocabulary — both mirror the facade verbs
-(``ingest`` / ``evaluate`` / ``describe`` / checkpoint download) and
-re-raise server-side rejections as the library's own exception types:
+One implementation of the wire protocol, two ways to call it.  Both
+mirror the facade verbs (``ingest`` / ``evaluate`` / ``describe`` /
+checkpoint download) and re-raise server-side rejections as the
+library's own exception types:
 
-- :class:`AsyncProfileClient` — asyncio; supports **pipelining**: any
-  number of requests may be in flight, responses are matched by id, so
-  a writer saturates the server's micro-batching flusher instead of
-  paying one round trip per wire batch.  ``ingest(..., wait=False)``
-  returns the pending ack as an :class:`asyncio.Future`.
-- :class:`ProfileClient` — blocking sockets, strictly request/response;
-  the right tool for scripts, examples and REPLs (pair it with
-  :class:`~repro.server.service.ServerThread` for in-process use).
+- :class:`AsyncProfileClient` — the implementation: dial, server
+  greeting, codec handshake, frame reading, request-id matching, error
+  decoding, backoff and endpoint failover all live here.  It supports
+  **pipelining**: any number of requests may be in flight, responses
+  are matched by id, so a writer saturates the server's micro-batching
+  flusher instead of paying one round trip per wire batch.
+  ``ingest(..., wait=False)`` returns the pending ack as an
+  :class:`asyncio.Future`.
+- :class:`ProfileClient` — a blocking driver over the same code, for
+  scripts, examples and REPLs (pair it with
+  :class:`~repro.server.service.ServerThread` for in-process use).  It
+  owns a private event loop, runs one :class:`AsyncProfileClient` on
+  it, and each verb runs that loop until the async verb returns: no
+  thread, no second copy of the protocol, strictly request/response.
 
 Both accept the facade's full event vocabulary (``Event`` objects,
 ``(obj, flag)`` / ``(obj, delta)`` pairs, delta mappings) — batches
 are normalized to wire pairs with the facade's own normalizer, so the
 wire contract cannot drift from the in-process one.
 
-Both clients also negotiate the **binary codec** (``codec="auto"``,
-the default): when the server's greeting offers it and numpy is
-importable, the connection's first request is a ``hello`` selecting
-binary, after which ingest batches travel as raw int64 arrays
+The client negotiates the **binary codec** (``codec="auto"``, the
+default): when the server's greeting offers it, the connection's first
+request is a ``hello`` selecting binary, after which ingest batches
+travel as raw int64 arrays
 (:func:`~repro.server.protocol.encode_binary_ingest`) and acks come
 back as packed arrays — with a zero-work fast path for batches already
 shaped as an ``(ids, deltas)`` pair of numpy arrays.  ``codec="json"``
 opts out; ``codec="binary"`` makes negotiation failure an error.
+``max_frame`` caps every frame the client reads, greeting and replies
+alike.
 
 Reconnection (``reconnect=True``) makes a client survive its server's
 restarts: dialing retries with capped exponential backoff (including
@@ -36,14 +45,14 @@ the codec.  Each backoff sleep is shortened by a random jitter factor
 (``backoff_jitter``, default up to 50%) so a fleet of clients dropped
 by the same restart does not redial in lockstep and re-stampede the
 recovering server; ``backoff_rng`` injects the random source, which is
-how tests pin the exact sleep schedule.  What reconnection never does is resend: a request in
-flight when the connection died has an unknowable fate (the ack was
-lost, not necessarily the write), so in-flight futures and the
-interrupted call fail with a clear :class:`ConnectionError` and the
-caller decides — exactly-once is the caller's contract, at-most-once
-is the client's.
+how tests pin the exact sleep schedule.  What reconnection never does
+is resend: a request in flight when the connection died has an
+unknowable fate (the ack was lost, not necessarily the write), so
+in-flight futures and the interrupted call fail with a clear
+:class:`ConnectionError` and the caller decides — exactly-once is the
+caller's contract, at-most-once is the client's.
 
-Both clients also accept an **endpoint list** (``endpoints=[(host,
+The client also accepts an **endpoint list** (``endpoints=[(host,
 port), ...]``) instead of a single address — the warm-standby
 deployment shape, where a promoted standby serves on the next address
 in the list.  Dialing is sticky: the client stays on the endpoint
@@ -58,10 +67,10 @@ from __future__ import annotations
 import asyncio
 import itertools
 import random
-import socket
-import struct
-from time import perf_counter, sleep
+from time import perf_counter
 from typing import Any
+
+import numpy as np
 
 from repro.api.facade import _normalize_batch
 from repro.api.plan import Query, normalize_queries
@@ -73,8 +82,6 @@ from repro.server.protocol import (
     DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
     ProtocolError,
-    binary_supported,
-    decode_body,
     decode_error,
     decode_value,
     encode_binary_ingest,
@@ -82,18 +89,10 @@ from repro.server.protocol import (
     encode_queries,
     pack_frame,
     read_binary_frame,
-    read_binary_frame_from,
     read_frame,
 )
 
-try:  # the binary fast path moves numpy arrays; JSON needs none of it
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None
-
 __all__ = ["AsyncProfileClient", "ProfileClient"]
-
-_LEN = struct.Struct(">I")
 
 _CODECS = ("auto", "binary", "json")
 
@@ -107,18 +106,12 @@ def _want_binary(codec: str, greeting: dict) -> bool:
     if codec == "json":
         return False
     offered = "binary" in (greeting.get("codecs") or ())
-    if codec == "binary":
-        if not binary_supported():
-            raise ProtocolError(
-                "binary codec requires numpy on the client"
-            )
-        if not offered:
-            raise ProtocolError(
-                f"server offers codecs "
-                f"{greeting.get('codecs') or ['json']}, not binary"
-            )
-        return True
-    return offered and binary_supported()
+    if codec == "binary" and not offered:
+        raise ProtocolError(
+            f"server offers codecs "
+            f"{greeting.get('codecs') or ['json']}, not binary"
+        )
+    return offered
 
 
 def _as_arrays(batch):
@@ -131,11 +124,10 @@ def _as_arrays(batch):
     the server-side JSON decoder rejects them for dense servers.
     """
     if (
-        _np is not None
-        and isinstance(batch, tuple)
+        isinstance(batch, tuple)
         and len(batch) == 2
-        and isinstance(batch[0], _np.ndarray)
-        and isinstance(batch[1], _np.ndarray)
+        and isinstance(batch[0], np.ndarray)
+        and isinstance(batch[1], np.ndarray)
     ):
         return batch
     ids: list[int] = []
@@ -154,16 +146,41 @@ def _as_arrays(batch):
 def _normalize_endpoints(host, port, endpoints) -> list[tuple[str, int]]:
     """Resolve the (host, port) / endpoints=[...] knobs into one list.
 
-    ``endpoints`` wins when given (host/port are then ignored); a lone
-    (host, port) pair becomes a one-element list, so the failover
-    plumbing has exactly one shape to rotate over.
+    ``endpoints`` wins when given (host/port are then ignored; an empty
+    list is an error, not a fallback); a lone (host, port) pair becomes
+    a one-element list, so the failover plumbing has exactly one shape
+    to rotate over.
     """
-    if endpoints:
+    if endpoints is not None:
         out = [(str(h), int(p)) for h, p in endpoints]
         if not out:
             raise ValueError("endpoints list is empty")
         return out
     return [(str(host), int(port))]
+
+
+async def _cancel_others() -> None:
+    """Cancel and await every other task on the running loop.
+
+    Running it also runs the transport callbacks that release sockets.
+    """
+    me = asyncio.current_task()
+    tasks = [t for t in asyncio.all_tasks() if t is not me]
+    for task in tasks:
+        task.cancel()
+    await asyncio.gather(*tasks, return_exceptions=True)
+
+
+def _refuse_running_loop() -> None:
+    """Raise before a blocking call would stall a running event loop."""
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return
+    raise RuntimeError(
+        "ProfileClient blocks its thread and cannot run inside an event "
+        "loop; use AsyncProfileClient there"
+    )
 
 
 class AsyncProfileClient:
@@ -441,7 +458,9 @@ class AsyncProfileClient:
         try:
             while True:
                 if binary:
-                    frame = await read_binary_frame(self._reader)
+                    frame = await read_binary_frame(
+                        self._reader, self._max_frame
+                    )
                     if frame is None:
                         break
                     if frame.kind == BIN_KIND_ACKS:
@@ -463,7 +482,7 @@ class AsyncProfileClient:
                         )
                     msg = frame.payload
                 else:
-                    msg = await read_frame(self._reader)
+                    msg = await read_frame(self._reader, self._max_frame)
                     if msg is None:
                         break
                 self._resolve(msg)
@@ -762,15 +781,14 @@ class AsyncProfileClient:
             return
         self._closed = True
         self._recv_task.cancel()
-        transport = getattr(self._writer, "transport", None)
-        if transport is not None:
-            transport.abort()
-        else:  # pragma: no cover - streams always expose a transport
-            self._writer.close()
+        self._writer.transport.abort()
         self._fail_pending(self._dropped(None))
 
     async def aclose(self) -> None:
-        """Graceful close: drain in-flight acks, say goodbye, hang up."""
+        """Graceful close: drain in-flight acks, say goodbye, hang up.
+
+        Cancelled while waiting for the goodbye, it still hangs up.
+        """
         if self._closed:
             return
         self._closed = True
@@ -785,8 +803,9 @@ class AsyncProfileClient:
             await asyncio.wait_for(future, 10.0)
         except (asyncio.TimeoutError, ConnectionError, OSError):
             pass
-        self._recv_task.cancel()
-        self._writer.close()
+        finally:
+            self._recv_task.cancel()
+            self._writer.close()
         try:
             await self._writer.wait_closed()
         except (ConnectionError, OSError):
@@ -800,11 +819,28 @@ class AsyncProfileClient:
 
 
 class ProfileClient:
-    """Blocking request/response client over a plain socket.
+    """Blocking request/response client: :class:`AsyncProfileClient`
+    driven on a private event loop.
 
     >>> client = ProfileClient("127.0.0.1", port)   # doctest: +SKIP
     >>> client.ingest({7: +2, 3: +1})               # doctest: +SKIP
     3
+
+    The options mean what they mean on :meth:`AsyncProfileClient.connect`.
+    The loop runs only inside a call, so a dropped connection is found
+    by the next call: that call fails fate-unknown, and under
+    ``reconnect=True`` the one after it redials.
+
+    ``timeout`` (seconds, or ``None`` for no bound) bounds each call
+    from end to end, dial and backoff included.  A call that runs out
+    of time raises :class:`ConnectionError`: its fate is unknown and
+    the client will not resend.  The connection is kept; a reply that
+    arrives later is dropped by request-id matching.  :meth:`close` is
+    bounded the same way.
+
+    Calling it from inside a running event loop would block that loop,
+    so construction and every verb raise :class:`RuntimeError` there;
+    async callers use :class:`AsyncProfileClient` directly.
     """
 
     def __init__(
@@ -824,318 +860,98 @@ class ProfileClient:
         backoff_rng=None,
         trace: bool | str | None = None,
     ) -> None:
-        self._endpoints = _normalize_endpoints(host, port, endpoints)
-        self._endpoint_idx = 0
-        self._host, self._port = self._endpoints[0]
-        self._want = codec
+        _refuse_running_loop()
         self._timeout = timeout
-        self._max_frame = max_frame
-        self._reconnect = reconnect
-        self._backoff_base = backoff_base
-        self._backoff_max = backoff_max
-        self._max_attempts = max_attempts
-        self._backoff_jitter = backoff_jitter
-        self._backoff_rng = (
-            backoff_rng if backoff_rng is not None else random.random
+        self._loop = asyncio.new_event_loop()
+        try:
+            self._client = self._bounded(
+                "dial",
+                AsyncProfileClient.connect(
+                    host,
+                    port,
+                    endpoints=endpoints,
+                    codec=codec,
+                    max_frame=max_frame,
+                    reconnect=reconnect,
+                    backoff_base=backoff_base,
+                    backoff_max=backoff_max,
+                    max_attempts=max_attempts,
+                    backoff_jitter=backoff_jitter,
+                    backoff_rng=backoff_rng,
+                    trace=trace,
+                ),
+            )
+        except BaseException:
+            self._close_loop()
+            raise
+
+    def _bounded(self, what: str, coro):
+        """Run ``coro`` on the private loop under the call timeout."""
+        try:
+            return self._loop.run_until_complete(
+                asyncio.wait_for(coro, self._timeout)
+            )
+        except asyncio.TimeoutError:
+            raise ConnectionError(
+                f"{what} got no answer within {self._timeout} s; its "
+                f"fate is unknown and the client will not resend"
+            ) from None
+
+    def _run(self, verb, /, *args, **fields):
+        """Block on one async verb of the wrapped client."""
+        _refuse_running_loop()
+        if self._loop.is_closed():
+            raise ConnectionError("client is closed")
+        return self._bounded(
+            f"request to {self._client._host}:{self._client._port}",
+            verb(*args, **fields),
         )
-        if trace is True:
-            trace = mint_trace_id()
-        self._trace = trace or None
-        self._ids = itertools.count(1)
-        self._closed = False
-        self._sock: socket.socket | None = None
-        self._file = None
-        self._codec = "json"
-        self._wrap = pack_frame
-        self._ack_buf: list[dict] = []
-        self._connect_rotate()
+
+    def _close_loop(self) -> None:
+        """Settle what the loop still holds, then close it."""
+        self._loop.run_until_complete(_cancel_others())
+        self._loop.close()
+
+    @property
+    def hello(self) -> dict:
+        """The server's hello frame (backend, keys, capacity, ...)."""
+        return self._client.hello
 
     @property
     def codec(self) -> str:
         """The negotiated wire codec: ``"json"`` or ``"binary"``."""
-        return self._codec
+        return self._client.codec
 
     @property
     def trace(self) -> str | None:
         """The connection's trace id (survives redials), or ``None``."""
-        return self._trace
-
-    # -- connection management -----------------------------------------
-
-    def _connect(self) -> None:
-        """One dial attempt: TCP + server hello + codec negotiation."""
-        sock = socket.create_connection(
-            (self._host, self._port), self._timeout
-        )
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
-        self._file = sock.makefile("rwb")
-        self._codec = "json"
-        self._wrap = pack_frame
-        self._ack_buf = []
-        try:
-            self.hello = self._read_frame()
-            if (
-                self.hello is None
-                or self.hello.get("server") != "repro.server"
-            ):
-                raise ProtocolError(
-                    f"{self._host}:{self._port} did not answer with a "
-                    f"repro.server hello"
-                )
-            want_binary = _want_binary(self._want, self.hello)
-            if want_binary or self._trace:
-                # hello must be the connection's first request; its ack
-                # still arrives in JSON, then both directions flip.  A
-                # json-codec hello is sent only to carry the trace id.
-                req_id = next(self._ids)
-                msg = {
-                    "id": req_id,
-                    "op": "hello",
-                    "codec": "binary" if want_binary else "json",
-                    "version": PROTOCOL_VERSION,
-                }
-                if self._trace:
-                    msg["trace"] = self._trace
-                self._file.write(pack_frame(msg))
-                self._file.flush()
-                self._await(req_id)
-                if want_binary:
-                    self._codec = "binary"
-                    self._wrap = encode_binary_json
-        except BaseException:
-            self._teardown()
-            raise
-
-    def _connect_backoff(self) -> None:
-        """Dial until connected, backing off exponentially (capped).
-
-        Same jittered schedule as the async client: each sleep is the
-        nominal delay shortened by up to ``backoff_jitter`` of itself,
-        so clients dropped together do not redial together.
-        """
-        delay = self._backoff_base
-        last: Exception | None = None
-        for _attempt in range(self._max_attempts):
-            try:
-                self._connect()
-                return
-            except (ConnectionError, OSError) as exc:
-                last = exc
-                sleep(delay * (1.0 - self._backoff_jitter * self._backoff_rng()))
-                delay = min(delay * 2, self._backoff_max)
-        raise ConnectionError(
-            f"could not reach {self._host}:{self._port} after "
-            f"{self._max_attempts} attempts (last error: {last})"
-        ) from last
-
-    def _connect_rotate(self) -> None:
-        """Dial endpoints in rotation order from the current one.
-
-        Mirror of the async client's ``_dial_rotate``: each endpoint
-        gets the full single-endpoint dial policy (one attempt, or the
-        whole backoff schedule under ``reconnect=True``) before the
-        rotation advances, and the endpoint that answers becomes the
-        sticky current one.  A lone endpoint re-raises its dial error
-        untouched.
-        """
-        failures = []
-        eps = self._endpoints
-        for offset in range(len(eps)):
-            idx = (self._endpoint_idx + offset) % len(eps)
-            self._host, self._port = eps[idx]
-            try:
-                if self._reconnect:
-                    self._connect_backoff()
-                else:
-                    self._connect()
-                self._endpoint_idx = idx
-                return
-            except (ConnectionError, OSError) as exc:
-                failures.append((f"{self._host}:{self._port}", exc))
-        if len(eps) == 1:
-            raise failures[0][1]
-        detail = "; ".join(f"{ep}: {exc}" for ep, exc in failures)
-        raise ConnectionError(
-            f"all {len(eps)} endpoints unreachable ({detail})"
-        ) from failures[-1][1]
-
-    def _teardown(self) -> None:
-        """Discard the socket without a protocol goodbye."""
-        if self._file is not None:
-            try:
-                self._file.close()
-            except (OSError, ValueError):
-                pass
-            self._file = None
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
-
-    def _ensure_connected(self) -> None:
-        """Heal a dropped connection before the next request goes out."""
-        if self._closed:
-            raise ConnectionError("client is closed")
-        if self._sock is not None:
-            return
-        if not self._reconnect:
-            raise ConnectionError("server connection closed")
-        self._connect_rotate()
-
-    def _read_frame(self):
-        head = self._file.read(_LEN.size)
-        if not head:
-            return None
-        if len(head) < _LEN.size:
-            raise ProtocolError("connection closed mid-frame")
-        (length,) = _LEN.unpack(head)
-        if length > self._max_frame:
-            raise ProtocolError(
-                f"frame of {length} bytes exceeds the "
-                f"{self._max_frame}-byte cap"
-            )
-        body = self._file.read(length)
-        if len(body) < length:
-            raise ProtocolError("connection closed mid-frame")
-        return decode_body(body)
-
-    def _read_message(self):
-        """One server message as a response dict, whatever the codec.
-
-        On a binary connection a packed ack frame expands into one
-        dict per acked request (buffered; strictly request/response
-        clients only ever see one, but the expansion keeps the reader
-        honest about the wire contract).
-        """
-        if self._codec != "binary":
-            return self._read_frame()
-        while True:
-            if self._ack_buf:
-                return self._ack_buf.pop(0)
-            frame = read_binary_frame_from(
-                self._file.read, self._max_frame
-            )
-            if frame is None:
-                return None
-            if frame.kind == BIN_KIND_JSON:
-                return frame.payload
-            if frame.kind == BIN_KIND_ACKS:
-                self._ack_buf = [
-                    {"id": r, "ok": True, "applied": a, "seq": s}
-                    for r, s, a in frame.payload
-                ]
-                continue
-            raise ProtocolError("unexpected ingest frame from server")
-
-    def _await(self, req_id: int) -> dict:
-        while True:
-            msg = self._read_message()
-            if msg is None:
-                raise ConnectionError("server connection closed")
-            if msg.get("id") != req_id:
-                continue  # stale frame (e.g. from a broken predecessor)
-            if msg.get("ok"):
-                return msg
-            exc = decode_error(msg.get("error"))
-            exc.remote_seq = msg.get("seq")
-            raise exc
-
-    def _roundtrip(self, encode) -> dict:
-        """One request/response exchange with the retry policy applied.
-
-        ``encode(req_id)`` builds the frame *after* the connection is
-        known good, so a redial that renegotiates the codec re-encodes
-        accordingly.  A failed WRITE is the one unambiguously safe
-        retry (the frame never left whole, so the server cannot have
-        applied it) and is retried once when reconnecting is enabled;
-        a failure while WAITING is ambiguous (the ack was lost, not
-        necessarily the request) and always raises — the client never
-        resends a request that may have been delivered.
-        """
-        for retry in (False, True):
-            self._ensure_connected()
-            req_id = next(self._ids)
-            data = encode(req_id)
-            try:
-                self._file.write(data)
-                self._file.flush()
-            except (ConnectionError, OSError, ValueError) as exc:
-                self._teardown()
-                if self._reconnect and not retry:
-                    continue
-                raise ConnectionError(
-                    f"write to {self._host}:{self._port} failed: {exc}"
-                ) from exc
-            try:
-                return self._await(req_id)
-            except (ConnectionError, OSError) as exc:
-                if hasattr(exc, "remote_seq"):
-                    # A server-side rejection that merely *subclasses*
-                    # ConnectionError (e.g. ReplicaUnavailableError):
-                    # the link is fine and the answer is authoritative.
-                    raise
-                self._teardown()
-                raise ConnectionError(
-                    f"connection to {self._host}:{self._port} lost "
-                    f"waiting for a response; the request's fate is "
-                    f"unknown and the client will not resend"
-                ) from exc
-            except ProtocolError as exc:
-                if hasattr(exc, "remote_seq"):
-                    raise  # a server-side rejection; the link is fine
-                self._teardown()
-                raise
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def request(self, op: str, **fields) -> dict:
-        """Send one request and block for its response payload."""
-        return self._roundtrip(
-            lambda rid: self._wrap({"id": rid, "op": op, **fields})
-        )
+        return self._client.trace
 
     # -- the facade verbs ----------------------------------------------
 
-    def _encode_ingest(self, req_id: int, batch) -> bytes:
-        if self._codec == "binary":
-            ids, deltas = _as_arrays(batch)
-            return encode_binary_ingest(req_id, ids, deltas)
-        pairs = [[obj, d] for obj, d in _normalize_batch(batch)]
-        return self._wrap(
-            {"id": req_id, "op": "ingest", "events": pairs}
-        )
+    def request(self, op: str, **fields) -> dict:
+        """Send one request and block for its response payload."""
+        return self._run(self._client.request, op, **fields)
 
     def ingest(self, batch) -> int:
         """Apply one wire batch; return net unit events applied."""
-        return self._roundtrip(
-            lambda rid: self._encode_ingest(rid, batch)
-        )["applied"]
+        return self._run(self._client.ingest, batch)
 
     def evaluate(self, *queries: Query) -> EvalResult:
         """The fused multi-query plan, one round trip."""
-        plan = normalize_queries(queries)
-        resp = self.request("evaluate", queries=encode_queries(plan))
-        values = tuple(
-            decode_value(q.kind, v)
-            for q, v in zip(plan, resp["values"])
-        )
-        return EvalResult(
-            queries=plan,
-            values=values,
-            partial=bool(resp.get("partial", False)),
-        )
+        return self._run(self._client.evaluate, *queries)
 
     def describe(self) -> dict[str, Any]:
-        return self.request("describe")["info"]
+        """Engine introspection plus the ``server`` stats block."""
+        return self._run(self._client.describe)
 
     def checkpoint(self) -> dict[str, Any]:
-        return self.request("checkpoint")["state"]
+        """Download the facade checkpoint (``Profiler.to_state()``)."""
+        return self._run(self._client.checkpoint)
 
     def restore(self, state: dict, *, recovering: bool = False) -> str:
         """Upload a checkpoint; the server swaps its hosted profiler."""
-        fields: dict[str, Any] = {"state": state}
-        if recovering:
-            fields["recovering"] = True
-        return self.request("restore", **fields)["restored"]
+        return self._run(self._client.restore, state, recovering=recovering)
 
     def rescale(self, n: int) -> dict[str, Any]:
         """Ask a cluster router to rebalance onto ``n`` partitions.
@@ -1144,65 +960,45 @@ class ProfileClient:
         connections keeps flowing meanwhile); returns the cutover
         receipt ``{"partitions": n, "generation": g, "seq": s}``.
         """
-        resp = self.request("rescale", n=n)
-        return {
-            "partitions": resp["partitions"],
-            "generation": resp["generation"],
-            "seq": resp["seq"],
-        }
+        return self._run(self._client.rescale, n)
 
     def health(self) -> dict[str, Any]:
         """Cheap liveness probe, answered out of band by the reader."""
-        return self.request("health")["health"]
+        return self._run(self._client.health)
 
     def metrics(self) -> dict[str, Any]:
         """The server's metrics-registry snapshot plus recent spans."""
-        resp = self.request("metrics")
-        return {
-            "metrics": resp.get("metrics", {}),
-            "spans": resp.get("spans", []),
-        }
+        return self._run(self._client.metrics)
 
     def ping(self) -> float:
-        start = perf_counter()
-        self.request("ping")
-        return perf_counter() - start
+        """Round-trip time through the ordered pipeline, in seconds."""
+        return self._run(self._client.ping)
 
     def frequency(self, obj) -> int:
-        return self.evaluate(Query.frequency(obj))[0]
+        return self._run(self._client.frequency, obj)
 
     def mode(self):
-        return self.evaluate(Query.mode())[0]
+        return self._run(self._client.mode)
 
     def top_k(self, k: int):
-        return self.evaluate(Query.top_k(k))[0]
+        return self._run(self._client.top_k, k)
 
     def total(self) -> int:
-        return self.evaluate(Query.total())[0]
+        return self._run(self._client.total)
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Graceful close (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._sock is None:
+        """Graceful close (idempotent), bounded by ``timeout``."""
+        _refuse_running_loop()
+        if self._loop.is_closed():
             return
         try:
-            req_id = next(self._ids)
-            self._file.write(self._wrap({"id": req_id, "op": "close"}))
-            self._file.flush()
-            while True:
-                msg = self._read_message()
-                if msg is None or (
-                    msg.get("id") == req_id and "closing" in msg
-                ):
-                    break
-        except (ProtocolError, ConnectionError, OSError, ValueError):
-            pass
+            self._run(self._client.aclose)
+        except ConnectionError:
+            pass  # no goodbye in time; aclose hung up regardless
         finally:
-            self._teardown()
+            self._close_loop()
 
     def __enter__(self) -> "ProfileClient":
         return self

@@ -108,10 +108,7 @@ import json
 import struct
 from typing import Any, Sequence
 
-try:  # same numpy gating discipline as repro.core.flat
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback
-    _np = None
+import numpy as np
 
 from repro.api.plan import POINT_KINDS, WALK_KINDS, Query
 from repro.core.profile import net_arrays, net_deltas_arrays
@@ -143,7 +140,6 @@ __all__ = [
     "BinaryFrame",
     "ProtocolError",
     "RemoteError",
-    "binary_supported",
     "decode_binary_payload",
     "decode_error",
     "decode_events",
@@ -260,13 +256,6 @@ _INGEST_ITEM = 16
 _ACK_ITEM = 24
 
 
-def binary_supported() -> bool:
-    """Can this process speak the binary codec?  (Needs NumPy for the
-    zero-copy array decode; without it servers and clients negotiate
-    JSON and nothing else changes.)"""
-    return _np is not None
-
-
 class ArrayBatch:
     """One decoded binary wire batch: parallel int64 id/delta arrays.
 
@@ -295,7 +284,7 @@ class ArrayBatch:
 
     def pairs(self) -> list:
         """Materialize ``(obj, delta)`` tuples (Python ints)."""
-        if _np is not None and not isinstance(self.ids, list):
+        if not isinstance(self.ids, list):
             return list(zip(self.ids.tolist(), self.deltas.tolist()))
         return list(zip(self.ids, self.deltas))
 
@@ -387,10 +376,7 @@ def decode_binary_payload(
     """
     if kind == BIN_KIND_JSON:
         return BinaryFrame(kind, req, decode_body(body))
-    if _np is not None:
-        arr = _np.frombuffer(body, dtype="<i8")
-    else:  # pragma: no cover - numpy-less fallback
-        arr = list(struct.unpack(f"<{len(body) // 8}q", body))
+    arr = np.frombuffer(body, dtype="<i8")
     if kind == BIN_KIND_INGEST:
         return BinaryFrame(
             kind, req, ArrayBatch(arr[:count], arr[count:])
@@ -400,12 +386,7 @@ def decode_binary_payload(
         arr[count : 2 * count],
         arr[2 * count :],
     )
-    if _np is not None:
-        triples = list(
-            zip(reqs.tolist(), seqs.tolist(), applied.tolist())
-        )
-    else:  # pragma: no cover - numpy-less fallback
-        triples = list(zip(reqs, seqs, applied))
+    triples = list(zip(reqs.tolist(), seqs.tolist(), applied.tolist()))
     return BinaryFrame(kind, req, triples)
 
 
@@ -442,8 +423,8 @@ async def read_binary_frame(
 def read_binary_frame_from(read, max_frame: int = DEFAULT_MAX_FRAME):
     """Blocking twin of :func:`read_binary_frame`.
 
-    ``read`` is a buffered ``read(n)`` callable (e.g. the ``read`` of a
-    socket makefile) that returns fewer than ``n`` bytes only at EOF.
+    ``read`` is a buffered ``read(n)`` callable (e.g. the ``read`` of an
+    :class:`io.BytesIO`) that returns fewer than ``n`` bytes only at EOF.
     Same contract: ``None`` on clean EOF at a frame boundary,
     :class:`ProtocolError` on anything malformed, header fully
     validated before the body is read.
@@ -490,28 +471,15 @@ def encode_binary_ingest(req_id: int, ids, deltas) -> bytes:
     :class:`ProtocolError` — the JSON codec carries those.
     """
     try:
-        if _np is not None:
-            ids = _np.ascontiguousarray(ids, dtype="<i8")
-            deltas = _np.ascontiguousarray(deltas, dtype="<i8")
-            if ids.ndim != 1 or ids.shape != deltas.shape:
-                raise ProtocolError(
-                    f"ids and deltas must be parallel 1-d arrays, got "
-                    f"shapes {ids.shape} and {deltas.shape}"
-                )
-            count = len(ids)
-            body = ids.tobytes() + deltas.tobytes()
-        else:  # pragma: no cover - numpy-less fallback
-            ids = list(ids)
-            deltas = list(deltas)
-            if len(ids) != len(deltas):
-                raise ProtocolError(
-                    f"ids and deltas must be parallel arrays, got "
-                    f"lengths {len(ids)} and {len(deltas)}"
-                )
-            count = len(ids)
-            body = struct.pack(f"<{count}q", *ids) + struct.pack(
-                f"<{count}q", *deltas
+        ids = np.ascontiguousarray(ids, dtype="<i8")
+        deltas = np.ascontiguousarray(deltas, dtype="<i8")
+        if ids.ndim != 1 or ids.shape != deltas.shape:
+            raise ProtocolError(
+                f"ids and deltas must be parallel 1-d arrays, got "
+                f"shapes {ids.shape} and {deltas.shape}"
             )
+        count = len(ids)
+        body = ids.tobytes() + deltas.tobytes()
         return _pack_binary(BIN_KIND_INGEST, _DTYPE_I64, req_id, count, body)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(
@@ -528,16 +496,8 @@ def encode_binary_acks(triples) -> bytes:
     """
     triples = list(triples)
     count = len(triples)
-    if _np is not None:
-        arr = _np.array(triples, dtype="<i8").reshape(count, 3)
-        body = arr.T.tobytes(order="C")
-    else:  # pragma: no cover - numpy-less fallback
-        flat = (
-            [t[0] for t in triples]
-            + [t[1] for t in triples]
-            + [t[2] for t in triples]
-        )
-        body = struct.pack(f"<{3 * count}q", *flat)
+    arr = np.array(triples, dtype="<i8").reshape(count, 3)
+    body = arr.T.tobytes(order="C")
     return _pack_binary(BIN_KIND_ACKS, _DTYPE_I64, 0, count, body)
 
 

@@ -57,6 +57,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.api.backends import ApproxProfiler
 from repro.api.facade import Profiler
 from repro.core.dynamic import DynamicProfiler
@@ -78,7 +80,6 @@ from repro.server.protocol import (
     PROTOCOL_VERSION,
     ArrayBatch,
     ProtocolError,
-    binary_supported,
     decode_events,
     decode_queries,
     encode_binary_acks,
@@ -96,11 +97,6 @@ from repro.obs.registry import (
     resolve_registry,
 )
 from repro.testing.faults import fault_point
-
-try:  # binary frames move int64 arrays; numpy-less hosts stay JSON
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None
 
 __all__ = ["ProfileServer", "ServerStats", "ServerThread"]
 
@@ -225,8 +221,8 @@ class _FlushPlanner:
                     f"object id {bad} out of range [0, {m})"
                 )
         if not self._p.strict:
-            if _np is not None and not isinstance(sums, list):
-                return int(_np.abs(sums).sum())
+            if not isinstance(sums, list):
+                return int(np.abs(sums).sum())
             return sum(abs(d) for d in sums)
         key_list = keys.tolist() if not isinstance(keys, list) else keys
         sum_list = sums.tolist() if not isinstance(sums, list) else sums
@@ -482,9 +478,9 @@ class ProfileServer:
         Hard per-frame byte cap (both directions).
     binary:
         Whether connections may negotiate the binary codec.  Even when
-        ``True`` (the default) binary is only *offered* if numpy is
-        importable and the hosted profiler is dense-keyed (hashable
-        keys cannot ride raw int64 arrays); JSON always works.
+        ``True`` (the default) binary is only *offered* if the hosted
+        profiler is dense-keyed (hashable keys cannot ride raw int64
+        arrays); JSON always works.
     role / partition:
         Deployment annotations surfaced through the ``health`` op and
         ``describe()``: ``role`` is ``"standalone"`` (default) or
@@ -526,7 +522,7 @@ class ProfileServer:
         self._dense = (
             profiler.keys == "dense" and self._strategy != "approx"
         )
-        self._binary = bool(binary) and binary_supported() and self._dense
+        self._binary = bool(binary) and self._dense
         self._role = role
         self._partition = tuple(partition) if partition else None
         self._stats = ServerStats()
@@ -855,13 +851,9 @@ class ProfileServer:
             )
         if not self._binary:
             raise ProtocolError(
-                "binary codec unavailable: "
-                + (
-                    "this server hosts a hashable-key or approx "
-                    "profiler (int64 arrays cannot carry its keys)"
-                    if binary_supported()
-                    else "numpy is not importable on the server"
-                )
+                "binary codec unavailable: this server hosts a "
+                "hashable-key or approx profiler (int64 arrays cannot "
+                "carry its keys)"
             )
         # Flip both directions now, in the reader: the client may
         # pipeline binary frames immediately behind its hello, and the
@@ -1093,8 +1085,8 @@ class ProfileServer:
                 self._profiler.ingest_arrays(batch.ids, batch.deltas)
                 return
             self._profiler.ingest_arrays(
-                _np.concatenate([it.data.ids for it in items]),
-                _np.concatenate([it.data.deltas for it in items]),
+                np.concatenate([it.data.ids for it in items]),
+                np.concatenate([it.data.deltas for it in items]),
             )
             return
         merged: list = []

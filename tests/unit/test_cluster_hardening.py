@@ -216,23 +216,22 @@ class TestBackoffJitter:
 
     def test_blocking_dial_schedule_pinned(self, monkeypatch):
         slept = []
-        monkeypatch.setattr(
-            "repro.server.client.sleep", lambda d: slept.append(d)
-        )
-        client = ProfileClient.__new__(ProfileClient)
-        client._host, client._port = "127.0.0.1", 1
-        client._backoff_base = 0.05
-        client._backoff_max = 0.2
-        client._max_attempts = 3
-        client._backoff_jitter = 0.5
-        client._backoff_rng = _rng_from([1.0, 0.0, 1.0])
 
-        def refuse():
-            raise ConnectionRefusedError("nobody home")
+        async def fake_sleep(delay):
+            slept.append(delay)
 
-        client._connect = refuse
+        monkeypatch.setattr(asyncio, "sleep", fake_sleep)
         with pytest.raises(ConnectionError):
-            client._connect_backoff()
+            # Port 1 on localhost: nothing listens, dial refuses.
+            ProfileClient(
+                port=1,
+                reconnect=True,
+                max_attempts=3,
+                backoff_base=0.05,
+                backoff_max=0.2,
+                backoff_jitter=0.5,
+                backoff_rng=_rng_from([1.0, 0.0, 1.0]),
+            )
         assert slept == pytest.approx([0.025, 0.1, 0.1])
 
 

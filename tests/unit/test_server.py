@@ -10,6 +10,12 @@ backpressure and the planner's masking edge cases.
 """
 
 import asyncio
+import gc
+import json
+import socket
+import threading
+import time
+import warnings
 
 import pytest
 
@@ -26,6 +32,7 @@ from repro.server import (
     ProfileServer,
     ServerThread,
 )
+from repro.server.protocol import ProtocolError, pack_frame
 from repro.server.service import _FlushPlanner, _resolve_strategy
 from repro.testing import (
     FaultSchedule,
@@ -1152,3 +1159,119 @@ class TestReconnect:
                 backoff_base=0.01,
                 max_attempts=2,
             )
+
+
+def _blocking_checkpoint(port, codec, max_frame):
+    with ProfileClient(port=port, codec=codec, max_frame=max_frame) as c:
+        return c.checkpoint()
+
+
+def _async_checkpoint(port, codec, max_frame):
+    async def scenario():
+        client = await AsyncProfileClient.connect(
+            port=port, codec=codec, max_frame=max_frame
+        )
+        try:
+            return await client.checkpoint()
+        finally:
+            await client.aclose()
+
+    return run(scenario())
+
+
+class _SilentServer:
+    """A raw socket that greets like a repro server, then never answers."""
+
+    def __init__(self) -> None:
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self.port = self._sock.getsockname()[1]
+        self._conns = []
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        try:
+            conn, _ = self._sock.accept()
+        except OSError:
+            return
+        self._conns.append(conn)
+        conn.sendall(pack_frame({"server": "repro.server", "version": 1}))
+
+    def close(self) -> None:
+        self._sock.close()
+        self._thread.join(5.0)
+        for conn in self._conns:
+            conn.close()
+
+
+class TestClientContract:
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    @pytest.mark.parametrize(
+        "checkpoint", [_blocking_checkpoint, _async_checkpoint]
+    )
+    def test_max_frame_caps_every_reply(self, checkpoint, codec):
+        profiler = Profiler.open(2000)
+        profiler.ingest([(i, 1) for i in range(2000)])
+        with ServerThread(profiler) as server:
+            with ProfileClient(server.host, server.port) as client:
+                assert len(json.dumps(client.checkpoint())) > 2048
+            with pytest.raises((ConnectionError, ProtocolError)):
+                checkpoint(server.port, codec, 2048)
+        profiler.close()
+
+    def test_empty_endpoint_list_is_rejected_without_dialling(
+        self, monkeypatch
+    ):
+        async def no_dial(*args, **kwargs):
+            raise AssertionError("dialled with an empty endpoint list")
+
+        monkeypatch.setattr(asyncio, "open_connection", no_dial)
+        with pytest.raises(ValueError, match="endpoints list is empty"):
+            ProfileClient(endpoints=[])
+
+        async def scenario():
+            await AsyncProfileClient.connect(endpoints=[])
+
+        with pytest.raises(ValueError, match="endpoints list is empty"):
+            run(scenario())
+
+    def test_blocking_timeout_bounds_the_whole_call(self):
+        silent = _SilentServer()
+        try:
+            client = ProfileClient(port=silent.port, timeout=0.2)
+            start = time.perf_counter()
+            with pytest.raises(ConnectionError, match="will not resend"):
+                client.ping()
+            assert time.perf_counter() - start < 1.0
+            start = time.perf_counter()
+            client.close()
+            assert time.perf_counter() - start < 1.0
+        finally:
+            silent.close()
+
+    def test_blocking_client_refuses_a_running_loop(self):
+        async def construct():
+            ProfileClient(port=1)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="AsyncProfileClient"):
+                run(construct())
+            gc.collect()
+        assert not [
+            w for w in caught
+            if issubclass(w.category, RuntimeWarning)
+            and "never awaited" in str(w.message)
+        ]
+
+    def test_blocking_verb_refuses_a_running_loop(self):
+        with ServerThread(Profiler.open(10)) as server:
+            with ProfileClient(server.host, server.port) as client:
+
+                async def call():
+                    client.ingest({1: 1})
+
+                with pytest.raises(RuntimeError, match="AsyncProfileClient"):
+                    run(call())
+                # The refused call sent nothing; the client still works.
+                assert client.total() == 0
