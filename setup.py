@@ -11,7 +11,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     package_data={"repro": ["py.typed"]},
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     install_requires=["numpy"],
     zip_safe=False,
 )

@@ -49,26 +49,15 @@ def _profile_main(argv: list[str]) -> int:
         default=None,
         help="shard fan-out (implies the sharded backend under auto)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker-process fan-out (implies the parallel backend "
-        "under auto; 1 runs the inline serial fallback)",
-    )
     args = parser.parse_args(argv)
 
     stream = build_stream(
         args.stream, args.events, args.universe, seed=args.seed
     )
     profiler = Profiler.open(
-        args.universe,
-        backend=args.backend,
-        shards=args.shards,
-        workers=args.workers,
+        args.universe, backend=args.backend, shards=args.shards
     )
-    with profiler:
-        return _profile_report(profiler, stream, args)
+    return _profile_report(profiler, stream, args)
 
 
 def _profile_report(profiler, stream, args) -> int:

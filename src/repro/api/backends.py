@@ -19,7 +19,6 @@ Three kinds of machinery live here:
 
 from __future__ import annotations
 
-import os
 from heapq import merge as _heap_merge
 from typing import Hashable, Iterator
 
@@ -29,11 +28,6 @@ from repro.core.dynamic import DynamicProfiler
 from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile, net_deltas
 from repro.core.queries import ModeResult, TopEntry
-from repro.engine.parallel import (
-    ParallelShardedProfiler,
-    default_workers,
-    parallel_supported,
-)
 from repro.engine.sharding import ShardedProfiler
 from repro.errors import (
     CapacityError,
@@ -50,13 +44,7 @@ __all__ = [
 ]
 
 #: Facade-level backend names (registry baseline names add to these).
-_BUILTIN_BACKENDS = ("auto", "flat", "exact", "sharded", "parallel", "approx")
-
-#: ``auto`` escalates dense batch workloads to the parallel engine at
-#: this capacity — large enough that the worker fan-out and shared
-#: memory are cheap relative to the universe, and only when the
-#: machine actually has more than one core.
-PARALLEL_AUTO_CAPACITY = 4_000_000
+_BUILTIN_BACKENDS = ("auto", "flat", "exact", "sharded", "approx")
 
 
 def available_backends() -> tuple[str, ...]:
@@ -69,17 +57,13 @@ def resolve_backend(
     keys: str,
     shards,
     track_freq_index: bool = False,
-    workers=None,
     capacity=None,
 ) -> str:
     """Collapse ``"auto"`` to a concrete backend name.
 
-    ``auto`` picks the parallel engine when a worker fan-out is given
-    — or, for dense keys, when the universe reaches
-    ``PARALLEL_AUTO_CAPACITY`` on a multi-core machine (the large
-    dense batch workload where worker processes pay off); the sharded
-    engine when a shard fan-out is given; the flat struct-of-arrays
-    engine for dense keys (the fastest exact single-core path; see
+    ``auto`` picks the sharded engine when a shard fan-out is given;
+    the flat struct-of-arrays engine for dense keys, at any
+    ``capacity`` (the fastest exact single-core path; see
     ``BENCH_core.json``); and the block-object exact engine otherwise
     — hashable keys need the growable universe, and
     ``track_freq_index`` needs the O(1) frequency->block index only
@@ -87,18 +71,9 @@ def resolve_backend(
     """
     if backend != "auto":
         return backend
-    if workers is not None:
-        return "parallel"
     if shards is not None:
         return "sharded"
     if keys == "dense" and not track_freq_index:
-        if (
-            capacity is not None
-            and capacity >= PARALLEL_AUTO_CAPACITY
-            and (os.cpu_count() or 1) > 1
-            and parallel_supported()
-        ):
-            return "parallel"
         return "flat"
     return "exact"
 
@@ -111,7 +86,6 @@ def build_backend(
     strict: bool,
     shards,
     track_freq_index: bool = False,
-    workers=None,
     **options,
 ):
     """Construct the implementation behind a resolved backend name.
@@ -120,16 +94,10 @@ def build_backend(
     facade it must own an :class:`~repro.core.interner.ObjectInterner`
     (hashable keys over a dense-id implementation).
     """
-    name = resolve_backend(
-        backend, keys, shards, track_freq_index, workers, capacity
-    )
+    name = resolve_backend(backend, keys, shards, track_freq_index, capacity)
     if shards is not None and name != "sharded":
         raise CapacityError(
             f"shards= only applies to the sharded backend, not {name!r}"
-        )
-    if workers is not None and name != "parallel":
-        raise CapacityError(
-            f"workers= only applies to the parallel backend, not {name!r}"
         )
     allow_negative = not strict
 
@@ -193,37 +161,6 @@ def build_backend(
             ),
             keys == "hashable",
         )
-    if name == "parallel":
-        if track_freq_index:
-            raise CapacityError(
-                "the parallel backend hosts flat shard cores (no "
-                "frequency index); use backend='exact' with "
-                "track_freq_index=True"
-            )
-        try:
-            return (
-                ParallelShardedProfiler(
-                    capacity,
-                    workers=(
-                        workers if workers is not None else default_workers()
-                    ),
-                    allow_negative=allow_negative,
-                ),
-                keys == "hashable",
-            )
-        except OSError:
-            if backend == "auto" and workers is None:
-                # Capacity-triggered escalation must never turn a
-                # plain Profiler.open(m) into a hard failure: a
-                # constrained /dev/shm (64MB in default Docker) or an
-                # exhausted process table degrades back to the
-                # single-core flat engine the caller would have gotten
-                # before escalation existed.
-                return (
-                    FlatProfile(capacity, allow_negative=allow_negative),
-                    keys == "hashable",
-                )
-            raise
     if name in available_profilers():
         return (
             make_profiler(name, capacity, allow_negative=allow_negative),
@@ -445,11 +382,6 @@ def runs_view_for(impl, decode=None):
         return _ProfileRunsView(impl, decode)
     if isinstance(impl, ShardedProfiler):
         return _ShardedRunsView(impl, decode)
-    if isinstance(impl, ParallelShardedProfiler):
-        # Barrier first, then walk the parent-side merged engine over
-        # the zero-copy shared-memory shard views — the fused plan
-        # never round-trips to the workers.
-        return _ShardedRunsView(impl.merged_view(), decode)
     if isinstance(impl, DynamicProfiler):
         return _DynamicRunsView(impl)
     return None

@@ -62,7 +62,6 @@ from repro.core.profile import (
     net_deltas_arrays,
 )
 from repro.core.queries import ModeResult, TopEntry
-from repro.engine.parallel import ParallelShardedProfiler
 from repro.engine.sharding import ShardedProfiler
 from repro.errors import (
     CapacityError,
@@ -215,7 +214,6 @@ class Profiler:
         *,
         backend: str = "auto",
         shards: int | None = None,
-        workers: int | None = None,
         keys: str = "dense",
         strict: bool = False,
         track_freq_index: bool = False,
@@ -230,21 +228,13 @@ class Profiler:
             ``backend="exact", keys="hashable"`` (the universe grows)
             and ``backend="approx"`` (sketches are sublinear).
         backend:
-            ``"auto"`` (parallel when ``workers`` is given or the
-            dense universe is large on a multi-core machine, sharded
-            when ``shards`` is given, the flat struct-of-arrays engine
-            for dense keys, block-object exact otherwise), ``"flat"``,
-            ``"exact"``, ``"sharded"``, ``"parallel"``, ``"approx"``
-            or any name from
+            ``"auto"`` (sharded when ``shards`` is given, the flat
+            struct-of-arrays engine for dense keys, block-object exact
+            otherwise), ``"flat"``, ``"exact"``, ``"sharded"``,
+            ``"approx"`` or any name from
             :func:`repro.baselines.registry.available_profilers`.
         shards:
             Shard fan-out; implies the sharded backend under ``auto``.
-        workers:
-            Worker-process fan-out for the parallel backend (implied
-            under ``auto``); ``workers=1`` runs the no-process inline
-            serial fallback.  Close the profiler (context manager or
-            :meth:`close`) to release the worker processes and shared
-            memory.
         keys:
             ``"dense"`` — integer ids in ``[0, capacity)`` (the paper's
             setting); ``"hashable"`` — arbitrary hashable ids.
@@ -275,10 +265,8 @@ class Profiler:
             raise CapacityError(f"capacity must be >= 0, got {capacity}")
         if shards is not None and shards <= 0:
             raise CapacityError(f"shards must be positive, got {shards}")
-        if workers is not None and workers <= 0:
-            raise CapacityError(f"workers must be positive, got {workers}")
         name = resolve_backend(
-            backend, keys, shards, track_freq_index, workers, capacity
+            backend, keys, shards, track_freq_index, capacity
         )
         impl, facade_interned = build_backend(
             backend,
@@ -287,14 +275,8 @@ class Profiler:
             strict=strict,
             shards=shards,
             track_freq_index=track_freq_index,
-            workers=workers,
             **options,
         )
-        if name == "parallel" and isinstance(impl, FlatProfile):
-            # Capacity-triggered auto-escalation degraded back to the
-            # single-core flat engine (constrained shared memory; see
-            # build_backend) — report what the caller actually got.
-            name = "flat"
         return cls(
             impl,
             backend_name=name,
@@ -311,10 +293,9 @@ class Profiler:
     ) -> "Profiler":
         """Bulk-open an exact dense profiler from a frequency array.
 
-        One sort (vectorized through NumPy when available) onto the
-        flat struct-of-arrays engine; the entry point graph shaving
-        uses to start from a degree sequence instead of replaying
-        every edge.
+        One vectorized sort (NumPy) onto the flat struct-of-arrays
+        engine; the entry point graph shaving uses to start from a
+        degree sequence instead of replaying every edge.
         """
         profile = FlatProfile.from_frequencies(
             frequencies, allow_negative=not strict
@@ -754,18 +735,6 @@ class Profiler:
                 "phantom_slots": impl.phantom_count,
                 "inner": _engine_stats(impl.profile),
             }
-        elif isinstance(impl, ParallelShardedProfiler):
-            merged = impl.merged_view()
-            out["engine"] = {
-                "kind": "parallel",
-                "core": impl.core,
-                "workers": impl.workers,
-                "inline": impl.inline,
-                "n_shards": impl.n_shards,
-                "segment_bytes": impl.segment_bytes,
-                "block_count": merged.block_count,
-                "shards": [_engine_stats(s) for s in merged.shards],
-            }
         elif isinstance(impl, ShardedProfiler):
             out["engine"] = {
                 "kind": "sharded",
@@ -794,9 +763,7 @@ class Profiler:
         Refreshes snapshot-time gauges from the engine's exact
         internal counters (``n_adds``/``n_removes`` cost nothing on
         the hot path — they were already maintained), then snapshots
-        the registry.  The parallel backend additionally folds in
-        every worker process's registry (counters merge exactly) and
-        the shard-skew gauges.  ``{}`` when obs is disabled.
+        the registry.  ``{}`` when obs is disabled.
         """
         obs = self._obs
         impl = self._impl
@@ -805,8 +772,6 @@ class Profiler:
             if n_adds is not None:
                 obs.gauge("engine.adds").set(int(n_adds))
                 obs.gauge("engine.removes").set(int(impl.n_removes))
-        if isinstance(impl, ParallelShardedProfiler):
-            return impl.metrics_snapshot(obs, detail=detail)
         return obs.snapshot(detail)
 
     # ------------------------------------------------------------------
@@ -814,14 +779,13 @@ class Profiler:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release backend resources.
+        """Release backend resources (idempotent).
 
-        Meaningful for the parallel backend (stops the worker
-        processes, unlinks the shared-memory segments; idempotent);
-        a no-op everywhere else.  The facade is also a context
-        manager::
+        Calls the backend's own ``close`` when it has one; the
+        built-in backends hold only in-process memory, so for them
+        this is a no-op.  The facade is also a context manager::
 
-            with Profiler.open(m, backend="parallel", workers=4) as p:
+            with Profiler.open(m) as p:
                 p.ingest(batch)
         """
         release = getattr(self._impl, "close", None)
@@ -910,8 +874,8 @@ class Profiler:
     def to_state(self) -> dict[str, Any]:
         """Full facade state as a JSON-safe dict.
 
-        Supported for the exact (dense and hashable), sharded,
-        parallel and approx backends; baselines do not checkpoint.
+        Supported for the exact (dense and hashable), flat, sharded
+        and approx backends; baselines do not checkpoint.
         Approx states are JSON-safe whenever the ingested keys are
         (see :meth:`ApproxProfiler.to_state
         <repro.api.backends.ApproxProfiler.to_state>`).
@@ -919,10 +883,6 @@ class Profiler:
         impl = self._impl
         if isinstance(impl, (SProfile, FlatProfile)):
             payload: Any = profile_to_state(impl)
-        elif isinstance(impl, ParallelShardedProfiler):
-            # Read in the parent from the zero-copy shard views (after
-            # the epoch barrier) — live state is never pickled.
-            payload = impl.shard_states()
         elif isinstance(impl, ShardedProfiler):
             payload = [profile_to_state(shard) for shard in impl.shards]
         elif isinstance(impl, DynamicProfiler):
@@ -951,7 +911,7 @@ class Profiler:
             "events": self._events,
             "profile": payload,
         }
-        if isinstance(impl, (ShardedProfiler, ParallelShardedProfiler)):
+        if isinstance(impl, ShardedProfiler):
             # Restore shards onto the same core engine; absent in
             # pre-flat checkpoints, which load as block-object cores.
             state["core"] = impl.core
@@ -1078,77 +1038,36 @@ class Profiler:
                 raise CheckpointError(f"bad capacity: {capacity!r}")
             core = state.get("core", "sprofile")
             if backend == "parallel":
+                # Checkpoints of the retired multi-process engine hold
+                # flat shard states; they restore into the sharded
+                # engine, which answers identically.
                 if core != "flat":
                     raise CheckpointError(
                         f"parallel checkpoints host flat cores, "
                         f"got {core!r}"
                     )
-                for s, shard_state in enumerate(shard_states):
-                    if not isinstance(shard_state, dict):
-                        raise CheckpointError(
-                            "parallel shard states must be dicts"
-                        )
-                    declared = shard_state.get("capacity")
-                    expected = (capacity - s + n_shards - 1) // n_shards
-                    if declared != expected:
-                        raise CheckpointError(
-                            f"shard {s} capacity {declared!r} does not "
-                            f"match partition of universe {capacity}"
-                        )
-                    if bool(shard_state.get("allow_negative")) == strict:
-                        raise CheckpointError(
-                            "strict flag disagrees with shard "
-                            "allow_negative"
-                        )
-                # Worker-side restore: each state ships to its worker,
-                # which rebuilds (with the full structural audit)
-                # straight into the shared-memory segment.
-                try:
-                    impl = ParallelShardedProfiler.from_shard_states(
-                        capacity,
-                        shard_states,
-                        workers=n_shards,
-                        allow_negative=not strict,
+                backend = "sharded"
+            if core not in ("sprofile", "flat"):
+                raise CheckpointError(f"bad shard core: {core!r}")
+            restore = (
+                flat_profile_from_state if core == "flat"
+                else profile_from_state
+            )
+            shards = tuple(restore(s) for s in shard_states)
+            for s, shard in enumerate(shards):
+                expected = (capacity - s + n_shards - 1) // n_shards
+                if shard.capacity != expected:
+                    raise CheckpointError(
+                        f"shard {s} capacity {shard.capacity} does "
+                        f"not match partition of universe {capacity}"
                     )
-                except (OSError, CapacityError):
-                    # This environment cannot host the worker engine
-                    # (constrained /dev/shm, exhausted process table,
-                    # no numpy — the engine raises CapacityError for
-                    # the latter).
-                    # The shard states are ordinary flat-core states,
-                    # so restore them into the serial sharded engine —
-                    # identical answers, no processes — and relabel
-                    # the facade honestly.
-                    shards = tuple(
-                        flat_profile_from_state(s) for s in shard_states
+                if shard.allow_negative == strict:
+                    raise CheckpointError(
+                        "strict flag disagrees with shard allow_negative"
                     )
-                    impl = ShardedProfiler(0, n_shards=n_shards, core=core)
-                    impl._m = capacity
-                    impl._shards = shards
-                    backend = "sharded"
-            else:
-                if core not in ("sprofile", "flat"):
-                    raise CheckpointError(f"bad shard core: {core!r}")
-                restore = (
-                    flat_profile_from_state if core == "flat"
-                    else profile_from_state
-                )
-                shards = tuple(restore(s) for s in shard_states)
-                for s, shard in enumerate(shards):
-                    expected = (capacity - s + n_shards - 1) // n_shards
-                    if shard.capacity != expected:
-                        raise CheckpointError(
-                            f"shard {s} capacity {shard.capacity} does "
-                            f"not match partition of universe {capacity}"
-                        )
-                    if shard.allow_negative == strict:
-                        raise CheckpointError(
-                            "strict flag disagrees with shard "
-                            "allow_negative"
-                        )
-                impl = ShardedProfiler(0, n_shards=n_shards, core=core)
-                impl._m = capacity
-                impl._shards = shards
+            impl = ShardedProfiler(0, n_shards=n_shards, core=core)
+            impl._m = capacity
+            impl._shards = shards
             if keys == "dense":
                 interner = None
             elif interner is not None:
@@ -1157,9 +1076,6 @@ class Profiler:
                 # mass on anonymous slots.
                 for dense in range(len(interner), capacity):
                     if impl.frequency(dense) != 0:
-                        release = getattr(impl, "close", None)
-                        if release is not None:
-                            release()
                         raise CheckpointError(
                             f"uncataloged slot {dense} holds non-zero "
                             f"frequency"

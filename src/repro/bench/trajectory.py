@@ -12,17 +12,12 @@ CI can gate) how the hot paths move over time:
   loop;
 - ``batch_ingest`` — figure-4-style bulk ingestion: batches of 10k
   events over a small universe, ``add_many`` on both engines (the flat
-  engine takes its NumPy-vectorized wholesale rebuild);
+  engine takes its NumPy-vectorized wholesale rebuild), plus the flat
+  engine on its ``int64`` array storage (``array_engine=True``) against
+  its list storage;
 - ``sharded_batch`` — the same batches through
   :class:`~repro.engine.sharding.ShardedProfiler` with block-object vs
   flat shard cores;
-- ``parallel_batch`` — the same batches through
-  :class:`~repro.engine.parallel.ParallelShardedProfiler` at a sweep
-  of worker counts (1/2/4 by default; CI pins 2), against the
-  single-core flat engine.  The payload records the machine's CPU
-  count: a worker count the machine cannot actually host measures IPC
-  overhead, not parallelism, so the regression gate only compares
-  worker counts within the measuring machine's core budget;
 - ``fused_plan`` — the dashboard read (mode + top-k + histogram +
   quantiles + support) as one fused
   :meth:`~repro.api.Profiler.evaluate` walk vs the equivalent
@@ -36,13 +31,14 @@ CI can gate) how the hot paths move over time:
 - ``cluster`` — the replicated tier of :mod:`repro.cluster`: a router
   (journal + vectorized partitioning + fan-out + ack merge) fronting
   1/2/4 replica subprocesses vs the same engine served directly, at
-  bulk-transfer wire batching.  Like ``parallel_batch``, per-replica
-  ratios gate only within the measuring machine's core budget.  Its
-  nested ``failover`` block times the warm-standby machinery: the
-  serving gap of a lease handoff (standby promotion, WAL-primed)
-  against a cold restore of the same state, and the ingest throughput
-  retained while a live ``rescale`` migration double-writes the
-  stream.
+  bulk-transfer wire batching.  The payload records the machine's CPU
+  count: a replica count the machine cannot actually host measures IPC
+  overhead, not parallelism, so per-replica ratios gate only within
+  the measuring machine's core budget.  Its nested ``failover`` block
+  times the warm-standby machinery: the serving gap of a lease handoff
+  (standby promotion, WAL-primed) against a cold restore of the same
+  state, and the ingest throughput retained while a live ``rescale``
+  migration double-writes the stream.
 
 Measurement protocol: per path the contenders are timed in
 *interleaved* rounds (A, B, A, B, ...) and the **minimum** time per
@@ -74,12 +70,13 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
+
 from repro.api import Profiler, Query
 from repro.bench.reporting import percentiles
 from repro.bench.workloads import build_stream
 from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile
-from repro.engine.parallel import ParallelShardedProfiler, parallel_supported
 from repro.engine.sharding import ShardedProfiler
 
 __all__ = [
@@ -271,6 +268,9 @@ def _batch_ingest(cfg: dict, rounds: int, seed: int) -> dict:
         {
             "sprofile": time_engine(SProfile),
             "flat": time_engine(FlatProfile),
+            "array": time_engine(
+                lambda m: FlatProfile(m, array_engine=True)
+            ),
         },
         rounds,
     )
@@ -278,7 +278,9 @@ def _batch_ingest(cfg: dict, rounds: int, seed: int) -> dict:
         "workload": f"add_many x{count}, batch={size}, m={m}",
         "sprofile_eps": n_events / best["sprofile"],
         "flat_eps": n_events / best["flat"],
+        "array_eps": n_events / best["array"],
         "speedup": best["sprofile"] / best["flat"],
+        "array_speedup": best["flat"] / best["array"],
     }
 
 
@@ -366,83 +368,6 @@ def _sharded_batch(cfg: dict, rounds: int, seed: int) -> dict:
     }
 
 
-def _parallel_batch(
-    cfg: dict, rounds: int, seed: int, worker_counts
-) -> dict:
-    """The same bulk batches through the multi-process engine.
-
-    One engine per worker count, created *outside* the timed region
-    (worker startup is a per-process cost, not a per-batch one) and
-    reset with ``clear()`` + barrier between timings.  Each timing
-    covers split + dispatch + worker ingestion + the closing epoch
-    barrier — the full cost a caller pays for a consistent read.
-
-    The payload records ``cpus``: parallel speedups are only
-    *physically meaningful* for worker counts the machine can host, so
-    the regression gate (:func:`_speedup_entries`) skips entries whose
-    worker count exceeds the measuring machine's cores.
-    """
-    size, count, m = cfg["batch_size"], cfg["batch_count"], cfg["shard_m"]
-    stream = build_stream("stream1", size * count, m, seed=seed)
-    batches = [
-        stream.ids[i * size : (i + 1) * size] for i in range(count)
-    ]
-    n_events = size * count
-
-    def time_flat():
-        p = FlatProfile(m)
-        add_many = p.add_many
-        start = perf_counter()
-        for batch in batches:
-            add_many(batch)
-        return perf_counter() - start
-
-    engines = {
-        w: ParallelShardedProfiler(m, workers=w, inline=False)
-        for w in worker_counts
-    }
-
-    def time_parallel(engine):
-        def timer():
-            engine.clear()
-            engine.sync()
-            add_many = engine.add_many
-            start = perf_counter()
-            for batch in batches:
-                add_many(batch)
-            engine.sync()
-            return perf_counter() - start
-
-        return timer
-
-    timers = {"flat": time_flat}
-    for w, engine in engines.items():
-        timers[f"parallel_w{w}"] = time_parallel(engine)
-    try:
-        best = _interleaved_min(timers, rounds)
-    finally:
-        for engine in engines.values():
-            engine.close()
-
-    flat_eps = n_events / best["flat"]
-    workers = {}
-    for w in worker_counts:
-        eps = n_events / best[f"parallel_w{w}"]
-        workers[str(w)] = {"eps": eps, "speedup": eps / flat_eps}
-    max_w = max(worker_counts)
-    return {
-        "workload": (
-            f"parallel add_many x{count}, batch={size}, m={m}, "
-            f"workers={sorted(worker_counts)}"
-        ),
-        "cpus": os.cpu_count() or 1,
-        "max_workers": max_w,
-        "flat_eps": flat_eps,
-        "workers": workers,
-        "speedup": workers[str(max_w)]["speedup"],
-    }
-
-
 def _fused_plan(cfg: dict, rounds: int, seed: int) -> dict:
     """Dashboard read: one fused walk vs equivalent standalone calls.
 
@@ -507,7 +432,7 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
       the previous flush ran).
 
     **Codec duel** (``serve_codec_events`` events,
-    ``serve_codec_wire`` events/frame, numpy only):
+    ``serve_codec_wire`` events/frame):
 
     - ``codec_json`` — the JSON codec at bulk-transfer knobs: big
       frames so per-frame costs amortize and the per-event codec work
@@ -537,15 +462,10 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
     from repro.server.client import AsyncProfileClient
     from repro.server.service import ProfileServer
 
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - environment-dependent
-        np = None
-
     m, n = cfg["serve_m"], cfg["serve_events"]
     counts = tuple(cfg["serve_clients"])
     wire, batch_max = cfg["serve_wire"], cfg["serve_batch_max"]
-    codec_n = cfg["serve_codec_events"] if np is not None else 0
+    codec_n = cfg["serve_codec_events"]
     codec_wire = cfg["serve_codec_wire"]
     stream = build_stream("stream1", max(n, codec_n), m, seed=seed)
     events = list(
@@ -554,16 +474,13 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
             (1 if add else -1 for add in stream.adds.tolist()),
         )
     )
-    if np is not None:
-        ids_i64 = np.ascontiguousarray(stream.ids, dtype="<i8")
-        deltas_i64 = np.where(stream.adds, 1, -1).astype("<i8")
+    ids_i64 = np.ascontiguousarray(stream.ids, dtype="<i8")
+    deltas_i64 = np.where(stream.adds, 1, -1).astype("<i8")
 
     async def run_once(
         n_clients, n_events, wire_batch, flush_max, codec
     ):
-        profiler = Profiler.open(
-            m, backend="flat", array_engine=np is not None
-        )
+        profiler = Profiler.open(m, backend="flat", array_engine=True)
         server = ProfileServer(
             profiler,
             batch_max=flush_max,
@@ -617,14 +534,9 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
     variants = {
         "unbatched": (n, 1, 1, "json"),
         "batched": (n, wire, batch_max, "json"),
+        "codec_json": (codec_n, codec_wire, codec_wire, "json"),
+        "binary": (codec_n, codec_wire, codec_wire, "binary"),
     }
-    if np is not None:
-        variants["codec_json"] = (
-            codec_n, codec_wire, codec_wire, "json"
-        )
-        variants["binary"] = (
-            codec_n, codec_wire, codec_wire, "binary"
-        )
     keys = [(name, c) for c in counts for name in variants]
     best: dict = {}
     for round_no in range(rounds):
@@ -666,24 +578,24 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
             "batched_p50_ms": b_p[50] * 1e3,
             "batched_p99_ms": b_p[99] * 1e3,
         }
-        if ("binary", c) in best:
-            j_time, j_lat, j_n = best[("codec_json", c)]
-            y_time, y_lat, y_n = best[("binary", c)]
-            j_eps, y_eps = j_n / j_time, y_n / y_time
-            j_p = percentiles(j_lat, (50, 99))
-            y_p = percentiles(y_lat, (50, 99))
-            clients_out[str(c)].update(
-                {
-                    "codec_json_eps": j_eps,
-                    "codec_json_p50_ms": j_p[50] * 1e3,
-                    "codec_json_p99_ms": j_p[99] * 1e3,
-                    "binary_eps": y_eps,
-                    "binary_speedup": y_eps / j_eps,
-                    "binary_p50_ms": y_p[50] * 1e3,
-                    "binary_p99_ms": y_p[99] * 1e3,
-                }
-            )
-    out = {
+        j_time, j_lat, j_n = best[("codec_json", c)]
+        y_time, y_lat, y_n = best[("binary", c)]
+        j_eps, y_eps = j_n / j_time, y_n / y_time
+        j_p = percentiles(j_lat, (50, 99))
+        y_p = percentiles(y_lat, (50, 99))
+        clients_out[str(c)].update(
+            {
+                "codec_json_eps": j_eps,
+                "codec_json_p50_ms": j_p[50] * 1e3,
+                "codec_json_p99_ms": j_p[99] * 1e3,
+                "binary_eps": y_eps,
+                "binary_speedup": y_eps / j_eps,
+                "binary_p50_ms": y_p[50] * 1e3,
+                "binary_p99_ms": y_p[99] * 1e3,
+            }
+        )
+    top = clients_out[str(max(counts))]
+    return {
         "workload": (
             f"TCP ingest, m={m}: micro-batched ({n} events, {wire} "
             f"ev/frame, batch_max={batch_max}) vs "
@@ -697,12 +609,9 @@ def _serve(cfg: dict, rounds: int, seed: int) -> dict:
         "codec_events": codec_n,
         "codec_wire": codec_wire,
         "clients": clients_out,
-        "speedup": clients_out[str(max(counts))]["speedup"],
+        "speedup": top["speedup"],
+        "binary_speedup": top["binary_speedup"],
     }
-    top = clients_out[str(max(counts))]
-    if "binary_speedup" in top:
-        out["binary_speedup"] = top["binary_speedup"]
-    return out
 
 
 def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
@@ -720,10 +629,10 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
     event, and earns back replica-side engine parallelism only for
     replica counts the machine can host.
 
-    Like the ``parallel_batch`` worker sweep, the payload records
-    ``cpus`` and the regression gate compares only ``rN`` entries with
-    ``N <= cpus`` — a 1-core box measuring 4 replicas measures
-    scheduling overhead, not replication.  ``snapshot_every`` is small
+    The payload records ``cpus`` and the regression gate compares only
+    ``rN`` entries with ``N <= cpus`` — a 1-core box measuring 4
+    replicas measures scheduling overhead, not replication.
+    ``snapshot_every`` is small
     enough that the timed stream crosses several snapshot cycles, so
     the steady-state price of the recovery machinery (journal append +
     periodic checkpoint + journal truncation) is inside the clock.
@@ -748,28 +657,15 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
     from repro.server.client import AsyncProfileClient
     from repro.server.service import ProfileServer
 
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - environment-dependent
-        np = None
-
     m, n = cfg["cluster_m"], cfg["cluster_events"]
     wire = cfg["cluster_wire"]
     batch_max = cfg["cluster_batch_max"]
     snapshot_every = cfg["cluster_snapshot_every"]
-    codec = "binary" if np is not None else "json"
+    codec = "binary"
 
     stream = build_stream("stream1", n, m, seed=seed)
-    if np is not None:
-        ids_i64 = np.ascontiguousarray(stream.ids, dtype="<i8")
-        deltas_i64 = np.where(stream.adds, 1, -1).astype("<i8")
-    else:
-        events = list(
-            zip(
-                stream.ids.tolist(),
-                (1 if add else -1 for add in stream.adds.tolist()),
-            )
-        )
+    ids_i64 = np.ascontiguousarray(stream.ids, dtype="<i8")
+    deltas_i64 = np.where(stream.adds, 1, -1).astype("<i8")
 
     async def drive(client):
         window = max(4, 2 * (batch_max // wire))
@@ -777,10 +673,7 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
         start = perf_counter()
         for i in range(0, n, wire):
             j = min(i + wire, n)
-            if np is not None:
-                frame = (ids_i64[i:j], deltas_i64[i:j])
-            else:
-                frame = events[i:j]
+            frame = (ids_i64[i:j], deltas_i64[i:j])
             fut = await client.ingest(frame, wait=False)
             inflight.append(fut)
             if len(inflight) >= window:
@@ -790,9 +683,7 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
         return perf_counter() - start
 
     async def run_direct():
-        profiler = Profiler.open(
-            m, backend="flat", array_engine=np is not None
-        )
+        profiler = Profiler.open(m, backend="flat", array_engine=True)
         server = ProfileServer(
             profiler,
             batch_max=batch_max,
@@ -826,9 +717,7 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
         await router.stop()
         return elapsed
 
-    serve_args = ["--batch-max", str(batch_max)]
-    if np is not None:
-        serve_args.append("--array-engine")
+    serve_args = ["--batch-max", str(batch_max), "--array-engine"]
 
     supervisors: dict[int, ReplicaSupervisor] = {}
     with tempfile.TemporaryDirectory(prefix="repro-bench-cluster-") as tmp:
@@ -875,20 +764,13 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
             async def drive_prefix(client, upto):
                 for i in range(0, upto, wire):
                     j = min(i + wire, upto)
-                    if np is not None:
-                        frame = (ids_i64[i:j], deltas_i64[i:j])
-                    else:
-                        frame = events[i:j]
-                    await client.ingest(frame)
+                    await client.ingest((ids_i64[i:j], deltas_i64[i:j]))
 
             async def first_ack(port):
                 probe = await AsyncProfileClient.connect(
                     port=port, codec=codec
                 )
-                if np is not None:
-                    await probe.ingest((ids_i64[:wire], deltas_i64[:wire]))
-                else:
-                    await probe.ingest(events[:wire])
+                await probe.ingest((ids_i64[:wire], deltas_i64[:wire]))
                 await probe.aclose()
 
             async def run_promotion(supervisor, wal_dir):
@@ -1094,9 +976,6 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
     }
 
 
-#: Default worker-count sweep of the ``parallel_batch`` path.
-DEFAULT_PARALLEL_WORKERS = (1, 2, 4)
-
 #: Default replica-count sweep of the ``cluster`` path.
 DEFAULT_CLUSTER_REPLICAS = (1, 2, 4)
 
@@ -1106,18 +985,14 @@ def run_trajectory(
     *,
     rounds: int = 5,
     seed: int = 0,
-    parallel_workers=DEFAULT_PARALLEL_WORKERS,
     cluster_replicas=DEFAULT_CLUSTER_REPLICAS,
 ) -> dict:
     """Measure every path; return the BENCH_core.json payload.
 
-    ``parallel_workers`` is the worker-count sweep for the
-    ``parallel_batch`` path (empty/None skips it; it is also
-    auto-skipped when numpy is unavailable, where the parallel engine
-    cannot run but every other path still can).  ``cluster_replicas``
-    is the replica-count sweep for the ``cluster`` path (empty/None
-    skips it — it spawns real serve subprocesses, so headless boxes
-    without the package importable by child processes can opt out)."""
+    ``cluster_replicas`` is the replica-count sweep for the ``cluster``
+    path (empty/None skips it — it spawns real serve subprocesses, so
+    headless boxes without the package importable by child processes
+    can opt out)."""
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {sorted(SCALES)}")
     cfg = SCALES[scale]
@@ -1132,10 +1007,6 @@ def run_trajectory(
     if cluster_replicas:
         paths["cluster"] = _cluster(
             cfg, rounds, seed, tuple(sorted(set(cluster_replicas)))
-        )
-    if parallel_workers and parallel_supported():
-        paths["parallel_batch"] = _parallel_batch(
-            cfg, rounds, seed, tuple(sorted(set(parallel_workers)))
         )
     return {
         "version": TRAJECTORY_VERSION,
@@ -1175,18 +1046,24 @@ def _speedup_entries(result: dict):
     prefix = result.get("scale", "full")
     paths = result.get("paths", {})
     for path_name, path in paths.items():
-        # Worker-sweep paths gate ONLY through their per-worker wN
-        # keys: the headline "speedup" means "at max(sweep)", so two
-        # runs with different --parallel-workers sweeps would compare
-        # incomparable numbers under one key.
+        # Sweep paths gate ONLY through their per-count keys: the
+        # headline "speedup" means "at max(sweep)", so two runs with
+        # different sweeps would compare incomparable numbers under
+        # one key.
         cpus = path.get("cpus")
         if (
             "speedup" in path
-            and "workers" not in path
             and "clients" not in path
             and "replicas" not in path
         ):
             yield f"{prefix}.{path_name}.speedup", path["speedup"]
+        # The flat engine's int64 array storage vs its list storage
+        # (batch_ingest), measured in the same interleaved rounds.
+        if "array_speedup" in path:
+            yield (
+                f"{prefix}.{path_name}.array.speedup",
+                path["array_speedup"],
+            )
         if "geomean_speedup" in path:
             yield (
                 f"{prefix}.{path_name}.geomean_speedup",
@@ -1197,17 +1074,10 @@ def _speedup_entries(result: dict):
                 f"{prefix}.{path_name}.{stream}.speedup",
                 entry["speedup"],
             )
-        for w, entry in path.get("workers", {}).items():
-            if cpus is not None and int(w) > cpus:
-                continue
-            yield (
-                f"{prefix}.{path_name}.w{w}.speedup",
-                entry["speedup"],
-            )
-        # Replica-sweep paths (cluster) gate like the worker sweep:
-        # per replica count, only within the machine's core budget —
-        # replicas are real subprocesses, so counts beyond the cores
-        # measure scheduling overhead, not replication.
+        # Replica-sweep paths (cluster) gate per replica count, only
+        # within the machine's core budget — replicas are real
+        # subprocesses, so counts beyond the cores measure scheduling
+        # overhead, not replication.
         for r, entry in path.get("replicas", {}).items():
             if cpus is not None and int(r) > cpus:
                 continue
@@ -1241,7 +1111,7 @@ def _speedup_entries(result: dict):
                 failover["migration_overhead"],
             )
         # Client-sweep paths (serve) gate per client count, like the
-        # worker sweep — the headline "speedup" means "at max(sweep)".
+        # replica sweep — the headline "speedup" means "at max(sweep)".
         # Concurrency here is asyncio, not cores, so no cpu scoping.
         for c, entry in path.get("clients", {}).items():
             yield (
@@ -1249,8 +1119,7 @@ def _speedup_entries(result: dict):
                 entry["speedup"],
             )
             # The codec ratio (binary vs JSON at the bulk-transfer
-            # codec-duel knobs) gates under its own key family; absent
-            # when numpy is unavailable.
+            # codec-duel knobs) gates under its own key family.
             if "binary_speedup" in entry:
                 yield (
                     f"{prefix}.{path_name}.binary.c{c}.speedup",
@@ -1309,6 +1178,13 @@ def _format_summary(result: dict) -> str:
             f"  flat {entry['flat_eps'] / 1e6:.2f}M ev/s"
             f"  -> {entry['speedup']:.2f}x   [{entry['workload']}]"
         )
+    batch = paths["batch_ingest"]
+    lines.append(
+        f"  {'batch ingest, array':<26} list "
+        f"{batch['flat_eps'] / 1e6:.2f}M  array "
+        f"{batch['array_eps'] / 1e6:.2f}M ev/s"
+        f"  -> {batch['array_speedup']:.2f}x"
+    )
     if "obs" in paths:
         obs = paths["obs"]
         lines.append(
@@ -1316,19 +1192,6 @@ def _format_summary(result: dict) -> str:
             f"{obs['obs_on_eps'] / 1e6:.2f}M  off "
             f"{obs['obs_off_eps'] / 1e6:.2f}M ev/s"
             f"  -> {obs['overhead']:.2f}x   [{obs['workload']}]"
-        )
-    if "parallel_batch" in paths:
-        par = paths["parallel_batch"]
-        sweep = "  ".join(
-            f"w{w} {entry['eps'] / 1e6:.2f}M ({entry['speedup']:.2f}x)"
-            for w, entry in sorted(
-                par["workers"].items(), key=lambda kv: int(kv[0])
-            )
-        )
-        lines.append(
-            f"  parallel batch             flat "
-            f"{par['flat_eps'] / 1e6:.2f}M ev/s  {sweep}"
-            f"   [{par['workload']}, cpus={par['cpus']}]"
         )
     plan = paths["fused_plan"]
     lines.append(
@@ -1343,16 +1206,14 @@ def _format_summary(result: dict) -> str:
         for c, entry in sorted(
             srv["clients"].items(), key=lambda kv: int(kv[0])
         ):
-            binary = ""
-            if "binary_eps" in entry:
-                binary = (
-                    f"  codec duel: json "
-                    f"{entry['codec_json_eps'] / 1e3:.1f}k ev/s  binary "
-                    f"{entry['binary_eps'] / 1e3:.1f}k ev/s "
-                    f"(p50 {entry['binary_p50_ms']:.2f}ms, "
-                    f"p99 {entry['binary_p99_ms']:.2f}ms) "
-                    f"-> {entry['binary_speedup']:.2f}x"
-                )
+            binary = (
+                f"  codec duel: json "
+                f"{entry['codec_json_eps'] / 1e3:.1f}k ev/s  binary "
+                f"{entry['binary_eps'] / 1e3:.1f}k ev/s "
+                f"(p50 {entry['binary_p50_ms']:.2f}ms, "
+                f"p99 {entry['binary_p99_ms']:.2f}ms) "
+                f"-> {entry['binary_speedup']:.2f}x"
+            )
             lines.append(
                 f"    c{c:>2}: unbatched "
                 f"{entry['unbatched_eps'] / 1e3:.1f}k ev/s "
@@ -1411,13 +1272,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--parallel-workers",
-        metavar="N[,N...]",
-        default=",".join(str(w) for w in DEFAULT_PARALLEL_WORKERS),
-        help="worker-count sweep for the parallel_batch path "
-        "(comma-separated; '0' or '' skips the path; CI pins 2)",
-    )
-    parser.add_argument(
         "--cluster-replicas",
         metavar="N[,N...]",
         default=",".join(str(r) for r in DEFAULT_CLUSTER_REPLICAS),
@@ -1448,11 +1302,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    workers = tuple(
-        int(w)
-        for w in str(args.parallel_workers).split(",")
-        if w.strip() and int(w) > 0
-    )
     replicas = tuple(
         int(r)
         for r in str(args.cluster_replicas).split(",")
@@ -1465,7 +1314,6 @@ def main(argv: list[str] | None = None) -> int:
             "full",
             rounds=args.rounds,
             seed=args.seed,
-            parallel_workers=workers,
             cluster_replicas=replicas,
         )
         print(_format_summary(result))
@@ -1473,7 +1321,6 @@ def main(argv: list[str] | None = None) -> int:
             "quick",
             rounds=args.rounds,
             seed=args.seed,
-            parallel_workers=workers,
             cluster_replicas=replicas,
         )
         print(_format_summary(quick))
@@ -1484,7 +1331,6 @@ def main(argv: list[str] | None = None) -> int:
             scale,
             rounds=args.rounds,
             seed=args.seed,
-            parallel_workers=workers,
             cluster_replicas=replicas,
         )
         print(_format_summary(result))

@@ -88,13 +88,10 @@ import zlib
 from pathlib import Path
 from typing import Any, Iterator
 
+import numpy as _np
+
 from repro.errors import CheckpointError, FencedWriterError
 from repro.testing.faults import fault_point_sync
-
-try:  # array packing fast path; struct covers numpy-less hosts
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None
 
 __all__ = [
     "JournalEntry",
@@ -222,16 +219,11 @@ _LAYOUT_NAME = "layout.json"
 
 
 def _pack_i64(values) -> bytes:
-    if _np is not None:
-        return _np.ascontiguousarray(values, dtype="<i8").tobytes()
-    values = list(values)
-    return struct.pack(f"<{len(values)}q", *values)
+    return _np.ascontiguousarray(values, dtype="<i8").tobytes()
 
 
 def _unpack_i64(buf: bytes):
-    if _np is not None:
-        return _np.frombuffer(buf, dtype="<i8")
-    return list(struct.unpack(f"<{len(buf) // 8}q", buf))
+    return _np.frombuffer(buf, dtype="<i8")
 
 
 def _atomic_write_json(

@@ -59,9 +59,8 @@ Two structural notes:
 
 Batch ingestion mirrors :class:`SProfile`'s two regimes: sparse batches
 climb the block structure per key; dense batches rebuild wholesale —
-vectorized through NumPy when it is importable (one ``bincount`` to
-coalesce, one ``argsort`` + run-length encode to rebuild, all C speed),
-with a pure-Python fallback.
+vectorized through NumPy (one ``bincount`` to coalesce, one
+``argsort`` plus a run-length encode to rebuild, all C speed).
 
 **The array engine** (``array_engine=True``) keeps the same structure in
 preallocated ``int64`` NumPy buffers instead of Python lists.  The
@@ -73,12 +72,7 @@ buffers:
   Python objects (see
   :func:`repro.core.checkpoint.flat_profile_to_array_state`), not O(m)
   boxed ints;
-- external hosting — :meth:`FlatProfile.attach_buffers` wraps buffers
-  *owned by someone else* (a ``multiprocessing.shared_memory`` segment;
-  see :mod:`repro.engine.parallel`), with scalar state mirrored in a
-  small header so a read-only view in another process stays current;
-- the vectorized batch paths write **in place** into the buffers, so a
-  shared-memory mapping never goes stale.
+- the vectorized batch paths write **in place** into the buffers.
 
 The per-event hot loops still run at list speed: the fused stream paths
 materialize list mirrors, run the canonical loops, and write the result
@@ -92,6 +86,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as _np
+
 from repro.core.block import Block
 from repro.core.queries import ProfileQueryMixin
 from repro.errors import (
@@ -101,31 +97,7 @@ from repro.errors import (
     InvariantViolationError,
 )
 
-try:  # optional vectorized coalesce/rebuild path
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the test env
-    _np = None
-
-__all__ = ["FlatProfile", "HEADER_SLOTS"]
-
-#: ``int64`` slots reserved for the scalar-state header of a
-#: buffer-attached (e.g. shared-memory hosted) profile.
-HEADER_SLOTS = 16
-
-# Header layout: scalar state a cross-process read view must see.
-(
-    _H_MAGIC,
-    _H_M,
-    _H_BN,
-    _H_FREE,
-    _H_ADDS,
-    _H_REMOVES,
-    _H_BASE,
-    _H_TRACKED,
-    _H_NEG,
-) = range(9)
-
-_HEADER_MAGIC = 0x53504C41  # "SPLA"
+__all__ = ["FlatProfile"]
 
 
 class _FlatBlockReader:
@@ -375,7 +347,6 @@ class FlatProfile(ProfileQueryMixin):
         "_n_removes",
         "_array",
         "_bn",
-        "_header",
         "_obs",
         "_obs_grows",
     )
@@ -390,11 +361,8 @@ class FlatProfile(ProfileQueryMixin):
     ) -> None:
         if capacity < 0:
             raise CapacityError(f"capacity must be >= 0, got {capacity}")
-        if array_engine and _np is None:
-            raise CapacityError("array_engine=True requires numpy")
         self._m = capacity
         self._array = bool(array_engine)
-        self._header = None
         self._bn = 0
         if array_engine:
             self._ftot = _np.arange(capacity, dtype=_np.int64)
@@ -440,9 +408,8 @@ class FlatProfile(ProfileQueryMixin):
 
         Grow events are the only counter the core increments itself —
         ingest totals are already maintained exactly in
-        ``_n_adds``/``_n_removes`` (and mirrored through the shared
-        header), so snapshot-time gauges read them for free instead of
-        taxing the fused loop with a second count.
+        ``_n_adds``/``_n_removes``, so snapshot-time gauges read them
+        for free instead of taxing the fused loop with a second count.
         """
         from repro.obs.registry import resolve_registry
 
@@ -459,194 +426,20 @@ class FlatProfile(ProfileQueryMixin):
     ) -> "FlatProfile":
         """Bulk-build a profile from an initial frequency array.
 
-        One sort — vectorized through NumPy when available (``argsort``
-        + run-length encode at C speed), O(m log m) either way.
+        One vectorized sort (``argsort`` + run-length encode at C
+        speed), O(m log m).
         """
         if not hasattr(frequencies, "__len__"):
             frequencies = list(frequencies)
-        if _np is not None:
-            freqs = _np.asarray(frequencies, dtype=_np.int64)
-            if not allow_negative and freqs.size and int(freqs.min()) < 0:
-                raise FrequencyUnderflowError(
-                    "negative initial frequency with allow_negative=False"
-                )
-            self = cls(
-                0, allow_negative=allow_negative, array_engine=array_engine
-            )
-            self._install_freqs_np(freqs)
-            self._base_total = int(freqs.sum())
-            return self
-        if array_engine:
-            raise CapacityError("array_engine=True requires numpy")
-        freqs = list(frequencies)
-        if not allow_negative and any(f < 0 for f in freqs):
+        freqs = _np.asarray(frequencies, dtype=_np.int64)
+        if not allow_negative and freqs.size and int(freqs.min()) < 0:
             raise FrequencyUnderflowError(
                 "negative initial frequency with allow_negative=False"
             )
-        self = cls(0, allow_negative=allow_negative)
-        m = len(freqs)
-        ttof = sorted(range(m), key=freqs.__getitem__)
-        self._install_runs(ttof, _runs_from_sorted(ttof, freqs))
-        self._base_total = sum(freqs)
+        self = cls(0, allow_negative=allow_negative, array_engine=array_engine)
+        self._install_freqs_np(freqs)
+        self._base_total = int(freqs.sum())
         return self
-
-    # ------------------------------------------------------------------
-    # External buffers (shared-memory hosting)
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def attach_buffers(
-        cls,
-        header,
-        ftot,
-        ttof,
-        ptrb,
-        bl,
-        bre,
-        bf,
-        *,
-        fresh: bool = False,
-        allow_negative: bool = True,
-    ) -> "FlatProfile":
-        """Wrap externally owned ``int64`` buffers as an array-engine
-        profile.
-
-        The buffers (typically views into one
-        ``multiprocessing.shared_memory`` segment; see
-        :mod:`repro.engine.parallel`) stay owned by the caller: the
-        profile mutates them in place, never reallocates them, and
-        mirrors its scalar state (minted slots, free-list head, event
-        counters) into ``header`` (``HEADER_SLOTS`` int64s) after
-        :meth:`_sync_header` so a read-only view of the same buffers in
-        another process can :meth:`_load_header` and stay current.
-
-        ``fresh=True`` initializes the buffers to the empty profile;
-        ``fresh=False`` adopts whatever state the header describes (it
-        must carry the magic stamp of a previous ``fresh`` attach).
-
-        The block-slot buffers must hold ``max(m, 1)`` slots — the
-        most the structure can ever mint — because externally owned
-        buffers cannot grow.
-        """
-        if _np is None:
-            raise CapacityError("attach_buffers requires numpy")
-        m = int(ftot.shape[0])
-        if int(ttof.shape[0]) != m or int(ptrb.shape[0]) != m:
-            raise CapacityError(
-                "ftot/ttof/ptrb buffers disagree on capacity"
-            )
-        slots = int(bl.shape[0])
-        if int(bre.shape[0]) != slots or int(bf.shape[0]) != slots:
-            raise CapacityError("block buffers disagree on slot count")
-        if slots < max(m, 1):
-            raise CapacityError(
-                f"{slots} block slots cannot host capacity {m} "
-                f"(need max(m, 1); external buffers cannot grow)"
-            )
-        if int(header.shape[0]) < HEADER_SLOTS:
-            raise CapacityError(
-                f"header needs {HEADER_SLOTS} int64 slots, "
-                f"got {int(header.shape[0])}"
-            )
-        self = cls.__new__(cls)
-        self._m = m
-        self._array = True
-        self._header = header
-        self._ftot = ftot
-        self._ttof = ttof
-        self._ptrb = ptrb
-        self._bl = bl
-        self._bre = bre
-        self._bf = bf
-        # The rank tables are pure functions of m — every attachment
-        # computes its own; they are never shared.
-        self._prev = _np.arange(-1, m, dtype=_np.int64)
-        self._nxt = _np.arange(1, m + 2, dtype=_np.int64)
-        self._blocks = _FlatBlockReader(self)
-        if fresh:
-            self._allow_negative = bool(allow_negative)
-            header[_H_MAGIC] = _HEADER_MAGIC
-            header[_H_M] = m
-            self._reset_array_state()
-            self._last_tracked = 0
-            self._base_total = 0
-            self._n_adds = 0
-            self._n_removes = 0
-            self._sync_header()
-        else:
-            if int(header[_H_MAGIC]) != _HEADER_MAGIC:
-                raise CapacityError(
-                    "buffers do not carry a flat-profile header stamp"
-                )
-            if int(header[_H_M]) != m:
-                raise CapacityError(
-                    f"header capacity {int(header[_H_M])} does not "
-                    f"match buffer capacity {m}"
-                )
-            self._allow_negative = bool(int(header[_H_NEG]))
-            self._load_header()
-        self._bind_obs(None)
-        return self
-
-    def _sync_header(self) -> None:
-        """Publish scalar state to the shared header (no-op on owned
-        buffers)."""
-        h = self._header
-        if h is None:
-            return
-        h[_H_BN] = self._bn
-        h[_H_FREE] = int(self._free_head)
-        h[_H_ADDS] = self._n_adds
-        h[_H_REMOVES] = self._n_removes
-        h[_H_BASE] = self._base_total
-        h[_H_TRACKED] = int(self._last_tracked)
-        h[_H_NEG] = 1 if self._allow_negative else 0
-
-    def _load_header(self) -> None:
-        """Adopt the scalar state another process published via
-        :meth:`_sync_header` (the array buffers are live views already,
-        so this refresh is O(1))."""
-        h = self._header
-        self._bn = int(h[_H_BN])
-        self._free_head = int(h[_H_FREE])
-        self._n_adds = int(h[_H_ADDS])
-        self._n_removes = int(h[_H_REMOVES])
-        self._base_total = int(h[_H_BASE])
-        self._last_tracked = int(h[_H_TRACKED])
-
-    def release_buffers(self) -> None:
-        """Drop every reference to externally owned buffers so their
-        owner can close the backing mapping (``mmap.close`` refuses
-        while exports exist).  The profile is unusable afterwards;
-        owned-buffer profiles are unaffected (no-op)."""
-        if self._header is None:
-            return
-        self._header = None
-        self._ftot = None
-        self._ttof = None
-        self._ptrb = None
-        self._bl = None
-        self._bre = None
-        self._bf = None
-        self._prev = None
-        self._nxt = None
-        self._m = 0
-        self._bn = 0
-
-    def _reset_array_state(self) -> None:
-        """Reset the array buffers to the empty profile, in place."""
-        m = self._m
-        self._ftot[:] = _np.arange(m, dtype=_np.int64)
-        self._ttof[:] = self._ftot
-        if m:
-            self._ptrb[:] = 0
-            self._bl[0] = 0
-            self._bre[0] = m
-            self._bf[0] = 0
-            self._bn = 1
-        else:
-            self._bn = 0
-        self._free_head = -1
 
     # ------------------------------------------------------------------
     # Updates (the O(1) hot path — integer loads/stores only)
@@ -771,9 +564,8 @@ class FlatProfile(ProfileQueryMixin):
 
         Only reached with an empty free list, so minted slots never
         exceed the live-block bound ``m``.  List engine: three appends.
-        Array engine: amortized-doubling growth of the slot buffers —
-        never triggered on externally attached buffers, which
-        preallocate the ``max(m, 1)``-slot maximum.  Callers holding
+        Array engine: amortized-doubling growth of the slot buffers.
+        Callers holding
         hot-loop locals for ``_bl``/``_bre``/``_bf`` must reload them
         after a mint (growth may reallocate the arrays).
         """
@@ -799,10 +591,6 @@ class FlatProfile(ProfileQueryMixin):
 
     def _grow_block_slots(self, need: int) -> None:
         """Double the array-engine slot buffers until ``need`` fit."""
-        if self._header is not None:
-            raise InvariantViolationError(
-                "externally attached block buffers cannot grow"
-            )
         cap = max(8, len(self._bl))
         while cap < need:
             cap *= 2
@@ -923,7 +711,7 @@ class FlatProfile(ProfileQueryMixin):
             # indexing and corrupt the structure, so the floor is
             # validated up front in one C-speed pass (on the ndarray
             # when the caller handed one over — cheaper still).
-            if _np is not None and isinstance(ids, _np.ndarray):
+            if isinstance(ids, _np.ndarray):
                 lo = int(ids.min())
             else:
                 lo = min(id_list)
@@ -1273,9 +1061,9 @@ class FlatProfile(ProfileQueryMixin):
         unordered, and bad ids reject the batch before any mutation.
         Dense batches (naming >= half the universe) rebuild wholesale.
 
-        With NumPy importable the whole batch pipeline is vectorized:
-        coalescing is one ``bincount`` (no per-event dict work at all)
-        and the dense rebuild is one fancy-indexed add + ``argsort``.
+        The whole batch pipeline is vectorized: coalescing is one
+        ``bincount`` (no per-event dict work at all) and the dense
+        rebuild is one fancy-indexed add + ``argsort``.
         """
         if not hasattr(xs, "__len__"):
             xs = list(xs)
@@ -1360,13 +1148,11 @@ class FlatProfile(ProfileQueryMixin):
 
         One ``bincount`` pass coalesces the batch and one min/max pass
         range-validates it (a bad id rejects the batch before any
-        mutation).  Returns ``None`` when NumPy is missing or the batch
-        is not a clean one-dimensional integer array — the caller then
+        mutation).  Returns ``None`` when the batch is not a clean
+        one-dimensional integer array — the caller then
         falls back to the dict pipeline, which surfaces type errors the
         same way the block-object engine does.
         """
-        if _np is None:
-            return None
         arr = _np.asarray(xs)
         if arr.ndim != 1 or arr.dtype.kind not in "iu":
             return None
@@ -1448,8 +1234,6 @@ class FlatProfile(ProfileQueryMixin):
         distinct keys (not :meth:`apply`'s ``m / 2``, which prices the
         dict pipeline both sides of its threshold pay).
         """
-        if _np is None:  # pragma: no cover - numpy-less fallback
-            return self.apply(dict(zip(keys, sums)))
         keys = _np.asarray(keys)
         sums = _np.asarray(sums)
         m = self._m
@@ -1517,49 +1301,33 @@ class FlatProfile(ProfileQueryMixin):
     def _apply_rebuild(self, net: Mapping[int, int]) -> None:
         """Wholesale path for batches naming much of the universe.
 
-        O(m log m) with C-speed constants when NumPy is importable:
-        update the materialized frequency array with one fancy-indexed
-        add, ``argsort`` it, run-length encode the runs and refill the
-        flat arrays with ``tolist()``.  Strict-mode underflow is
+        O(m log m) with C-speed constants: update the materialized
+        frequency array with one fancy-indexed add, ``argsort`` it,
+        run-length encode the runs and refill the flat arrays with
+        ``tolist()``.  Strict-mode underflow is
         checked on the net result before any mutation.
         """
         m = self._m
         for x in net:
             if not 0 <= x < m:
                 raise CapacityError(f"object id {x} out of range [0, {m})")
-        if _np is not None:
-            freqs = self._frequencies_np()
-            if net:
-                keys = _np.fromiter(
-                    net.keys(), dtype=_np.int64, count=len(net)
-                )
-                vals = _np.fromiter(
-                    net.values(), dtype=_np.int64, count=len(net)
-                )
-                if not self._allow_negative:
-                    low = freqs[keys] + vals
-                    if low.size and int(low.min()) < 0:
-                        bad = int(keys[int(low.argmin())])
-                        raise FrequencyUnderflowError(
-                            f"removing object {bad} at frequency "
-                            f"{int(freqs[bad])} {-net[bad]} times (net) "
-                            f"would go negative"
-                        )
-                freqs[keys] += vals
-            self._install_freqs_np(freqs)
-            return
-        freqs = self.frequencies()
-        if not self._allow_negative:
-            for x, d in net.items():
-                if freqs[x] + d < 0:
+        freqs = self._frequencies_np()
+        if net:
+            keys = _np.fromiter(net.keys(), dtype=_np.int64, count=len(net))
+            vals = _np.fromiter(
+                net.values(), dtype=_np.int64, count=len(net)
+            )
+            if not self._allow_negative:
+                low = freqs[keys] + vals
+                if low.size and int(low.min()) < 0:
+                    bad = int(keys[int(low.argmin())])
                     raise FrequencyUnderflowError(
-                        f"removing object {x} at frequency {freqs[x]} "
-                        f"{-d} times (net) would go negative"
+                        f"removing object {bad} at frequency "
+                        f"{int(freqs[bad])} {-net[bad]} times (net) "
+                        f"would go negative"
                     )
-        for x, d in net.items():
-            freqs[x] += d
-        ttof = sorted(range(m), key=freqs.__getitem__)
-        self._install_runs(ttof, _runs_from_sorted(ttof, freqs))
+            freqs[keys] += vals
+        self._install_freqs_np(freqs)
 
     def _bulk_add(self, counts: Mapping[int, int]) -> int:
         """Add ``counts[x]`` (> 0) per key as one climb each.
@@ -1757,11 +1525,6 @@ class FlatProfile(ProfileQueryMixin):
         """
         if extra <= 0:
             raise CapacityError(f"extra must be positive, got {extra}")
-        if self._header is not None:
-            raise CapacityError(
-                "externally attached buffers have fixed capacity; "
-                "grow() needs owned storage"
-            )
         old_m = self._m
         new_m = old_m + extra
 
@@ -1859,12 +1622,6 @@ class FlatProfile(ProfileQueryMixin):
         return self._array
 
     @property
-    def owns_buffers(self) -> bool:
-        """False when the buffers belong to an external owner (e.g. a
-        shared-memory segment attached via :meth:`attach_buffers`)."""
-        return self._header is None
-
-    @property
     def free_slots(self) -> int:
         """Recycled block ids awaiting reuse.  O(free list length)."""
         n = 0
@@ -1951,15 +1708,23 @@ class FlatProfile(ProfileQueryMixin):
 
     def clear(self) -> None:
         """Reset every frequency to zero (keeps capacity and settings)."""
-        if self._array:
-            self._reset_array_state()
-            self._last_tracked = 0
-            self._base_total = 0
-            self._n_adds = 0
-            self._n_removes = 0
-            self._sync_header()
-            return
         m = self._m
+        self._free_head = -1
+        self._last_tracked = 0
+        self._base_total = 0
+        self._n_adds = 0
+        self._n_removes = 0
+        if self._array:
+            # In place: the buffers keep their (possibly grown) size.
+            self._ftot[:] = _np.arange(m, dtype=_np.int64)
+            self._ttof[:] = self._ftot
+            if m:
+                self._ptrb[:] = 0
+                self._bl[0] = 0
+                self._bre[0] = m
+                self._bf[0] = 0
+            self._bn = 1 if m else 0
+            return
         self._ftot = list(range(m))
         self._ttof = list(range(m))
         if m:
@@ -1974,18 +1739,12 @@ class FlatProfile(ProfileQueryMixin):
             self._bf = []
         self._prev = list(range(-1, m))
         self._nxt = list(range(1, m + 2))
-        self._free_head = -1
-        self._last_tracked = 0
-        self._base_total = 0
-        self._n_adds = 0
-        self._n_removes = 0
 
     def copy(self) -> "FlatProfile":
         """Independent deep copy of the profiler.
 
-        An array-engine copy always owns its buffers (``np.copy`` each
-        one — O(buffers) allocations at C speed), detaching from any
-        shared-memory host.
+        An array-engine copy copies each buffer (``np.copy`` — O(buffers)
+        allocations at C speed).
         """
         clone = FlatProfile(0, allow_negative=self._allow_negative)
         clone._m = self._m
@@ -2014,20 +1773,6 @@ class FlatProfile(ProfileQueryMixin):
         clone._n_adds = self._n_adds
         clone._n_removes = self._n_removes
         return clone
-
-    def _copy_from(self, other: "FlatProfile") -> None:
-        """Adopt ``other``'s full state, writing in place (used to load
-        a checkpoint into shared-memory-hosted storage; ``other`` must
-        match this profile's capacity when the buffers are external)."""
-        ttof = (
-            other._ttof.tolist() if other._array else list(other._ttof)
-        )
-        self._install_runs(ttof, other.blocks.as_tuples())
-        self._last_tracked = other._last_tracked
-        self._base_total = other._base_total
-        self._n_adds = other._n_adds
-        self._n_removes = other._n_removes
-        self._sync_header()
 
     def snapshot(self):
         """Frozen point-in-time copy answering the same queries."""
@@ -2074,10 +1819,8 @@ class FlatProfile(ProfileQueryMixin):
         One stable ``argsort`` (deterministic tie order) plus run-length
         encoding.  List engine: every array refills through
         ``tolist()`` at C speed.  Array engine: the results are written
-        **in place** into the existing buffers (shared-memory mappings
-        must never be swapped out from under their other viewers);
-        capacity changes reallocate owned buffers and are refused on
-        external ones.
+        **in place** into the existing buffers; capacity changes
+        reallocate them.
         """
         m = int(freqs.shape[0])
         if self._array:
@@ -2114,15 +1857,9 @@ class FlatProfile(ProfileQueryMixin):
         self._sync_rank_tables(m)
         self._free_head = -1
 
-    def _reallocate_owned(self, m: int) -> None:
-        """Size the owned array-engine buffers for a new capacity
-        ``m`` (contents are installed by the caller).  Refused on
-        externally attached buffers, which are fixed-capacity."""
-        if self._header is not None:
-            raise InvariantViolationError(
-                "externally attached buffers have fixed capacity "
-                f"{self._m}; cannot reallocate for capacity {m}"
-            )
+    def _reallocate(self, m: int) -> None:
+        """Size the array-engine buffers for a new capacity ``m``
+        (contents are installed by the caller)."""
         self._ftot = _np.empty(m, dtype=_np.int64)
         self._ttof = _np.empty(m, dtype=_np.int64)
         self._ptrb = _np.empty(m, dtype=_np.int64)
@@ -2136,7 +1873,7 @@ class FlatProfile(ProfileQueryMixin):
     def _install_freqs_np_array(self, freqs, m: int) -> None:
         """Array-engine wholesale rebuild: in-place buffer writes."""
         if m != self._m:
-            self._reallocate_owned(m)
+            self._reallocate(m)
         self._sync_rank_tables(m)
         if m == 0:
             self._bn = 0
@@ -2211,11 +1948,8 @@ class FlatProfile(ProfileQueryMixin):
                 f"runs cover {covered} ranks, expected {m}"
             )
         if self._array:
-            # In-place install: external (shared-memory) buffers are
-            # fixed-capacity, owned buffers reallocate on a capacity
-            # change.
             if m != self._m:
-                self._reallocate_owned(m)
+                self._reallocate(m)
             self._ttof[:] = ttof
             self._ftot[:] = ftot
             self._ptrb[:] = ptrb
@@ -2249,19 +1983,3 @@ class FlatProfile(ProfileQueryMixin):
             f"blocks={self.block_count}, events={self.n_events})"
         )
 
-
-def _runs_from_sorted(
-    ttof: Sequence[int], freqs: Sequence[int]
-) -> list[tuple[int, int, int]]:
-    """Compute ``(l, r, f)`` runs of equal frequency along sorted ranks."""
-    runs: list[tuple[int, int, int]] = []
-    m = len(ttof)
-    rank = 0
-    while rank < m:
-        f = freqs[ttof[rank]]
-        start = rank
-        while rank + 1 < m and freqs[ttof[rank + 1]] == f:
-            rank += 1
-        runs.append((start, rank, f))
-        rank += 1
-    return runs

@@ -47,15 +47,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
+import numpy as _np
+
 from repro.core.block import Block, BlockPool
 from repro.core.blockset import BlockSet
 from repro.core.queries import ProfileQueryMixin
 from repro.errors import CapacityError, FrequencyUnderflowError
-
-try:  # same numpy gating discipline as repro.core.flat
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback
-    _np = None
 
 __all__ = ["SProfile", "net_arrays", "net_deltas", "net_deltas_arrays"]
 
@@ -83,32 +80,22 @@ def net_deltas_arrays(ids, deltas) -> dict:
     a decoded ``np.frombuffer`` batch nets without materializing one
     Python object per event.  Returns the same ``{key: net delta}``
     dict the pair-stream form produces (Python ints, zero-net keys
-    included, first-occurrence key order).  Falls back to the scalar
-    loop when NumPy is unavailable or the inputs are plain sequences.
+    included, first-occurrence key order).
     """
-    if _np is not None:
-        ids = _np.asarray(ids)
-        deltas = _np.asarray(deltas)
-        if ids.shape != deltas.shape:
-            raise CapacityError(
-                f"ids and deltas must be parallel arrays, got shapes "
-                f"{ids.shape} and {deltas.shape}"
-            )
-        keys, first, inverse = _np.unique(
-            ids, return_index=True, return_inverse=True
-        )
-        sums = _np.zeros(len(keys), dtype=_np.int64)
-        _np.add.at(sums, inverse, deltas)
-        order = _np.argsort(first, kind="stable")
-        return dict(
-            zip(keys[order].tolist(), sums[order].tolist())
-        )
-    if len(ids) != len(deltas):
+    ids = _np.asarray(ids)
+    deltas = _np.asarray(deltas)
+    if ids.shape != deltas.shape:
         raise CapacityError(
-            f"ids and deltas must be parallel arrays, got lengths "
-            f"{len(ids)} and {len(deltas)}"
+            f"ids and deltas must be parallel arrays, got shapes "
+            f"{ids.shape} and {deltas.shape}"
         )
-    return net_deltas(zip(ids, deltas))
+    keys, first, inverse = _np.unique(
+        ids, return_index=True, return_inverse=True
+    )
+    sums = _np.zeros(len(keys), dtype=_np.int64)
+    _np.add.at(sums, inverse, deltas)
+    order = _np.argsort(first, kind="stable")
+    return dict(zip(keys[order].tolist(), sums[order].tolist()))
 
 
 def net_arrays(ids, deltas):
@@ -122,10 +109,6 @@ def net_arrays(ids, deltas):
     is immaterial for dense integer ids: additive netting is
     order-free, and nothing registers keys positionally.
     """
-    if _np is None:  # pragma: no cover - numpy-less fallback
-        net = net_deltas_arrays(ids, deltas)
-        keys = sorted(net)
-        return keys, [net[k] for k in keys]
     ids = _np.asarray(ids)
     deltas = _np.asarray(deltas)
     if ids.shape != deltas.shape:

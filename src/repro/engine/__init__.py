@@ -9,23 +9,17 @@ package is the production story on top of it:
 - :mod:`repro.engine.service` — :class:`ProfileService` accepts event
   *batches* (the shape traffic arrives in), ingests them through the
   coalescing bulk paths, and exposes snapshot / checkpoint hooks.
-- :mod:`repro.engine.parallel` — :class:`ParallelShardedProfiler`
-  hosts flat shard cores in worker processes over shared memory:
-  batches dispatch concurrently, exact merged queries read zero-copy
-  views in the parent.
 
 See ``docs/paper_map.md`` for how this layer relates (and does not
 relate) to the paper, and ``benchmarks/bench_batch_vs_loop.py`` /
 ``benchmarks/bench_shard_scaling.py`` for the measured effects.
 """
 
-from repro.engine.parallel import ParallelShardedProfiler
 from repro.engine.service import SERVICE_STATE_VERSION, ProfileService
 from repro.engine.sharding import ShardedProfiler
 
 __all__ = [
     "SERVICE_STATE_VERSION",
-    "ParallelShardedProfiler",
     "ProfileService",
     "ShardedProfiler",
 ]

@@ -65,8 +65,7 @@ def partition_ids(arr, n_parts: int, m: int):
     ``x % n_parts``, local id ``x // n_parts``) and of its batch
     validation — a bad id rejects the whole batch before any owner is
     touched.  Returns ``(residue, local)`` arrays; shared by the
-    serial sharded engine and the parallel worker engine so the two
-    can never drift.
+    sharded engine and the cluster router so the two can never drift.
     """
     lo = int(arr.min())
     hi = int(arr.max())

@@ -1,6 +1,6 @@
 """Unified observability: metrics registry, request tracing, exporters.
 
-One registry design serves every tier — the flat/parallel engine, the
+One registry design serves every tier — the engines, the
 micro-batching server, the WAL'd cluster router, and the warm standby
 — and surfaces three ways: the ``metrics`` wire op, the Prometheus
 sidecar (``--metrics-port``), and the enriched ``--status``/``health``

@@ -6,7 +6,7 @@ same spelling the docs use everywhere::
     python -m repro.serve --capacity 100000 --port 7421
 
 See ``python -m repro.serve --help`` for the full flag set
-(``--backend/--shards/--workers/--batch-max/--queue-size/...``).
+(``--backend/--shards/--batch-max/--queue-size/...``).
 """
 
 from repro.server.cli import build_parser, main

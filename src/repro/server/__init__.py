@@ -1,6 +1,6 @@
 """The serving layer: profile ingestion and queries over TCP.
 
-The compute stack (flat core, sharded and parallel engines, the
+The compute stack (flat core, sharded engine, the
 facade's fused plans) answers in-process; this subpackage puts it on a
 wire so many concurrent writers can share one profiler:
 

@@ -68,13 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard fan-out (implies the sharded backend under auto)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker-process fan-out (implies the parallel backend "
-        "under auto)",
-    )
-    parser.add_argument(
         "--keys",
         choices=("dense", "hashable"),
         default="dense",
@@ -84,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--array-engine",
         action="store_true",
         help="host the flat backend on its NumPy array engine "
-        "(flat backend only; requires numpy)",
+        "(flat backend only)",
     )
     parser.add_argument(
         "--strict",
@@ -219,7 +212,6 @@ async def _amain(args: argparse.Namespace) -> int:
         args.capacity,
         backend=args.backend,
         shards=args.shards,
-        workers=args.workers,
         keys=args.keys,
         strict=args.strict,
         **open_options,

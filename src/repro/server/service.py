@@ -64,7 +64,6 @@ from repro.api.facade import Profiler
 from repro.core.dynamic import DynamicProfiler
 from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile, net_deltas
-from repro.engine.parallel import ParallelShardedProfiler
 from repro.engine.sharding import ShardedProfiler
 from repro.errors import (
     CapacityError,
@@ -128,8 +127,7 @@ def _resolve_strategy(profiler: Profiler) -> str:
     if isinstance(impl, DynamicProfiler):
         return "dynamic"
     if profiler.keys == "dense" and isinstance(
-        impl,
-        (SProfile, FlatProfile, ShardedProfiler, ParallelShardedProfiler),
+        impl, (SProfile, FlatProfile, ShardedProfiler)
     ):
         return "dense"
     return "sequential"

@@ -2,20 +2,12 @@
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
 
 from repro.baselines.bucket import BucketProfiler
 from repro.core.profile import SProfile
-
-
-@pytest.fixture
-def cpu_budget() -> int:
-    """Cores the machine can actually host workers on; parallel tests
-    gate their scaling (never their equivalence) assertions on it."""
-    return os.cpu_count() or 1
 
 
 @pytest.fixture

@@ -115,9 +115,9 @@ BACKEND_ROWS = [
         id="sharded",
     ),
     pytest.param(
-        lambda: Profiler.open(40, backend="parallel", workers=1),
+        lambda: Profiler.open(40, backend="flat", array_engine=True),
         [(3, 5), (7, 2)],
-        id="parallel-inline",
+        id="flat-array",
     ),
     pytest.param(
         lambda: Profiler.open(keys="hashable"),

@@ -10,7 +10,6 @@ This is the contract the facade sells: pick any backend, get the same
 numbers (or explicitly bounded ones).
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Profiler, Query
@@ -19,13 +18,14 @@ from repro.errors import FrequencyUnderflowError, UnsupportedQueryError
 UNIVERSE = 12
 
 #: Exact backends answering the full query surface through the facade.
-#: ``parallel`` hosts flat shard cores in worker processes — the same
-#: answers must come back through shared memory.
+#: ``flat-array`` is the flat backend on its ``int64`` array storage
+#: (``array_engine=True``) — the vectorized batch paths write in place
+#: into the buffers, and the same answers must come back.
 FULL_SURFACE_BACKENDS = (
     "flat",
+    "flat-array",
     "exact",
     "sharded",
-    "parallel",
     "sprofile-indexed",
     "bucket",
 )
@@ -45,41 +45,18 @@ events = st.lists(
 # coalescing boundaries vary too.
 batched_events = st.tuples(events, st.integers(min_value=1, max_value=5))
 
-# Worker processes are expensive to spawn per hypothesis example, so
-# the parallel profilers persist for the module (reset per example) —
-# which also soaks them in hundreds of clear/ingest/query cycles.
-_PARALLEL_CACHE: dict = {}
 
-
-def _parallel_profiler(strict: bool = False) -> Profiler:
-    key = ("strict" if strict else "lax",)
-    profiler = _PARALLEL_CACHE.get(key)
-    if profiler is None:
-        profiler = Profiler.open(
-            UNIVERSE, backend="parallel", workers=2, strict=strict
+def _open(name, strict=False, shards_for_sharded=3):
+    if name == "flat-array":
+        return Profiler.open(
+            UNIVERSE, backend="flat", array_engine=True, strict=strict
         )
-        # Keep real worker processes in the matrix even on 1-CPU boxes.
-        assert not profiler.backend.inline
-        _PARALLEL_CACHE[key] = profiler
-    profiler.backend.clear()
-    return profiler
+    kwargs = {"shards": shards_for_sharded} if name == "sharded" else {}
+    return Profiler.open(UNIVERSE, backend=name, strict=strict, **kwargs)
 
 
-def teardown_module(module):
-    for profiler in _PARALLEL_CACHE.values():
-        profiler.close()
-    _PARALLEL_CACHE.clear()
-
-
-def _open_all(names, shards_for_sharded=3):
-    profilers = {}
-    for name in names:
-        if name == "parallel":
-            profilers[name] = _parallel_profiler()
-            continue
-        kwargs = {"shards": shards_for_sharded} if name == "sharded" else {}
-        profilers[name] = Profiler.open(UNIVERSE, backend=name, **kwargs)
-    return profilers
+def _open_all(names):
+    return {name: _open(name) for name in names}
 
 
 def _feed(profilers, stream, n_batches):
@@ -95,7 +72,6 @@ def _feed(profilers, stream, n_batches):
 QUANTILE_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
-@pytest.mark.parallel
 @given(batched_events)
 @settings(max_examples=60, deadline=None)
 def test_full_surface_backends_agree(batched):
@@ -154,7 +130,6 @@ def test_quantile_backends_agree_on_their_surface(batched):
             raise AssertionError(f"{name} should not answer top_k")
 
 
-@pytest.mark.parallel
 @given(batched_events)
 @settings(max_examples=60, deadline=None)
 def test_fused_evaluate_agrees_across_backends(batched):
@@ -202,31 +177,30 @@ def test_flat_hashable_keys_match_dynamic(batched):
     assert flat.max_frequency() == max(list(freqs.values()) + [0])
 
 
-@pytest.mark.parallel
 @given(batched_events)
 @settings(max_examples=30, deadline=None)
-def test_strict_mode_rejection_agrees_across_workers(batched):
-    """Strict-mode batches are all-or-nothing *across* worker
-    processes: the parallel backend accepts/rejects exactly when the
-    serial exact backend does, and a rejected batch leaves both
+def test_strict_mode_rejection_agrees_on_array_engine(batched):
+    """Strict-mode batches are all-or-nothing on the array engine: the
+    flat backend over ``int64`` buffers accepts/rejects exactly when
+    the exact backend does, and a rejected batch leaves both
     completely unchanged."""
     stream, n_batches = batched
-    parallel = _parallel_profiler(strict=True)
-    exact = Profiler.open(UNIVERSE, backend="exact", strict=True)
+    array = _open("flat-array", strict=True)
+    exact = _open("exact", strict=True)
     size = max(1, len(stream) // n_batches) if stream else 1
     for start in range(0, len(stream), size):
         batch = stream[start : start + size]
         outcomes = []
-        for profiler in (parallel, exact):
+        for profiler in (array, exact):
             try:
                 profiler.ingest(batch)
                 outcomes.append("ok")
             except FrequencyUnderflowError:
                 outcomes.append("underflow")
         assert outcomes[0] == outcomes[1], batch
-        assert parallel.frequencies() == exact.frequencies()
-    assert parallel.total == exact.total
-    assert parallel.histogram() == exact.histogram()
+        assert array.frequencies() == exact.frequencies()
+    assert array.total == exact.total
+    assert array.histogram() == exact.histogram()
 
 
 @given(

@@ -10,6 +10,7 @@ from repro.api import (
     Query,
     available_backends,
 )
+from repro.api.backends import resolve_backend
 from repro.baselines.registry import available_profilers
 from repro.core.dynamic import DynamicProfiler
 from repro.core.flat import FlatProfile
@@ -30,6 +31,14 @@ class TestOpen:
         profiler = Profiler.open(10)
         assert profiler.backend_name == "flat"
         assert isinstance(profiler.backend, FlatProfile)
+
+    def test_auto_is_flat_at_any_capacity(self):
+        name = resolve_backend("auto", "dense", None, capacity=4_000_000)
+        assert name == "flat"
+
+    def test_parallel_backend_is_unknown(self):
+        with pytest.raises(CapacityError, match="unknown backend"):
+            Profiler.open(10, backend="parallel")
 
     def test_auto_with_freq_index_is_exact(self):
         profiler = Profiler.open(10, track_freq_index=True)
@@ -370,6 +379,32 @@ class TestFlatBackend:
         assert restored.backend.core == "flat"
         assert restored.frequencies() == profiler.frequencies()
 
+    def test_parallel_checkpoint_restores_into_sharded(self):
+        # A multi-process engine checkpoint is a flat-core sharded
+        # checkpoint labelled "parallel" (checked field for field
+        # against a real one before that engine was removed).
+        stream = [(3, 5), (7, 2), (11, -1), (0, 4), (39, 3), (3, -2)]
+        profiler = Profiler.open(40, backend="sharded", shards=2)
+        profiler.ingest(stream)
+        state = json.loads(json.dumps(profiler.to_state()))
+        state["backend"] = "parallel"
+        restored = Profiler.from_state(state)
+        assert restored.backend_name == "sharded"
+        assert isinstance(restored.backend, ShardedProfiler)
+        assert restored.backend.core == "flat"
+        assert restored.frequencies() == profiler.frequencies()
+        assert restored.histogram() == profiler.histogram()
+        assert restored.to_state() == dict(state, backend="sharded")
+
+    def test_parallel_checkpoint_requires_flat_cores(self):
+        profiler = Profiler.open(
+            10, backend="sharded", shards=2, track_freq_index=True
+        )
+        state = profiler.to_state()
+        state["backend"] = "parallel"
+        with pytest.raises(CheckpointError, match="flat cores"):
+            Profiler.from_state(state)
+
     def test_pre_core_sharded_checkpoints_load_as_sprofile(self):
         profiler = Profiler.open(
             10, backend="sharded", shards=2, track_freq_index=True
@@ -619,7 +654,7 @@ class TestApproxCheckpoints:
 class TestCloseMatrix:
     """`close()` is documented idempotent on *every* backend; the
     server's graceful shutdown leans on that, so the whole matrix is
-    pinned, not just the parallel backend."""
+    pinned."""
 
     SPECS = [
         ("flat", dict(capacity=64)),
@@ -630,7 +665,7 @@ class TestCloseMatrix:
         ("flat-hashable", dict(capacity=64, backend="flat",
                                keys="hashable")),
         ("bucket", dict(capacity=64)),
-        ("parallel-inline", dict(capacity=64, workers=1)),
+        ("flat-array", dict(capacity=64, array_engine=True)),
     ]
 
     def open_profiler(self, name, options):
@@ -645,7 +680,7 @@ class TestCloseMatrix:
                 "approx": "approx",
                 "exact-hashable": "exact",
                 "bucket": "bucket",
-                "parallel-inline": "parallel",
+                "flat-array": "flat",
             }.get(name, "auto"),
         )
         return Profiler.open(capacity, backend=backend, **options)

@@ -43,7 +43,9 @@ def payload(single=2.0, batch=4.5, sharded=2.5, plan=1.7):
                 "workload": "batch (fabricated)",
                 "sprofile_eps": 7e6,
                 "flat_eps": 7e6 * batch,
+                "array_eps": 7e6 * batch * 2.5,
                 "speedup": batch,
+                "array_speedup": 2.5,
             },
             "sharded_batch": {
                 "workload": "sharded (fabricated)",
@@ -115,72 +117,14 @@ class TestCheckRegressions:
         assert len(problems) == 1
         assert "quick.batch_ingest.speedup" in problems[0]
 
-
-def parallel_path(cpus, speedups):
-    """Fabricated parallel_batch entry: {workers -> speedup}."""
-    max_w = max(int(w) for w in speedups)
-    return {
-        "workload": "parallel (fabricated)",
-        "cpus": cpus,
-        "max_workers": max_w,
-        "flat_eps": 10e6,
-        "workers": {
-            str(w): {"eps": 10e6 * s, "speedup": s}
-            for w, s in speedups.items()
-        },
-        "speedup": speedups[max_w],
-    }
-
-
-class TestParallelGate:
-    """Parallel ratios gate only within the measuring machine's cores."""
-
-    def test_worker_ratios_within_cpu_budget_are_gated(self):
+    def test_array_engine_ratio_is_gated(self):
         base = payload()
-        base["paths"]["parallel_batch"] = parallel_path(
-            4, {1: 1.0, 2: 1.8, 4: 3.0}
-        )
+        base["paths"]["batch_ingest"]["array_speedup"] = 2.5
         bad = payload()
-        bad["paths"]["parallel_batch"] = parallel_path(
-            4, {1: 1.0, 2: 0.5, 4: 3.0}
-        )
+        bad["paths"]["batch_ingest"]["array_speedup"] = 1.2
         problems = check_regressions(bad, base, 0.30)
-        assert any("parallel_batch.w2" in p for p in problems)
-
-    def test_worker_ratios_beyond_cpu_budget_are_ignored(self):
-        """A 1-core box measuring 4 workers measures IPC overhead, not
-        parallelism — its w2/w4 ratios must not gate anything."""
-        base = payload()
-        base["paths"]["parallel_batch"] = parallel_path(
-            4, {1: 1.0, 2: 1.8, 4: 3.0}
-        )
-        current = payload()
-        current["paths"]["parallel_batch"] = parallel_path(
-            1, {1: 1.0, 2: 0.2, 4: 0.1}
-        )
-        assert check_regressions(current, base, 0.30) == []
-
-    def test_only_per_worker_keys_gate_within_the_core_budget(self):
-        """Worker-sweep paths never gate through the headline
-        "speedup" (its meaning shifts with the sweep), and wN keys
-        above the machine's core count are excluded."""
-        entries = dict(
-            __import__("repro.bench.trajectory", fromlist=["x"])
-            ._speedup_entries(
-                {
-                    "scale": "full",
-                    "paths": {
-                        "parallel_batch": parallel_path(
-                            2, {1: 1.0, 2: 1.8, 4: 0.9}
-                        )
-                    },
-                }
-            )
-        )
-        assert "full.parallel_batch.w1.speedup" in entries
-        assert "full.parallel_batch.w2.speedup" in entries
-        assert "full.parallel_batch.w4.speedup" not in entries
-        assert "full.parallel_batch.speedup" not in entries
+        assert len(problems) == 1
+        assert "full.batch_ingest.array.speedup" in problems[0]
 
 
 class TestScales:
@@ -278,25 +222,13 @@ class TestCommittedArtifact:
         assert paths["batch_ingest"]["speedup"] >= 4.0
         for stream in ("stream1", "stream2", "stream3"):
             assert single["streams"][stream]["flat_eps"] > 0
-        # The parallel_batch path carries the worker-scaling curve and
-        # the machine's core count (which scopes what the gate may
-        # compare — see _speedup_entries).
+        # The array engine's in-place dense rebuild against the list
+        # engine — a same-core win the committed artifact must keep
+        # showing at both scales.
         for section in (paths, data["quick"]["paths"]):
-            par = section["parallel_batch"]
-            assert par["cpus"] >= 1
-            assert set(par["workers"]) == {"1", "2", "4"}
-            assert par["flat_eps"] > 0
-            # w1 isolates the array engine's in-place dense rebuild
-            # (plus IPC) against the list engine — a same-core win the
-            # committed artifact must keep showing.
-            assert par["workers"]["1"]["speedup"] > 1.0
-            if par["cpus"] >= par["max_workers"]:
-                # On a machine that can host the full sweep, the
-                # committed curve must meet the tentpole bar: >= 2.5x
-                # at 4 workers and monotone 1 -> 2 -> 4.
-                w = {int(k): v["speedup"] for k, v in par["workers"].items()}
-                assert w[1] <= w[2] <= w[4]
-                assert par["speedup"] >= 2.5
+            batch = section["batch_ingest"]
+            assert batch["array_eps"] > 0
+            assert batch["array_speedup"] > 1.0
 
 
 def serve_path(speedups, binary_speedups=None):
@@ -360,8 +292,8 @@ class TestServeGate:
         assert "serve.binary.c16" in problems[0]
 
     def test_json_only_payload_never_gates_binary_keys(self):
-        # A numpy-less measuring box emits no binary entries; the gate
-        # must skip the binary key family, not fail it.
+        # A payload without binary entries (an older artifact) must
+        # skip the binary key family, not fail it.
         base = payload()
         base["paths"]["serve"] = serve_path(
             {1: 8.0, 16: 6.0}, {1: 9.0, 16: 9.0}

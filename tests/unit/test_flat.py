@@ -427,7 +427,7 @@ class TestArrayEngine:
 
     def test_per_event_equivalence(self, rng):
         lp, ap = self.drive_pair(rng, 80, 4000)
-        assert ap.array_engine and ap.owns_buffers
+        assert ap.array_engine
         assert lp.frequencies() == ap.frequencies()
         assert lp.histogram() == ap.histogram()
         assert lp.total == ap.total
@@ -507,7 +507,7 @@ class TestArrayEngine:
     def test_copy_clear_grow(self, rng):
         _, ap = self.drive_pair(rng, 30, 500)
         clone = ap.copy()
-        assert clone.array_engine and clone.owns_buffers
+        assert clone.array_engine
         clone.add(0)
         assert clone.frequency(0) == ap.frequency(0) + 1
         grown = ap.copy()
@@ -635,72 +635,3 @@ class TestArrayState:
         with pytest.raises(CheckpointError):
             flat_profile_from_array_state(bad_ttof)
 
-
-class TestAttachBuffers:
-    """External (caller-owned) buffer hosting — the shared-memory
-    contract, exercised on plain heap buffers."""
-
-    def build_buffers(self, m):
-        np = pytest.importorskip("numpy")
-        from repro.core.flat import HEADER_SLOTS
-
-        slots = max(m, 1)
-        buf = np.zeros(HEADER_SLOTS + 3 * m + 3 * slots, dtype=np.int64)
-        header = buf[:HEADER_SLOTS]
-        rest = buf[HEADER_SLOTS:]
-        views = []
-        offset = 0
-        for length in (m, m, m, slots, slots, slots):
-            views.append(rest[offset : offset + length])
-            offset += length
-        return header, views
-
-    def test_writer_and_reader_views_stay_coherent(self, rng):
-        np = pytest.importorskip("numpy")
-        m = 33
-        header, views = self.build_buffers(m)
-        writer = FlatProfile.attach_buffers(header, *views, fresh=True)
-        ref = FlatProfile(m)
-        for _ in range(2000):
-            x = rng.randrange(m)
-            if rng.random() < 0.6:
-                writer.add(x)
-                ref.add(x)
-            else:
-                writer.remove(x)
-                ref.remove(x)
-        batch = np.array([rng.randrange(m) for _ in range(900)])
-        writer.add_many(batch)
-        ref.add_many(batch)
-        writer._sync_header()
-        reader = FlatProfile.attach_buffers(header, *views, fresh=False)
-        assert reader.frequencies() == writer.frequencies()
-        assert reader.total == writer.total
-        assert reader.n_events == writer.n_events
-        reader.audit()
-
-    def test_attach_validates_layout(self):
-        pytest.importorskip("numpy")
-        header, views = self.build_buffers(10)
-        with pytest.raises(CapacityError):  # no magic stamp yet
-            FlatProfile.attach_buffers(header, *views, fresh=False)
-        short = list(views)
-        short[3] = short[3][:4]  # fewer block slots than max(m, 1)
-        with pytest.raises(CapacityError):
-            FlatProfile.attach_buffers(header, *short, fresh=True)
-
-    def test_external_buffers_refuse_growth(self):
-        pytest.importorskip("numpy")
-        header, views = self.build_buffers(6)
-        writer = FlatProfile.attach_buffers(header, *views, fresh=True)
-        with pytest.raises(CapacityError):
-            writer.grow(3)
-
-    def test_release_buffers_detaches(self):
-        pytest.importorskip("numpy")
-        header, views = self.build_buffers(6)
-        writer = FlatProfile.attach_buffers(header, *views, fresh=True)
-        writer.add(2)
-        writer.release_buffers()
-        assert not writer.array_engine or writer._ftot is None
-        writer.release_buffers()  # idempotent

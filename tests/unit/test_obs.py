@@ -153,8 +153,8 @@ class TestMergeSnapshots:
         assert [n for _b, n in h["buckets"]] == [1, 1, 1]
 
     def test_merge_matches_per_worker_registries(self):
-        # The parallel engine's contract in miniature: workers count
-        # privately, the parent folds exactly.
+        # Separate processes count privately; whoever collects the
+        # snapshots folds them exactly.
         workers = [MetricsRegistry() for _ in range(4)]
         for i, reg in enumerate(workers):
             reg.counter("events").inc(10 * (i + 1))
