@@ -100,16 +100,16 @@ def build_backend(
             f"shards= only applies to the sharded backend, not {name!r}"
         )
     allow_negative = not strict
-
-    if name == "approx":
-        # Sketches take hashable keys natively and need no capacity;
-        # strictness is inherent (the backend is add-only).
-        return ApproxProfiler(**options), False
     array_engine = options.pop("array_engine", None)
     if array_engine is not None and name != "flat":
         raise CapacityError(
             f"array_engine= only applies to the flat backend, not {name!r}"
         )
+
+    if name == "approx":
+        # Sketches take hashable keys natively and need no capacity;
+        # strictness is inherent (the backend is add-only).
+        return ApproxProfiler(**options), False
     if options:
         raise CapacityError(
             f"unknown options for backend {name!r}: {sorted(options)}"
