@@ -7,12 +7,11 @@ fans sub-batches out over the negotiated codec, merges acks, and
 answers queries by merging replica reads exactly like the in-process
 :class:`~repro.engine.sharding.ShardedProfiler`.  Replicas snapshot
 through the audited checkpoint schema; the router journals
-post-snapshot batches per partition so a killed replica recovers by
-snapshot-restore + ``seq``-ordered replay with zero acknowledged-event
-loss.
+post-snapshot batches per partition in one log (:class:`RouterWal`)
+so a killed replica recovers by snapshot-restore + ``seq``-ordered
+replay with zero acknowledged-event loss.
 
-With ``journal_dir`` set, the journal is also a durable write-ahead
-log (:class:`RouterWal`): entries hit an fsync'd CRC-framed segment
+With ``journal_dir`` set, that log is also durable: entries hit an fsync'd CRC-framed segment
 file before any replica sees a byte, so killing the *router* process
 (SIGKILL included) loses nothing — a cold router on the same directory
 restores the persisted snapshots and replays the surviving log.
@@ -36,13 +35,7 @@ epoch so ingest and queries never stop.
 :class:`ReplicaSupervisor` manages the replica subprocesses.
 """
 
-from repro.cluster.journal import (
-    JournalEntry,
-    PartitionJournal,
-    RouterWal,
-    WalRecovery,
-    WalTail,
-)
+from repro.cluster.journal import JournalEntry, RouterWal, WalTail
 from repro.cluster.router import ClusterRouter, partition_capacity
 from repro.cluster.standby import StandbyRouter
 from repro.cluster.supervisor import ReplicaSupervisor
@@ -50,11 +43,9 @@ from repro.cluster.supervisor import ReplicaSupervisor
 __all__ = [
     "ClusterRouter",
     "JournalEntry",
-    "PartitionJournal",
     "ReplicaSupervisor",
     "RouterWal",
     "StandbyRouter",
-    "WalRecovery",
     "WalTail",
     "partition_capacity",
 ]

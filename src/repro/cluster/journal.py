@@ -1,31 +1,37 @@
-"""Per-partition replay journals for the cluster router + durable WAL.
+"""The cluster tier's one log: the router's journal, WAL and standby tape.
 
-The journal IS the recovery buffer: every wire batch the router
-accepts is partitioned and appended here — tagged with its ``seq``
-serialization token — *before* anything is sent to a replica.  A
-replica that dies is brought back by restoring its partition's last
-snapshot and replaying the journal entries behind it in ``seq`` order;
-because the restore rewinds the replica to the snapshot first, a send
-that raced the crash (applied on the old process, or half-delivered)
-is wiped and the replay is exact, never double-counted.
+Every wire batch the router accepts is partitioned and appended to
+:class:`RouterWal` — tagged with its ``seq`` serialization token —
+*before* anything is sent to a replica.  The log keeps one replay
+state, the same structure whoever builds it: the writer updates it on
+every append, cold recovery (:meth:`RouterWal.load`) rebuilds it from
+disk, and a warm standby (:class:`WalTail`) follows it live.  It holds
+each partition's post-snapshot entry tape, and a replica that dies is
+brought back by restoring its partition's last snapshot and replaying
+that tape in ``seq`` order; because the restore rewinds the replica to
+the snapshot first, a send that raced the crash (applied on the old
+process, or half-delivered) is wiped and the replay is exact, never
+double-counted.
 
-Entries are only ever dropped by :meth:`PartitionJournal.clear`, which
-the router calls immediately after a successful snapshot: the router's
-pipeline is synchronous (one flusher task appends, delivers, then
-snapshots), so at snapshot time every entry present has been delivered
-on the replica's ordered connection *before* the checkpoint request —
-the snapshot covers them all by construction.
+One coverage rule drops entries for every consumer: a snapshot of
+partition ``p`` at seq ``s`` holds every entry of ``p`` at or below
+``s``.  The router snapshots a partition only once it has delivered
+the whole tape (its pipeline is synchronous: one flusher task appends,
+delivers, then snapshots), so in the writer a snapshot empties the
+tape.  The standby learns of the snapshot from a ``SNAPSHOT`` record
+in the log and drops the same entries.
 
-:class:`RouterWal` is the same tape made durable: an fsync'd,
-CRC-framed on-disk log that survives the *router* process.  Records
-are appended (and synced) before any replica sees a byte, so a client
-ack always has a durable record behind it; segments rotate at a byte
-threshold and a leading run of segments is deleted once the persisted
-partition snapshots cover everything in them.  A cold router pointed
-at the same directory recovers exactly like a replica does — snapshot
-load + ``seq``-ordered replay — with zero acknowledged-event loss
-(see :meth:`RouterWal.load` for the torn-tail rule that makes a crash
-mid-write safe).
+With a directory, the log is durable: an fsync'd, CRC-framed on-disk
+log that survives the *router* process.  Records are appended (and
+synced) before any replica sees a byte, so a client ack always has a
+durable record behind it; segments rotate at a byte threshold and a
+leading run of segments is deleted once the persisted partition
+snapshots cover everything in them.  A cold router pointed at the
+same directory recovers exactly like a replica does — snapshot load +
+``seq``-ordered replay — with zero acknowledged-event loss (see
+:meth:`RouterWal.load` for the torn-tail rule that makes a crash
+mid-write safe).  Without a directory (``RouterWal(None)``) the same
+replay state lives in memory only: no files, no framing.
 
 Record framing (little-endian)::
 
@@ -36,13 +42,17 @@ with payloads::
     ENTRY / PENTRY:  <u8 type> <u32 partition> <u64 seq> <u32 count>
                      <count x i64 ids> <count x i64 deltas>
     COMMIT / ABORT:  <u8 type> <u64 seq> <u32 n> <n x u32 partitions>
+    RESCALE:         <u8 type> <u32 generation> <u32 n_parts> <u64 seq>
+    SNAPSHOT:        <u8 type> <u32 partition> <u64 seq>
 
 ``ENTRY`` is a committed partitioned wire batch (the non-strict
 path).  ``PENTRY`` is the 2PC prepare half: it counts only when a
 later ``COMMIT`` for its ``seq`` lands; an ``ABORT`` — or no decision
 at all, the crashed-before-deciding case — drops it at replay (no
 replica can have applied it: commits are only sent after the decision
-record is durable).
+record is durable).  ``SNAPSHOT`` follows a durable snapshot file and
+applies the coverage rule; cold recovery gets the same coverage from
+the snapshot files themselves.
 
 Three more artifacts share the directory and make the WAL a
 *multi-process* coordination point:
@@ -95,9 +105,7 @@ from repro.testing.faults import fault_point_sync
 
 __all__ = [
     "JournalEntry",
-    "PartitionJournal",
     "RouterWal",
-    "WalRecovery",
     "WalTail",
 ]
 
@@ -119,82 +127,6 @@ class JournalEntry:
         return f"JournalEntry(seq={self.seq}, events={len(self.ids)})"
 
 
-class PartitionJournal:
-    """Seq-ordered post-snapshot wire batches for one partition."""
-
-    __slots__ = (
-        "partition", "_entries", "snapshot_seq", "appended_total", "events"
-    )
-
-    def __init__(self, partition: int) -> None:
-        self.partition = partition
-        self._entries: list[JournalEntry] = []
-        #: ``seq`` high-water mark covered by the partition's snapshot
-        #: (0 before the first snapshot: "empty replica" is the
-        #: implicit snapshot every replica process boots with).
-        self.snapshot_seq = 0
-        self.appended_total = 0
-        #: events held on the tape (the replay cost a snapshot saves)
-        self.events = 0
-
-    def append(self, seq: int, ids, deltas) -> JournalEntry:
-        """Record one partitioned wire batch (before it is sent)."""
-        if self._entries and seq <= self._entries[-1].seq:
-            raise ValueError(
-                f"journal seq must be monotonic: {seq} after "
-                f"{self._entries[-1].seq}"
-            )
-        entry = JournalEntry(seq, ids, deltas)
-        self._entries.append(entry)
-        self.appended_total += 1
-        self.events += len(entry)
-        return entry
-
-    def entries(self) -> Iterator[JournalEntry]:
-        """The replay tape, in ``seq`` order."""
-        return iter(self._entries)
-
-    def clear(self, snapshot_seq: int) -> int:
-        """A snapshot covering ``snapshot_seq`` landed; drop the tape.
-
-        Returns the number of entries retired.  Every current entry is
-        covered (see the module docstring), so this asserts rather
-        than filters — a partial truncation would mean the router's
-        synchronous-pipeline invariant broke.
-        """
-        if self._entries and self._entries[-1].seq > snapshot_seq:
-            raise ValueError(
-                f"snapshot at seq {snapshot_seq} does not cover journal "
-                f"tail at seq {self._entries[-1].seq}"
-            )
-        retired = len(self._entries)
-        self._entries = []
-        self.events = 0
-        self.snapshot_seq = max(self.snapshot_seq, snapshot_seq)
-        return retired
-
-    @property
-    def last_seq(self) -> int:
-        """Highest ``seq`` this partition has seen (journal or snapshot)."""
-        if self._entries:
-            return self._entries[-1].seq
-        return self.snapshot_seq
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:
-        return (
-            f"PartitionJournal(partition={self.partition}, "
-            f"entries={len(self._entries)}, "
-            f"snapshot_seq={self.snapshot_seq})"
-        )
-
-
-# ----------------------------------------------------------------------
-# The durable write-ahead log
-# ----------------------------------------------------------------------
-
 #: First bytes of every WAL segment file.  v1 segments carry the bare
 #: magic; v2 segments follow it with the writer's u64 fencing epoch.
 _SEGMENT_MAGIC_V1 = b"RWAL0001"
@@ -206,12 +138,23 @@ _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 _ENTRY_HEAD = struct.Struct("<BIQI")  # type, partition, seq, count
 _DECISION_HEAD = struct.Struct("<BQI")  # type, seq, n partitions
 _RESCALE_HEAD = struct.Struct("<BIIQ")  # type, generation, n_parts, seq
+_SNAPSHOT_HEAD = struct.Struct("<BIQ")  # type, partition, seq
 
 _REC_ENTRY = 1
 _REC_PENTRY = 2
 _REC_COMMIT = 3
 _REC_ABORT = 4
 _REC_RESCALE = 5
+_REC_SNAPSHOT = 6
+
+_HEADS = {
+    _REC_ENTRY: _ENTRY_HEAD,
+    _REC_PENTRY: _ENTRY_HEAD,
+    _REC_COMMIT: _DECISION_HEAD,
+    _REC_ABORT: _DECISION_HEAD,
+    _REC_RESCALE: _RESCALE_HEAD,
+    _REC_SNAPSHOT: _SNAPSHOT_HEAD,
+}
 
 _LEASE_NAME = "lease.json"
 _FENCE_NAME = "fence.json"
@@ -271,6 +214,41 @@ def _read_json(path: Path) -> dict | None:
     return payload
 
 
+def _read_fence(directory: Path) -> tuple[int, dict[int, int]]:
+    """``fence.json`` as ``(epoch, {segment index: byte cut})``."""
+    fence = _read_json(directory / _FENCE_NAME) or {}
+    cuts = {int(k): int(v) for k, v in fence.get("cuts", {}).items()}
+    return int(fence.get("epoch", 0)), cuts
+
+
+def _snapshot_prefix(generation: int) -> str:
+    return "snapshot-" if generation == 0 else f"snapshot-g{generation}-"
+
+
+def _read_snapshots(
+    directory: Path, generation: int
+) -> list[tuple[int, int, Any]]:
+    """Every persisted snapshot of one generation: ``(p, seq, state)``."""
+    prefix = _snapshot_prefix(generation)
+    found = []
+    for path in sorted(directory.glob(f"{prefix}p*.json")):
+        try:
+            payload = json.loads(path.read_text())
+            partition = int(payload["partition"])
+            seq = int(payload["snapshot_seq"])
+            state = payload["state"]
+            if path.name != f"{prefix}p{partition}.json":
+                raise ValueError("partition mismatch with filename")
+        except FileNotFoundError:  # superseded mid-glob by the writer
+            continue
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(
+                f"malformed WAL snapshot {path.name}: {exc}"
+            ) from exc
+        found.append((partition, seq, state))
+    return found
+
+
 def _header_unwritten(data: bytes) -> bool:
     """Is ``data`` the head of a segment whose header is not out yet?
 
@@ -300,63 +278,169 @@ def _segment_header(data: bytes, name: str) -> tuple[int, int]:
     raise CheckpointError(f"{name} is not a WAL segment (bad magic)")
 
 
-def _parse_record(payload: bytes) -> tuple:
-    """Decode one WAL record payload into a tagged tuple.
+# Records are tagged tuples, ``seq`` always second::
+#
+#     ("entry", seq, partition, ids, deltas, prepared)
+#     ("decision", seq, partitions, commit)
+#     ("rescale", seq, generation, n_parts)
+#     ("snapshot", seq, partition)
+#
+# The writer builds them directly; both readers get them from
+# _parse_record, so nobody can disagree about what a record means.
 
-    Shared by cold recovery (:meth:`RouterWal.load`) and the live
-    standby reader (:class:`WalTail`) so the two can never disagree
-    about what a record means.  Returns one of::
 
-        ("entry", partition, seq, ids, deltas, prepared)
-        ("decision", seq, partitions, commit)
-        ("rescale", generation, n_parts, seq)
-    """
-    rec_type = payload[0]
-    if rec_type in (_REC_ENTRY, _REC_PENTRY):
-        _t, partition, seq, count = _ENTRY_HEAD.unpack_from(payload)
-        arrays = payload[_ENTRY_HEAD.size :]
-        if len(arrays) != 16 * count:
-            raise CheckpointError(
-                f"WAL entry declares {count} events but carries "
-                f"{len(arrays)} array bytes"
+def _pack_record(record: tuple) -> bytes:
+    kind, seq = record[0], record[1]
+    if kind == "entry":
+        _k, _s, partition, ids, deltas, prepared = record
+        return (
+            _ENTRY_HEAD.pack(
+                _REC_PENTRY if prepared else _REC_ENTRY,
+                partition,
+                seq,
+                len(ids),
             )
-        ids = _unpack_i64(arrays[: 8 * count])
-        deltas = _unpack_i64(arrays[8 * count :])
-        return ("entry", partition, seq, ids, deltas,
+            + _pack_i64(ids)
+            + _pack_i64(deltas)
+        )
+    if kind == "decision":
+        _k, _s, parts, commit = record
+        return _DECISION_HEAD.pack(
+            _REC_COMMIT if commit else _REC_ABORT, seq, len(parts)
+        ) + struct.pack(f"<{len(parts)}I", *parts)
+    if kind == "rescale":
+        return _RESCALE_HEAD.pack(_REC_RESCALE, record[2], record[3], seq)
+    return _SNAPSHOT_HEAD.pack(_REC_SNAPSHOT, record[2], seq)
+
+
+def _parse_record(payload: bytes) -> tuple:
+    """Decode one WAL record payload; malformed ones raise typed."""
+    head = _HEADS.get(payload[0]) if payload else None
+    if head is None:
+        kind = payload[0] if payload else "<empty>"
+        raise CheckpointError(f"unknown WAL record type {kind}")
+    if len(payload) < head.size:
+        raise CheckpointError(
+            f"malformed WAL record: {len(payload)} bytes, shorter than "
+            f"its {head.size}-byte header"
+        )
+    fields = head.unpack_from(payload)
+    rec_type = fields[0]
+    body = memoryview(payload)[head.size :]
+    if rec_type in (_REC_ENTRY, _REC_PENTRY):
+        _t, partition, seq, count = fields
+        expected = 16 * count
+    elif rec_type in (_REC_COMMIT, _REC_ABORT):
+        _t, seq, n_parts = fields
+        expected = 4 * n_parts
+    else:
+        expected = 0
+    if len(body) != expected:
+        raise CheckpointError(
+            f"malformed WAL record: type {rec_type} carries {len(body)} "
+            f"bytes after its header, expected {expected}"
+        )
+    if rec_type in (_REC_ENTRY, _REC_PENTRY):
+        ids = _unpack_i64(body[: 8 * count])
+        deltas = _unpack_i64(body[8 * count :])
+        return ("entry", seq, partition, ids, deltas,
                 rec_type == _REC_PENTRY)
     if rec_type in (_REC_COMMIT, _REC_ABORT):
-        _t, seq, n_parts = _DECISION_HEAD.unpack_from(payload)
-        parts = struct.unpack_from(
-            f"<{n_parts}I", payload, _DECISION_HEAD.size
-        )
+        parts = struct.unpack(f"<{n_parts}I", body)
         return ("decision", seq, parts, rec_type == _REC_COMMIT)
     if rec_type == _REC_RESCALE:
-        _t, generation, n_parts, seq = _RESCALE_HEAD.unpack_from(payload)
-        return ("rescale", generation, n_parts, seq)
-    raise CheckpointError(f"unknown WAL record type {rec_type}")
+        _t, generation, n_parts, seq = fields
+        return ("rescale", seq, generation, n_parts)
+    _t, partition, seq = fields
+    return ("snapshot", seq, partition)
 
 
-class WalRecovery:
-    """What :meth:`RouterWal.load` found on disk.
+def _records(
+    data: bytes, offset: int, name: str, *, sealed: bool, base: int = 0
+) -> Iterator[tuple[tuple, int]]:
+    """Parse the framed records in ``data[offset:]``, in order.
 
-    ``snapshots`` maps partition -> persisted facade state (absent
-    partitions boot from the implicit empty snapshot);
-    ``snapshot_seqs`` maps partition -> the seq that snapshot covers;
-    ``entries`` maps partition -> committed :class:`JournalEntry` list
-    in ``seq`` order, post-snapshot only; ``last_seq`` is the highest
-    seq the log has ever assigned (committed, aborted or undecided —
-    a reborn router must never reuse one).  ``generation`` and
-    ``n_parts`` carry the rescale layout the log ended on
-    (``n_parts`` is ``None`` when the log predates any rescale, i.e.
+    The one framing loop both readers share.  Yields ``(record, end)``
+    with ``end`` the offset just past the record.  An incomplete final
+    record ends the scan: a truncated frame or body, a CRC-bad record
+    with only zero bytes after it, or a zero-length frame with only
+    zero bytes after it.  (Some filesystems leave a zero-filled tail
+    after a crash; ``crc32(b"") == 0``, so an all-zero frame header
+    passes its CRC.)  It is a torn write, or one the writer has not
+    finished: cold load truncates it and the tail waits for it.  In a
+    ``sealed`` segment (a later segment exists, or a fence cut ends
+    it) nothing can still be in flight, so it is corruption, and so is
+    a CRC-bad record with other bytes after it anywhere.  ``base``
+    offsets the byte positions in error messages.
+    """
+    n = len(data)
+    while offset < n:
+        torn = None
+        if offset + _FRAME.size > n:
+            torn = "truncated frame header"
+        else:
+            length, crc = _FRAME.unpack_from(data, offset)
+            body = offset + _FRAME.size
+            end = body + length
+            if end > n:
+                torn = "truncated record body"
+            elif zlib.crc32(data[body:end]) != crc:
+                # A torn write is a *prefix* of one record (zero-filled
+                # at most), so a crc-bad record followed by more bytes
+                # cannot be the crash artifact — that is corruption.
+                if data[end:].strip(b"\0"):
+                    raise CheckpointError(
+                        f"corrupt WAL record in {name} at byte "
+                        f"{base + offset} (crc mismatch) — records "
+                        f"follow it, so this is not a torn tail"
+                    )
+                torn = "crc mismatch in final record"
+            elif length == 0 and not data[offset:].strip(b"\0"):
+                torn = "zero-filled tail"
+        if torn is not None:
+            if sealed:
+                raise CheckpointError(
+                    f"corrupt WAL record in {name} at byte "
+                    f"{base + offset} ({torn}) — the segment is sealed, "
+                    f"so this is not a torn tail"
+                )
+            return
+        yield _parse_record(data[body:end]), end
+        offset = end
+
+
+def _truncate(path: Path, size: int) -> None:
+    with open(path, "r+b") as fh:
+        fh.truncate(size)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+class _ReplayState:
+    """What the log means so far: the one replay state.
+
+    The writer, cold recovery and the standby's tail all build it the
+    same way, through :meth:`apply`.  ``entries`` maps partition ->
+    committed :class:`JournalEntry` tape in ``seq`` order,
+    post-snapshot only (``events`` counts the tape's events);
+    ``prepared`` stages 2PC prepares by ``seq`` until their decision;
+    ``snapshots`` maps partition -> snapshot state (absent partitions
+    boot from the implicit empty snapshot) and ``snapshot_seqs`` the
+    seq each covers; ``last_seq`` is the highest seq the log has ever
+    assigned (committed, aborted or undecided — a reborn router must
+    never reuse one).  ``generation`` and ``n_parts`` carry the
+    rescale layout (``n_parts`` is ``None`` before any rescale, i.e.
     the boot-time partition count stands); ``covered_seq`` is the
-    last rescale cutover — every event at or below it lives inside
-    the generation's snapshots.
+    last rescale cutover — every event at or below it lives inside the
+    generation's snapshots.
     """
 
     __slots__ = (
+        "entries",
+        "events",
+        "prepared",
         "snapshots",
         "snapshot_seqs",
-        "entries",
         "last_seq",
         "generation",
         "n_parts",
@@ -364,20 +448,115 @@ class WalRecovery:
     )
 
     def __init__(self) -> None:
-        self.snapshots: dict[int, dict] = {}
-        self.snapshot_seqs: dict[int, int] = {}
         self.entries: dict[int, list[JournalEntry]] = {}
+        self.events: dict[int, int] = {}
+        self.prepared: dict[int, list[tuple[int, Any, Any]]] = {}
+        self.snapshots: dict[int, Any] = {}
+        self.snapshot_seqs: dict[int, int] = {}
         self.last_seq = 0
         self.generation = 0
         self.n_parts: int | None = None
         self.covered_seq = 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WalRecovery(snapshots={sorted(self.snapshots)}, "
-            f"entries={{{', '.join(f'{p}: {len(e)}' for p, e in sorted(self.entries.items()))}}}, "
-            f"last_seq={self.last_seq})"
-        )
+    def apply(self, record: tuple) -> None:
+        """Replay one record (see :func:`_pack_record` for shapes)."""
+        kind, seq = record[0], record[1]
+        if seq > self.last_seq:
+            self.last_seq = seq
+        if kind == "rescale":
+            _k, _s, generation, n_parts = record
+            if generation > self.generation:
+                # The durable cutover: everything so far lives inside
+                # the new generation's snapshots, one per partition.
+                self.entries.clear()
+                self.events.clear()
+                self.prepared.clear()
+                self.snapshots = {}
+                self.snapshot_seqs = {q: seq for q in range(n_parts)}
+                self.generation = generation
+                self.n_parts = n_parts
+                self.covered_seq = seq
+            return
+        if seq <= self.covered_seq:
+            return  # a rescale's snapshots already cover it
+        if kind == "entry":
+            _k, _s, partition, ids, deltas, prepared = record
+            if prepared:
+                self.prepared.setdefault(seq, []).append(
+                    (partition, ids, deltas)
+                )
+            else:
+                self._push(partition, seq, ids, deltas)
+        elif kind == "decision":
+            staged = self.prepared.pop(seq, ())
+            if record[3]:
+                for partition, ids, deltas in staged:
+                    self._push(partition, seq, ids, deltas)
+        else:
+            self.cover(record[2], seq)
+
+    def _push(self, partition: int, seq: int, ids, deltas) -> None:
+        if seq <= self.snapshot_seqs.get(partition, 0):
+            return  # the snapshot already covers it
+        tape = self.entries.get(partition)
+        if tape is None:
+            tape = self.entries[partition] = []
+            self.events[partition] = 0
+        elif seq <= tape[-1].seq:
+            raise CheckpointError(
+                f"journal seq must be monotonic: {seq} after "
+                f"{tape[-1].seq} on partition {partition}"
+            )
+        tape.append(JournalEntry(seq, ids, deltas))
+        self.events[partition] += len(ids)
+
+    def cover(self, partition: int, seq: int) -> None:
+        """The coverage rule: a snapshot of ``partition`` at ``seq``
+        holds every entry of it at or below ``seq``."""
+        if seq > self.last_seq:
+            self.last_seq = seq
+        if seq > self.snapshot_seqs.get(partition, 0):
+            self.snapshot_seqs[partition] = seq
+        tape = self.entries.get(partition)
+        if tape and tape[0].seq <= seq:
+            kept = [e for e in tape if e.seq > seq]
+            if kept:
+                self.entries[partition] = kept
+                self.events[partition] = sum(len(e) for e in kept)
+            else:
+                del self.entries[partition]
+                del self.events[partition]
+
+    def watermark(self, partition: int) -> int:
+        """Highest ``seq`` partition ``p`` has seen (tape or snapshot)."""
+        tape = self.entries.get(partition)
+        if tape:
+            return tape[-1].seq
+        return self.snapshot_seqs.get(partition, 0)
+
+    def adopt_files(self, directory: Path) -> None:
+        """Catch up on the layout and snapshot files in ``directory``.
+
+        The layout applies as its ``RESCALE`` record would; each
+        snapshot file of the live generation applies the coverage rule
+        and supplies the partition's state.
+        """
+        layout = RouterWal.peek_layout(directory)
+        if layout is not None:
+            self.apply(
+                (
+                    "rescale",
+                    layout["seq"],
+                    layout["generation"],
+                    layout["n_parts"],
+                )
+            )
+        for partition, seq, state in _read_snapshots(
+            directory, self.generation
+        ):
+            if seq >= self.snapshot_seqs.get(partition, 0):
+                self.snapshots[partition] = state
+                self.cover(partition, seq)
 
 
 class _SegmentMeta:
@@ -398,11 +577,19 @@ class _SegmentMeta:
         #: partition numbers change meaning across generations.
         self.max_seq = 0
 
-    def note(self, partition: int, seq: int) -> None:
-        if seq > self.parts.get(partition, 0):
-            self.parts[partition] = seq
+    def note(self, record: tuple) -> None:
+        kind, seq = record[0], record[1]
         if seq > self.max_seq:
             self.max_seq = seq
+        if kind == "entry":
+            parts = (record[2],)
+        elif kind == "decision":
+            parts = record[2]
+        else:
+            return
+        for p in parts:
+            if seq > self.parts.get(p, 0):
+                self.parts[p] = seq
 
     def covered_by(self, snapshot_seqs: dict[int, int]) -> bool:
         return all(
@@ -412,13 +599,15 @@ class _SegmentMeta:
 
 
 class RouterWal:
-    """The fsync'd on-disk half of the router's journal.
+    """The router's journal: one replay state, optionally durable.
 
     Parameters
     ----------
     path:
         The WAL directory (created if missing): ``wal-<n>.log``
         segments plus one ``snapshot-p<p>.json`` per partition.
+        ``None`` keeps the journal in memory only: the replay state
+        without files or framing, and :meth:`sync` does nothing.
     segment_bytes:
         Rotation threshold: the first append after a sync that finds
         the current segment at or past this size seals it and opens
@@ -441,7 +630,7 @@ class RouterWal:
 
     def __init__(
         self,
-        path: str | Path,
+        path: str | Path | None,
         *,
         segment_bytes: int = 1 << 20,
         sync: bool = True,
@@ -451,7 +640,7 @@ class RouterWal:
             raise CheckpointError(
                 f"segment_bytes must be >= 4096, got {segment_bytes}"
             )
-        self._dir = Path(path)
+        self._dir = None if path is None else Path(path)
         self._segment_bytes = segment_bytes
         self._sync = bool(sync)
         self._reader_ttl = float(reader_ttl)
@@ -464,24 +653,18 @@ class RouterWal:
         self._next_index = 1
         self._segments: list[_SegmentMeta] = []
         self._current: _SegmentMeta | None = None
-        self._snapshot_seqs: dict[int, int] = {}
         self._dirty = False
         #: fencing epoch this writer holds the lease at; 0 = fencing
         #: disarmed (standalone use: no lease, no per-sync check).
         self._epoch = 0
-        #: rescale layout: generation counter, partition count as of
-        #: the last committed RESCALE (None = pre-rescale log), and
-        #: the cutover seq its snapshots cover.
-        self._generation = 0
-        self._n_parts: int | None = None
-        self._covered_seq = 0
-        self._last_appended_seq = 0
         self._last_synced_seq = 0
         self._owner = ""
         self._endpoint: str | None = None
-        #: generation -> {partition -> seq} staged by
+        #: generation -> {partition -> state} staged by
         #: note_generation_snapshot, adopted at commit_rescale.
-        self._staged_snapshot_seqs: dict[int, dict[int, int]] = {}
+        self._staged: dict[int, dict[int, Any]] = {}
+        #: the replay state every append updates
+        self.state = _ReplayState()
         self.stats = {
             "records": 0,
             "syncs": 0,
@@ -495,11 +678,8 @@ class RouterWal:
     def _segment_path(self, index: int) -> Path:
         return self._dir / f"wal-{index:08d}.log"
 
-    def _snapshot_path(self, partition: int, generation: int | None = None) -> Path:
-        gen = self._generation if generation is None else generation
-        if gen == 0:
-            return self._dir / f"snapshot-p{partition}.json"
-        return self._dir / f"snapshot-g{gen}-p{partition}.json"
+    def _snapshot_path(self, partition: int, generation: int) -> Path:
+        return self._dir / f"{_snapshot_prefix(generation)}p{partition}.json"
 
     def _fsync_dir(self) -> None:
         try:
@@ -515,13 +695,13 @@ class RouterWal:
 
     # -- recovery ------------------------------------------------------
 
-    def load(self) -> WalRecovery:
+    def load(self) -> _ReplayState:
         """Read everything back; open a fresh segment for new appends.
 
-        Snapshot files first (each is an atomic whole — tmp + fsync +
-        rename), then every segment in index order.  A broken record
-        at the very tail of the *last* segment is a torn write from
-        the crash: it cannot have been acked (acks wait for
+        The layout and snapshot files first (each is an atomic whole —
+        tmp + fsync + rename), then every segment in index order.  A
+        broken record at the very tail of the *last* segment is a torn
+        write from the crash: it cannot have been acked (acks wait for
         :meth:`sync`, which returns only after the full record is
         durable), so it is truncated away.  A broken record anywhere
         else is real corruption and refuses loudly — silently
@@ -535,27 +715,15 @@ class RouterWal:
         replay to the new generation's layout, exactly as the live
         cutover did.
         """
+        if self._dir is None:
+            return self.state
         self._dir.mkdir(parents=True, exist_ok=True)
-        recovery = WalRecovery()
-
-        fence = _read_json(self._dir / _FENCE_NAME) or {}
-        fence_epoch = int(fence.get("epoch", 0))
-        cuts = {int(k): int(v) for k, v in fence.get("cuts", {}).items()}
-
-        layout = _read_json(self._dir / _LAYOUT_NAME)
-        if layout is not None:
-            self._generation = int(layout["generation"])
-            self._n_parts = int(layout["n_parts"])
-            self._covered_seq = int(layout["seq"])
-
-        snaps_by_gen = self._load_snapshot_files()
-        self._apply_generation(recovery, snaps_by_gen, self._generation)
-        recovery.covered_seq = self._covered_seq
-        recovery.n_parts = self._n_parts
-
-        segments = sorted(self._dir.glob("wal-*.log"))
+        state = self.state = _ReplayState()
+        state.adopt_files(self._dir)
+        layout_generation = state.generation
+        fence_epoch, cuts = _read_fence(self._dir)
         scan: list[tuple[Path, int, int | None]] = []
-        for seg_path in segments:
+        for seg_path in sorted(self._dir.glob("wal-*.log")):
             index = int(seg_path.stem.split("-")[1])
             self._next_index = max(self._next_index, index + 1)
             with open(seg_path, "rb") as fh:
@@ -577,207 +745,57 @@ class RouterWal:
                     seg_path.unlink(missing_ok=True)
                     continue
             scan.append((seg_path, index, None))
-        ctx = {"snaps_by_gen": snaps_by_gen}
-        prepared: dict[int, list[tuple[int, Any, Any]]] = {}
         for i, (seg_path, index, cut) in enumerate(scan):
             meta = _SegmentMeta(seg_path, index)
             self._segments.append(meta)
-            self._scan_segment(
-                seg_path,
-                meta,
-                recovery,
-                prepared,
-                last=i == len(scan) - 1,
-                cut=cut,
-                ctx=ctx,
-            )
+            data = seg_path.read_bytes()
+            if cut is not None and len(data) > cut:
+                # Bytes past the promotion cut were never acked (the
+                # standby fenced the writer before reading to the cut);
+                # scrub them so the file matches what replays.
+                _truncate(seg_path, cut)
+                data = data[:cut]
+            _epoch, end = _segment_header(data, seg_path.name)
+            sealed = i < len(scan) - 1 or cut is not None
+            for record, end in _records(
+                data, end, seg_path.name, sealed=sealed
+            ):
+                meta.note(record)
+                state.apply(record)
+            if end < len(data):
+                # Torn tail: crash mid-write, never acked.  Truncate so
+                # the next recovery sees a clean tape.
+                _truncate(seg_path, end)
         # Prepared-without-decision: the router died before the commit
         # record hit disk, so no replica was told to commit — dropped.
         # (They still counted into last_seq above: never reuse a seq.)
-        prepared.clear()
-        if recovery.generation != int((layout or {}).get("generation", 0)):
+        state.prepared.clear()
+        if state.generation != layout_generation:
             # The RESCALE record is the commit point; the layout file
-            # is a convenience that can lag one crash behind.  Repair.
+            # is a convenience that can lag one crash behind.  Repair,
+            # and read the new generation's snapshots.
             self._write_layout()
+            state.adopt_files(self._dir)
         self._drop_superseded_snapshots()
+        self._last_synced_seq = state.last_seq
         self.prune()
-        return recovery
+        return state
 
-    def _load_snapshot_files(self) -> dict[int, dict[int, tuple[int, dict]]]:
-        """All persisted snapshots, keyed ``generation -> partition``."""
-        snaps: dict[int, dict[int, tuple[int, dict]]] = {}
-        for snap_path in sorted(self._dir.glob("snapshot-*.json")):
-            stem = snap_path.stem  # snapshot-p3 | snapshot-g2-p3
-            parts = stem.split("-")
-            try:
-                if len(parts) == 2 and parts[1].startswith("p"):
-                    gen = 0
-                    partition = int(parts[1][1:])
-                elif (
-                    len(parts) == 3
-                    and parts[1].startswith("g")
-                    and parts[2].startswith("p")
-                ):
-                    gen = int(parts[1][1:])
-                    partition = int(parts[2][1:])
-                else:
-                    continue
-                payload = json.loads(snap_path.read_text())
-                seq = int(payload["snapshot_seq"])
-                state = payload["state"]
-                if int(payload["partition"]) != partition:
-                    raise ValueError("partition mismatch with filename")
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CheckpointError(
-                    f"malformed WAL snapshot {snap_path.name}: {exc}"
-                ) from exc
-            snaps.setdefault(gen, {})[partition] = (seq, state)
-        return snaps
+    def adopt(self, tail: "WalTail") -> None:
+        """Take over a tail reader's replay state (warm promotion).
 
-    def _apply_generation(
-        self,
-        recovery: WalRecovery,
-        snaps_by_gen: dict,
-        generation: int,
-    ) -> None:
-        """Point ``recovery`` (and the prune watermarks) at one gen."""
-        recovery.generation = generation
-        recovery.snapshots = {}
-        recovery.snapshot_seqs = {}
-        for partition, (seq, state) in sorted(
-            snaps_by_gen.get(generation, {}).items()
-        ):
-            recovery.snapshots[partition] = state
-            recovery.snapshot_seqs[partition] = seq
-            recovery.last_seq = max(recovery.last_seq, seq)
-        self._snapshot_seqs = dict(recovery.snapshot_seqs)
-
-    def _scan_segment(
-        self,
-        seg_path: Path,
-        meta: _SegmentMeta,
-        recovery: WalRecovery,
-        prepared: dict,
-        *,
-        last: bool,
-        cut: int | None = None,
-        ctx: dict | None = None,
-    ) -> None:
-        data = seg_path.read_bytes()
-        if cut is not None and len(data) > cut:
-            # Bytes past the promotion cut were never acked (the
-            # standby fenced the writer before reading to the cut);
-            # scrub them so the file matches what replays.
-            with open(seg_path, "r+b") as fh:
-                fh.truncate(cut)
-                fh.flush()
-                os.fsync(fh.fileno())
-            data = data[:cut]
-        _epoch, head = _segment_header(data, seg_path.name)
-        offset = head
-        good = offset
-        n = len(data)
-        while offset < n:
-            torn = None
-            corrupt = None
-            if offset + _FRAME.size > n:
-                torn = "truncated frame header"
-            else:
-                length, crc = _FRAME.unpack_from(data, offset)
-                body_at = offset + _FRAME.size
-                if body_at + length > n:
-                    torn = "truncated record body"
-                else:
-                    payload = data[body_at : body_at + length]
-                    if zlib.crc32(payload) != crc:
-                        # A torn write is a *prefix* of one record, so a
-                        # crc-bad record followed by more bytes cannot be
-                        # the crash artifact — that is real corruption.
-                        if body_at + length == n:
-                            torn = "crc mismatch in final record"
-                        else:
-                            corrupt = "crc mismatch"
-            if corrupt is not None:
-                raise CheckpointError(
-                    f"corrupt WAL record in {seg_path.name} at byte "
-                    f"{offset} ({corrupt}) — records follow it, so this "
-                    f"is not a torn tail"
-                )
-            if torn is not None:
-                if last:
-                    # Torn tail: crash mid-write, never acked. Truncate
-                    # so the next recovery sees a clean tape.
-                    with open(seg_path, "r+b") as fh:
-                        fh.truncate(good)
-                        fh.flush()
-                        os.fsync(fh.fileno())
-                    return
-                raise CheckpointError(
-                    f"corrupt WAL record in {seg_path.name} at byte "
-                    f"{offset} ({torn}) — not the last segment, so "
-                    f"this is not a torn tail"
-                )
-            self._replay_record(payload, meta, recovery, prepared, ctx)
-            offset = body_at + length
-            good = offset
-
-    def _replay_record(
-        self,
-        payload: bytes,
-        meta: _SegmentMeta,
-        recovery: WalRecovery,
-        prepared: dict,
-        ctx: dict | None = None,
-    ) -> None:
-        record = _parse_record(payload)
-        if record[0] == "entry":
-            _kind, partition, seq, ids, deltas, is_prepared = record
-            meta.note(partition, seq)
-            recovery.last_seq = max(recovery.last_seq, seq)
-            if seq <= recovery.covered_seq:
-                return  # a later rescale's snapshots already cover it
-            if is_prepared:
-                prepared.setdefault(seq, []).append((partition, ids, deltas))
-            else:
-                self._recover_entry(recovery, partition, seq, ids, deltas)
-        elif record[0] == "decision":
-            _kind, seq, parts, commit = record
-            recovery.last_seq = max(recovery.last_seq, seq)
-            for p in parts:
-                meta.note(p, seq)
-            staged = prepared.pop(seq, [])
-            if commit and seq > recovery.covered_seq:
-                for partition, ids, deltas in staged:
-                    self._recover_entry(
-                        recovery, partition, seq, ids, deltas
-                    )
-        else:  # rescale
-            _kind, generation, n_parts, seq = record
-            meta.max_seq = max(meta.max_seq, seq)
-            recovery.last_seq = max(recovery.last_seq, seq)
-            if generation <= recovery.generation:
-                return  # replayed history behind the current layout
-            # The durable cutover: everything buffered so far lives
-            # inside generation ``generation``'s snapshots.
-            recovery.entries.clear()
-            prepared.clear()
-            recovery.n_parts = n_parts
-            recovery.covered_seq = seq
-            self._generation = generation
-            self._n_parts = n_parts
-            self._covered_seq = seq
-            self._apply_generation(
-                recovery, (ctx or {}).get("snaps_by_gen", {}), generation
-            )
-
-    def _recover_entry(
-        self, recovery: WalRecovery, partition: int, seq: int, ids, deltas
-    ) -> None:
-        if seq <= recovery.snapshot_seqs.get(partition, 0):
-            return  # the persisted snapshot already covers it
-        recovery.entries.setdefault(partition, []).append(
-            JournalEntry(seq, ids, deltas)
-        )
+        A promoted standby already holds the directory's full replay
+        state (it tailed every record), so re-scanning via
+        :meth:`load` would only burn promotion time.  Appends then
+        open a fresh segment after everything on disk, stamped with
+        this writer's epoch, and the handed-over segment metadata
+        keeps prune exact.
+        """
+        self.state = tail.state
+        self.state.prepared.clear()  # undecided: dropped, as in load()
+        self._next_index = max(self._next_index, tail.next_index)
+        self._segments = tail.segment_metas()
+        self._last_synced_seq = self.state.last_seq
 
     # -- appending -----------------------------------------------------
 
@@ -820,12 +838,21 @@ class RouterWal:
         self._file = None
         self._current = None
 
-    def _append(self, payload: bytes) -> None:
-        fault_point_sync("wal.append")
+    def _log(self, record: tuple, *, fault: bool = True) -> None:
+        """Apply ``record`` to the replay state and, with a directory,
+        frame it for the next :meth:`sync`."""
+        if self._dir is None:
+            self.state.apply(record)
+            return
+        if fault:
+            fault_point_sync("wal.append")
+        self.state.apply(record)
+        payload = _pack_record(record)
         self._writer()
         self._pending.append(
             _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         )
+        self._current.note(record)
         self._dirty = True
         self.stats["records"] += 1
         self.stats["bytes"] += _FRAME.size + len(payload)
@@ -836,33 +863,15 @@ class RouterWal:
         """Record one partitioned wire batch (before anything is sent).
 
         ``prepared=True`` writes the 2PC ``PENTRY`` flavor, which only
-        counts at replay once a ``COMMIT`` decision follows it.
+        reaches the tape once a ``COMMIT`` decision follows it.
         """
-        count = len(ids)
-        payload = (
-            _ENTRY_HEAD.pack(
-                _REC_PENTRY if prepared else _REC_ENTRY,
-                partition,
-                seq,
-                count,
-            )
-            + _pack_i64(ids)
-            + _pack_i64(deltas)
-        )
-        self._append(payload)
-        self._current.note(partition, seq)
-        self._last_appended_seq = max(self._last_appended_seq, seq)
+        self._log(("entry", seq, partition, ids, deltas, prepared))
 
     def append_decision(self, seq: int, partitions, *, commit: bool) -> None:
-        """Record the 2PC decision for ``seq`` over ``partitions``."""
-        parts = sorted(int(p) for p in partitions)
-        payload = _DECISION_HEAD.pack(
-            _REC_COMMIT if commit else _REC_ABORT, seq, len(parts)
-        ) + struct.pack(f"<{len(parts)}I", *parts)
-        self._append(payload)
-        for p in parts:
-            self._current.note(p, seq)
-        self._last_appended_seq = max(self._last_appended_seq, seq)
+        """Record the 2PC decision for ``seq`` over ``partitions``; a
+        commit moves the staged entries onto the tape."""
+        parts = tuple(sorted(int(p) for p in partitions))
+        self._log(("decision", seq, parts, commit))
 
     def sync(self) -> None:
         """Make every appended record durable (one fsync, batched).
@@ -884,7 +893,7 @@ class RouterWal:
         if self._sync:
             os.fsync(self._file.fileno())
         self._dirty = False
-        self._last_synced_seq = self._last_appended_seq
+        self._last_synced_seq = self.state.last_seq
         self.stats["syncs"] += 1
         fault_point_sync("wal.synced")
 
@@ -922,24 +931,32 @@ class RouterWal:
         The new epoch strictly exceeds every epoch any previous lease
         or fence ever recorded, so a concurrent stale writer fails its
         next :meth:`sync` fence check.  Promotion writes the lease
-        *first*, then reads the log tail, then writes ``fence.json`` —
-        which is why the per-sync check only needs the lease file.
+        *first*, then reads the log tail, then writes the fence
+        (:meth:`write_fence`) — which is why the per-sync check only
+        needs the lease file.
         """
         self._dir.mkdir(parents=True, exist_ok=True)
         lease = _read_json(self._dir / _LEASE_NAME) or {}
-        fence = _read_json(self._dir / _FENCE_NAME) or {}
+        fence_epoch, _cuts = _read_fence(self._dir)
         self._epoch = (
-            max(
-                int(lease.get("epoch", 0)),
-                int(fence.get("epoch", 0)),
-                self._epoch,
-            )
-            + 1
+            max(int(lease.get("epoch", 0)), fence_epoch, self._epoch) + 1
         )
         self._owner = str(owner)
         self._endpoint = endpoint
         self._write_lease()
         return self._epoch
+
+    def write_fence(self, cuts: dict[int, int]) -> None:
+        """Record this writer's epoch and the byte-exact per-segment
+        ``cuts`` every future reader obeys (promotion step 3)."""
+        _atomic_write_json(
+            self._dir / _FENCE_NAME,
+            {
+                "epoch": self._epoch,
+                "cuts": {str(index): offset for index, offset in cuts.items()},
+            },
+        )
+        self._fsync_dir()
 
     def renew_lease(self, endpoint: str | None = None) -> None:
         """Refresh the lease heartbeat; raise if superseded."""
@@ -968,27 +985,30 @@ class RouterWal:
     def note_snapshot(
         self, partition: int, snapshot_seq: int, state: dict
     ) -> None:
-        """Persist partition ``p``'s covering snapshot; prune segments.
+        """Adopt partition ``p``'s covering snapshot; prune segments.
 
-        Atomic replace (tmp + fsync + rename + dir fsync): a crash
-        leaves either the old snapshot or the new one, never a torn
-        file.  Only after the new snapshot is durable may segments it
-        covers be deleted — the prune respects exactly that.
+        With a directory the snapshot file is replaced atomically
+        (tmp + fsync + rename + dir fsync): a crash leaves either the
+        old snapshot or the new one, never a torn file.  Only after
+        the new snapshot is durable may segments it covers be deleted
+        — the prune respects exactly that — and a ``SNAPSHOT`` record,
+        which rides the next sync, carries the coverage to tail
+        readers.
         """
-        path = self._snapshot_path(partition)
-        _atomic_write_json(
-            path,
-            {
-                "partition": partition,
-                "snapshot_seq": snapshot_seq,
-                "state": state,
-            },
-        )
-        self._fsync_dir()
-        self._snapshot_seqs[partition] = max(
-            self._snapshot_seqs.get(partition, 0), snapshot_seq
-        )
-        self.prune()
+        if self._dir is not None:
+            _atomic_write_json(
+                self._snapshot_path(partition, self.state.generation),
+                {
+                    "partition": partition,
+                    "snapshot_seq": snapshot_seq,
+                    "state": state,
+                },
+            )
+            self._fsync_dir()
+        self._log(("snapshot", snapshot_seq, partition), fault=False)
+        self.state.snapshots[partition] = state
+        if self._dir is not None:
+            self.prune()
 
     # -- live rebalancing (generations) --------------------------------
 
@@ -1007,18 +1027,17 @@ class RouterWal:
         prune watermark — the old layout stays fully recoverable until
         :meth:`commit_rescale` lands the durable decision record.
         """
-        _atomic_write_json(
-            self._snapshot_path(partition, generation),
-            {
-                "partition": partition,
-                "snapshot_seq": snapshot_seq,
-                "state": state,
-            },
-        )
-        self._fsync_dir()
-        self._staged_snapshot_seqs.setdefault(generation, {})[
-            partition
-        ] = snapshot_seq
+        if self._dir is not None:
+            _atomic_write_json(
+                self._snapshot_path(partition, generation),
+                {
+                    "partition": partition,
+                    "snapshot_seq": snapshot_seq,
+                    "state": state,
+                },
+            )
+            self._fsync_dir()
+        self._staged.setdefault(generation, {})[partition] = state
 
     def commit_rescale(
         self, generation: int, n_parts: int, cutover_seq: int
@@ -1031,26 +1050,18 @@ class RouterWal:
         generations, then rewrites ``layout.json`` and retires the old
         layout's snapshots and segments.
         """
-        if generation <= self._generation:
+        if generation <= self.state.generation:
             raise CheckpointError(
                 f"rescale generation must advance: {generation} after "
-                f"{self._generation}"
+                f"{self.state.generation}"
             )
-        payload = _RESCALE_HEAD.pack(
-            _REC_RESCALE, generation, n_parts, cutover_seq
-        )
-        self._append(payload)
-        self._current.max_seq = max(self._current.max_seq, cutover_seq)
-        self._last_appended_seq = max(self._last_appended_seq, cutover_seq)
+        self._log(("rescale", cutover_seq, generation, n_parts))
+        self.state.snapshots = self._staged.pop(generation, {})
+        self._staged.clear()
+        if self._dir is None:
+            return
         self.sync()
         self._seal_segment()
-        self._generation = generation
-        self._n_parts = n_parts
-        self._covered_seq = cutover_seq
-        self._snapshot_seqs = dict(
-            self._staged_snapshot_seqs.pop(generation, {})
-        )
-        self._staged_snapshot_seqs.clear()
         self._write_layout()
         self._drop_superseded_snapshots()
         self.prune()
@@ -1059,27 +1070,18 @@ class RouterWal:
         _atomic_write_json(
             self._dir / _LAYOUT_NAME,
             {
-                "generation": self._generation,
-                "n_parts": self._n_parts,
-                "seq": self._covered_seq,
+                "generation": self.state.generation,
+                "n_parts": self.state.n_parts,
+                "seq": self.state.covered_seq,
             },
         )
         self._fsync_dir()
 
     def _drop_superseded_snapshots(self) -> None:
         """Unlink snapshot files that belong to non-active generations."""
+        live = _snapshot_prefix(self.state.generation) + "p"
         for snap_path in self._dir.glob("snapshot-*.json"):
-            parts = snap_path.stem.split("-")
-            if len(parts) == 2 and parts[1].startswith("p"):
-                gen = 0
-            elif len(parts) == 3 and parts[1].startswith("g"):
-                try:
-                    gen = int(parts[1][1:])
-                except ValueError:  # pragma: no cover - foreign file
-                    continue
-            else:  # pragma: no cover - foreign file
-                continue
-            if gen != self._generation:
+            if not snap_path.name.startswith(live):
                 snap_path.unlink(missing_ok=True)
 
     # -- standby cursors -----------------------------------------------
@@ -1132,6 +1134,7 @@ class RouterWal:
                 floor is None or cursor["segment"] < floor
             ):
                 floor = cursor["segment"]
+        state = self.state
         pruned = 0
         while self._segments:
             meta = self._segments[0]
@@ -1139,8 +1142,8 @@ class RouterWal:
                 break
             if floor is not None and meta.index >= floor:
                 break
-            covered = meta.max_seq <= self._covered_seq or meta.covered_by(
-                self._snapshot_seqs
+            covered = meta.max_seq <= state.covered_seq or meta.covered_by(
+                state.snapshot_seqs
             )
             if not covered:
                 break
@@ -1155,8 +1158,13 @@ class RouterWal:
     # -- introspection / lifecycle -------------------------------------
 
     @property
-    def directory(self) -> Path:
+    def directory(self) -> Path | None:
         return self._dir
+
+    @property
+    def durable(self) -> bool:
+        """Does this journal write a directory (vs memory only)?"""
+        return self._dir is not None
 
     @property
     def segment_count(self) -> int:
@@ -1168,11 +1176,11 @@ class RouterWal:
 
     @property
     def generation(self) -> int:
-        return self._generation
+        return self.state.generation
 
     @property
     def n_parts(self) -> int | None:
-        return self._n_parts
+        return self.state.n_parts
 
     @property
     def last_synced_seq(self) -> int:
@@ -1185,8 +1193,8 @@ class RouterWal:
             "segment_bytes": self._segment_bytes,
             "fsync": self._sync,
             "epoch": self._epoch,
-            "generation": self._generation,
-            "covered_seq": self._covered_seq,
+            "generation": self.state.generation,
+            "covered_seq": self.state.covered_seq,
             "last_synced_seq": self._last_synced_seq,
             **self.stats,
         }
@@ -1208,51 +1216,6 @@ class RouterWal:
             raise CheckpointError(
                 f"malformed WAL layout file: {exc}"
             ) from exc
-
-    @classmethod
-    def resume_at(
-        cls,
-        path: str | Path,
-        *,
-        epoch: int,
-        next_index: int,
-        generation: int = 0,
-        n_parts: int | None = None,
-        covered_seq: int = 0,
-        last_seq: int = 0,
-        snapshot_seqs: dict[int, int] | None = None,
-        segments: list[_SegmentMeta] | None = None,
-        owner: str = "",
-        segment_bytes: int = 1 << 20,
-        sync: bool = True,
-        reader_ttl: float = 30.0,
-    ) -> "RouterWal":
-        """Warm-promotion constructor: adopt a tail reader's view.
-
-        A promoted standby already holds the directory's full replay
-        state (it tailed every record), so re-scanning via
-        :meth:`load` would only burn promotion time.  This builds a
-        writer positioned *after* everything on disk: appends open a
-        fresh segment stamped with the new fencing ``epoch``, and the
-        handed-over segment metadata keeps prune exact.
-        """
-        wal = cls(
-            path,
-            segment_bytes=segment_bytes,
-            sync=sync,
-            reader_ttl=reader_ttl,
-        )
-        wal._epoch = int(epoch)
-        wal._next_index = max(int(next_index), 1)
-        wal._generation = int(generation)
-        wal._n_parts = n_parts
-        wal._covered_seq = int(covered_seq)
-        wal._last_appended_seq = int(last_seq)
-        wal._last_synced_seq = int(last_seq)
-        wal._snapshot_seqs = dict(snapshot_seqs or {})
-        wal._segments = list(segments or [])
-        wal._owner = str(owner)
-        return wal
 
     def close(self) -> None:
         if self._file is not None:
@@ -1289,18 +1252,22 @@ class WalTail:
     *while the primary is writing*: each :meth:`poll` consumes every
     complete record appended since the last one (reads go through the
     page cache, so synced — hence ackable — records are always
-    visible), maintains the same shadow state cold recovery would
-    build (snapshots + post-snapshot entries + 2PC staging + rescale
-    generation), and advertises its position in ``cursor-<reader>.
-    json`` so the primary's :meth:`RouterWal.prune` defers deleting
-    segments it has not finished.
+    visible) and applies it to :attr:`state`, the same replay state
+    the writer and cold recovery keep.  ``SNAPSHOT`` records drop the
+    covered entries, so the tape stays within about one snapshot
+    interval.  Snapshot *states* are read from their files only when
+    the tail starts reading (or finds a segment pruned from under it)
+    and at promotion (:meth:`_ReplayState.adopt_files`).
+    The tail advertises its position in ``cursor-<reader>.json`` so
+    the primary's :meth:`RouterWal.prune` defers deleting segments it
+    has not finished.
 
-    A partially visible record at the tail is simply *not consumed
-    yet* — the writer either completes it (next poll picks it up) or
-    died mid-write (it was never synced, so never acked, and the
-    promotion cut excludes it).  The consumed offset therefore always
-    sits on a record boundary, which is what makes ``fence.json``'s
-    byte cuts exact.
+    A partially visible record at the tail of the last segment is
+    simply *not consumed yet* — the writer either completes it (next
+    poll picks it up) or died mid-write (it was never synced, so never
+    acked, and the promotion cut excludes it).  The consumed offset
+    therefore always sits on a record boundary, which is what makes
+    ``fence.json``'s byte cuts exact.
     """
 
     def __init__(
@@ -1318,111 +1285,60 @@ class WalTail:
         self._metas: dict[int, _SegmentMeta] = {}
         self._skip: set[int] = set()  # post-fence garbage segments
         self._current: int | None = None
+        self._started = False
         self._max_index_seen = 0
-        # Shadow replay state (what a cold load() would hand back).
-        self.snapshots: dict[int, dict] = {}
-        self.snapshot_seqs: dict[int, int] = {}
-        self.entries: dict[int, list[JournalEntry]] = {}
-        self._prepared: dict[int, list[tuple[int, Any, Any]]] = {}
-        self.last_seq = 0
-        self.generation = 0
-        self.n_parts: int | None = None
-        self.covered_seq = 0
         self.records_consumed = 0
-        layout = RouterWal.peek_layout(self._dir)
-        if layout is not None:
-            self.generation = layout["generation"]
-            self.n_parts = layout["n_parts"]
-            self.covered_seq = layout["seq"]
-            self.last_seq = max(self.last_seq, self.covered_seq)
-        self.refresh_snapshots()
-
-    # -- shadow snapshots ----------------------------------------------
-
-    def _snapshot_glob(self) -> str:
-        if self.generation == 0:
-            return "snapshot-p*.json"
-        return f"snapshot-g{self.generation}-p*.json"
-
-    def refresh_snapshots(self) -> None:
-        """Adopt snapshots the primary persisted since the last call.
-
-        Anything a newly covering snapshot includes is dropped from
-        the in-memory entry tape — this is what bounds the standby's
-        memory to roughly one snapshot interval of entries, mirroring
-        the primary's own journal truncation.
-        """
-        for snap_path in sorted(self._dir.glob(self._snapshot_glob())):
-            try:
-                payload = json.loads(snap_path.read_text())
-                partition = int(payload["partition"])
-                seq = int(payload["snapshot_seq"])
-                state = payload["state"]
-            except FileNotFoundError:  # pruned mid-glob by the writer
-                continue
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CheckpointError(
-                    f"malformed WAL snapshot {snap_path.name}: {exc}"
-                ) from exc
-            if seq >= self.snapshot_seqs.get(partition, 0):
-                self.snapshot_seqs[partition] = seq
-                self.snapshots[partition] = state
-                if partition in self.entries:
-                    self.entries[partition] = [
-                        e for e in self.entries[partition] if e.seq > seq
-                    ]
-                self.last_seq = max(self.last_seq, seq)
+        #: what a cold load() of the directory would hand back
+        self.state = _ReplayState()
 
     # -- consuming the log ---------------------------------------------
 
     def poll(self) -> int:
         """Consume every newly visible complete record; returns count."""
         fault_point_sync("standby.tail")
-        fence = _read_json(self._dir / _FENCE_NAME) or {}
-        fence_epoch = int(fence.get("epoch", 0))
-        cuts = {int(k): int(v) for k, v in fence.get("cuts", {}).items()}
+        fence_epoch, cuts = _read_fence(self._dir)
         on_disk: dict[int, Path] = {}
         for seg_path in sorted(self._dir.glob("wal-*.log")):
             index = int(seg_path.stem.split("-")[1])
             on_disk[index] = seg_path
             self._max_index_seen = max(self._max_index_seen, index)
-        if not on_disk:
-            self._write_cursor_file()
-            return 0
-        if self._current is None:
-            self._current = min(on_disk)
+        index = self._current
+        if index is None or index not in on_disk:
+            # Starting (again once a first segment shows up), or the
+            # segment was pruned out from under us (the cursor went
+            # stale): only covered segments prune, so the layout and
+            # snapshot files hold whatever the tail has not read.
+            if index is not None or on_disk or not self._started:
+                self.state.adopt_files(self._dir)
+                self._started = True
+            self._offsets.pop(index, None)
+            self._metas.pop(index, None)
+            self._current = min(
+                (i for i in on_disk if index is None or i > index),
+                default=None,
+            )
+        last = max(on_disk, default=0)
         consumed = 0
-        while True:
+        while self._current is not None:
             index = self._current
-            if index not in on_disk:
-                later = [i for i in on_disk if i > index]
-                if not later:
-                    break
-                # Pruned out from under us: only covered segments
-                # prune, so the refreshed snapshots hold their events.
-                self.refresh_snapshots()
-                self._offsets.pop(index, None)
-                self._metas.pop(index, None)
-                self._current = min(later)
-                continue
-            count, done = self._consume_segment(
-                index, on_disk[index], fence_epoch, cuts
+            count, done = self._consume(
+                index, on_disk[index], fence_epoch, cuts, index < last
             )
             consumed += count
-            later = [i for i in on_disk if i > index]
-            if not done or not later:
+            if not done or index == last:
                 break
-            self._current = min(later)
+            self._current = min(i for i in on_disk if i > index)
         self.records_consumed += consumed
         self._write_cursor_file()
         return consumed
 
-    def _consume_segment(
+    def _consume(
         self,
         index: int,
         path: Path,
         fence_epoch: int,
         cuts: dict[int, int],
+        sealed: bool,
     ) -> tuple[int, bool]:
         try:
             fh = open(path, "rb")
@@ -1444,87 +1360,29 @@ class WalTail:
                 return 0, True
             limit = None
             if fence_epoch and self._epochs[index] < fence_epoch:
-                if index in cuts:
-                    limit = cuts[index]
-                else:
+                if index not in cuts:
                     # Created by a fenced writer after promotion read
                     # the log: nothing in it was ever acked.
                     self._skip.add(index)
                     self._metas.pop(index, None)
                     return 0, True
-            offset = self._offsets[index]
-            if limit is not None and offset >= limit:
-                return 0, True
+                limit = cuts[index]
+                sealed = True
+                if offset >= limit:
+                    return 0, True
             fh.seek(offset)
-            data = fh.read()
-        if limit is not None:
-            data = data[: limit - offset]
+            data = fh.read() if limit is None else fh.read(limit - offset)
         meta = self._metas[index]
-        pos = 0
         count = 0
-        n = len(data)
-        while pos + _FRAME.size <= n:
-            length, crc = _FRAME.unpack_from(data, pos)
-            body_at = pos + _FRAME.size
-            if body_at + length > n:
-                break  # partial record: not yet written through
-            payload = data[body_at : body_at + length]
-            if zlib.crc32(payload) != crc:
-                if body_at + length == n and limit is None:
-                    break  # possibly mid-write; re-read next poll
-                raise CheckpointError(
-                    f"corrupt WAL record in {path.name} at byte "
-                    f"{offset + pos} (crc mismatch)"
-                )
-            self._apply_record(payload, meta)
+        end = 0
+        for record, end in _records(
+            data, 0, path.name, sealed=sealed, base=offset
+        ):
+            meta.note(record)
+            self.state.apply(record)
+            self._offsets[index] = offset + end
             count += 1
-            pos = body_at + length
-        self._offsets[index] = offset + pos
-        done = (limit is not None and offset + pos >= limit) or pos == n
-        return count, done
-
-    def _apply_record(self, payload: bytes, meta: _SegmentMeta) -> None:
-        record = _parse_record(payload)
-        if record[0] == "entry":
-            _kind, partition, seq, ids, deltas, is_prepared = record
-            meta.note(partition, seq)
-            self.last_seq = max(self.last_seq, seq)
-            if seq <= self.covered_seq:
-                return
-            if is_prepared:
-                self._prepared.setdefault(seq, []).append(
-                    (partition, ids, deltas)
-                )
-            elif seq > self.snapshot_seqs.get(partition, 0):
-                self.entries.setdefault(partition, []).append(
-                    JournalEntry(seq, ids, deltas)
-                )
-        elif record[0] == "decision":
-            _kind, seq, parts, commit = record
-            self.last_seq = max(self.last_seq, seq)
-            for p in parts:
-                meta.note(p, seq)
-            staged = self._prepared.pop(seq, [])
-            if commit and seq > self.covered_seq:
-                for partition, ids, deltas in staged:
-                    if seq > self.snapshot_seqs.get(partition, 0):
-                        self.entries.setdefault(partition, []).append(
-                            JournalEntry(seq, ids, deltas)
-                        )
-        else:  # rescale cutover
-            _kind, generation, n_parts, seq = record
-            meta.max_seq = max(meta.max_seq, seq)
-            self.last_seq = max(self.last_seq, seq)
-            if generation <= self.generation:
-                return
-            self.entries.clear()
-            self._prepared.clear()
-            self.snapshots = {}
-            self.snapshot_seqs = {}
-            self.generation = generation
-            self.n_parts = n_parts
-            self.covered_seq = seq
-            self.refresh_snapshots()
+        return count, end == len(data)
 
     # -- cursor + promotion handoff ------------------------------------
 
@@ -1554,7 +1412,7 @@ class WalTail:
                     "reader": self.reader_id,
                     "segment": index,
                     "offset": offset,
-                    "seq": self.last_seq,
+                    "seq": self.state.last_seq,
                     "updated": time.time(),
                 },
                 durable=False,
@@ -1580,33 +1438,12 @@ class WalTail:
 
     def segment_metas(self) -> list[_SegmentMeta]:
         """Prune bookkeeping for the segments still on disk, in order
-        (handed to :meth:`RouterWal.resume_at` at promotion)."""
+        (handed to the promoted writer by :meth:`RouterWal.adopt`)."""
         return [
             self._metas[index]
             for index in sorted(self._metas)
             if self._metas[index].path.exists()
         ]
-
-    def recovery(self) -> WalRecovery:
-        """The shadow state, shaped exactly like :meth:`RouterWal.load`.
-
-        Undecided prepared transactions drop, same as cold recovery —
-        no replica can have applied them (commits are sent only after
-        the decision record is durable, and we never saw one).
-        """
-        recovery = WalRecovery()
-        recovery.snapshots = dict(self.snapshots)
-        recovery.snapshot_seqs = dict(self.snapshot_seqs)
-        recovery.entries = {
-            p: list(entries)
-            for p, entries in sorted(self.entries.items())
-            if entries
-        }
-        recovery.last_seq = self.last_seq
-        recovery.generation = self.generation
-        recovery.n_parts = self.n_parts
-        recovery.covered_seq = self.covered_seq
-        return recovery
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -1617,7 +1454,7 @@ class WalTail:
                 if self._current is not None
                 else 0
             ),
-            "seq": self.last_seq,
+            "seq": self.state.last_seq,
             "records_consumed": self.records_consumed,
-            "generation": self.generation,
+            "generation": self.state.generation,
         }

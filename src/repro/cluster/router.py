@@ -10,11 +10,11 @@ flush *does*: instead of one engine call, the router
    a bad id rejects the batch before any replica sees a byte),
    assigns its ``seq``, computes its ack value locally (net unit
    events — additive across the partition split), and appends the
-   partitioned columns to each touched partition's
-   :class:`~repro.cluster.journal.PartitionJournal` — and, when a
-   ``journal_dir`` is configured, to the fsync'd
-   :class:`~repro.cluster.journal.RouterWal` (one fsync per flush,
-   before any fan-out byte);
+   partitioned columns to the one log,
+   :class:`~repro.cluster.journal.RouterWal`: its replay state is
+   every partition's journal tape, and when a ``journal_dir`` is
+   configured the same records reach an fsync'd segment file (one
+   fsync per flush, before any fan-out byte);
 2. pipelines each partition's sub-batches to its replica over the
    negotiated codec (binary where both ends support it): every
    partition's sub-batches are sent, then the flusher awaits the ack
@@ -69,7 +69,7 @@ from typing import Any
 
 from repro.api.facade import API_STATE_VERSION, Profiler
 from repro.api.plan import Query
-from repro.cluster.journal import PartitionJournal, RouterWal
+from repro.cluster.journal import RouterWal
 from repro.cluster.merge import partition_batch, repartition_states
 from repro.engine import merge
 from repro.errors import (
@@ -155,20 +155,19 @@ class ClusterRouter(ProfileServer):
         forever — the right default under a supervisor.
     journal_dir:
         Directory for the durable :class:`RouterWal`.  ``None`` (the
-        default) keeps the journal in memory only — the pre-hardening
-        behavior, fine when the router process itself is not a loss
-        domain you care about.
+        default) keeps the journal in memory only (``RouterWal(None)``)
+        — fine when the router process itself is not a loss domain you
+        care about.
     wal_sync:
         ``False`` keeps the WAL's file layout but skips the per-flush
         ``fsync`` (the ``cluster.wal_overhead`` bench knob).  Leave
         ``True`` for real durability.
-    wal / recovery:
-        The promotion fast path: a warm standby hands in the
-        :meth:`RouterWal.resume_at` writer it built (already holding
-        the new fencing epoch) plus the :class:`WalRecovery` its tail
-        reader accumulated, and :meth:`start` skips the cold
-        ``load()`` + lease acquisition.  Mutually exclusive with
-        ``journal_dir``.
+    wal:
+        The promotion fast path: a warm standby hands in the writer
+        it built (already holding the new fencing epoch and its tail
+        reader's replay state, :meth:`RouterWal.adopt`), and
+        :meth:`start` skips the cold ``load()`` + lease acquisition.
+        Mutually exclusive with ``journal_dir``.
     lease_interval:
         Seconds between WAL lease heartbeats (ignored without a
         fenced WAL).  The standby's failover detector keys off this
@@ -212,7 +211,6 @@ class ClusterRouter(ProfileServer):
         journal_dir=None,
         wal_sync: bool = True,
         wal: RouterWal | None = None,
-        recovery=None,
         lease_interval: float = 1.0,
         strict: bool = False,
         replica_timeout: float | None = None,
@@ -270,27 +268,22 @@ class ClusterRouter(ProfileServer):
         self._replica_timeout = replica_timeout
         self._breaker_cooldown = breaker_cooldown
         self._degraded = bool(degraded_reads)
-        if wal is not None:
-            self._wal = wal
-        elif journal_dir is not None:
-            self._wal = RouterWal(journal_dir, sync=wal_sync)
-        else:
-            self._wal = None
-        #: pre-loaded WalRecovery handed in by a promoted standby (it
-        #: tailed the whole log already; re-scanning would burn
-        #: promotion time).  Consumed once by start().
-        self._boot_recovery = recovery
+        #: the one journal: every partition's replay tape, snapshot
+        #: state and watermark, durable when ``journal_dir`` is set.
+        #: A prebuilt ``wal`` (a promoted standby's) is already loaded
+        #: and leased; start() loads any other durable one.
+        self._wal = (
+            wal if wal is not None else RouterWal(journal_dir, sync=wal_sync)
+        )
+        self._cold_boot = wal is None
         self._lease_interval = lease_interval
         self._lease_task: asyncio.Task | None = None
-        self._generation = 0
         #: live-rescale state: None, or the in-flight migration dict
         #: (see _begin_rescale).  Only the flusher creates/commits it;
         #: the background _migrate task builds the new replica tier.
         self._migration: dict | None = None
         self._migration_task: asyncio.Task | None = None
         self._clients: dict[int, AsyncProfileClient] = {}
-        self._journals = [PartitionJournal(p) for p in range(n)]
-        self._snapshots: dict[int, dict] = {}
         self._empty_states: dict[int, dict] = {}
         #: seq high-water mark actually applied on each replica (by
         #: delivery or replay).  Snapshots are gated on it: a replica
@@ -341,38 +334,25 @@ class ClusterRouter(ProfileServer):
         # of a router-only crash (holds batches past the snapshot, or
         # a staged 2PC transaction; the restore rewinds it so the
         # replay is exact, never double-counted).
-        if self._wal is not None:
-            recovery = self._boot_recovery
-            self._boot_recovery = None
-            if recovery is None:
-                recovery = self._wal.load()
-                self._wal.acquire_lease(f"router-{os.getpid()}")
-            if (
-                recovery.n_parts is not None
-                and recovery.n_parts != self._n_parts
-            ):
+        wal = self._wal
+        if wal.durable:
+            if self._cold_boot:
+                wal.load()
+                wal.acquire_lease(f"router-{os.getpid()}")
+            state = wal.state
+            if state.n_parts is not None and state.n_parts != self._n_parts:
                 # The log ended on a rescaled layout: the boot-time
                 # replica count is stale and the tier must be resized
                 # before any snapshot or entry is applied.
-                await self._adopt_layout(
-                    recovery.n_parts, recovery.generation
-                )
-            self._generation = recovery.generation
-            self._seq = max(self._seq, recovery.last_seq)
-            self._snapshots.update(recovery.snapshots)
-            for p, seq in recovery.snapshot_seqs.items():
-                self._journals[p].snapshot_seq = seq
-            for p, entries in recovery.entries.items():
-                journal = self._journals[p]
-                for entry in entries:
-                    journal.append(entry.seq, entry.ids, entry.deltas)
+                await self._adopt_layout(state.n_parts, state.generation)
+            self._seq = max(self._seq, state.last_seq)
             for p in range(self._n_parts):
                 await self._recover(p, boot=True)
         else:
             for p in range(self._n_parts):
                 self._clients[p] = await self._connect_replica(p)
         await super().start()
-        if self._wal is not None and self._wal.epoch:
+        if wal.epoch:
             # The port is bound now: advertise it in the lease so a
             # standby can health-probe the primary, then keep the
             # lease warm — a superseded heartbeat kills the router.
@@ -413,8 +393,6 @@ class ClusterRouter(ProfileServer):
             )
         self._n_parts = n
         self._endpoints = endpoints
-        self._journals = [PartitionJournal(p) for p in range(n)]
-        self._snapshots = {}
         self._empty_states = {}
         self._delivered = [0] * n
         self._breakers = {}
@@ -466,9 +444,8 @@ class ClusterRouter(ProfileServer):
             except (ConnectionError, OSError):
                 pass
         self._clients.clear()
-        if self._wal is not None:
-            self._wal.release_lease()
-            self._wal.close()
+        self._wal.release_lease()
+        self._wal.close()
 
     async def _die(self) -> None:
         """In-process SIGKILL: drop everything exactly as a dying
@@ -506,8 +483,7 @@ class ClusterRouter(ProfileServer):
         for client in self._clients.values():
             client.abort()
         self._clients.clear()
-        if self._wal is not None:
-            self._wal.abandon()
+        self._wal.abandon()
         if self._stopped is not None:
             self._stopped.set()
 
@@ -523,7 +499,7 @@ class ClusterRouter(ProfileServer):
         Still readable after :meth:`stop` — the drain report uses it
         to show what was sealed and at which epoch.
         """
-        return None if self._wal is None else self._wal.describe()
+        return self._wal.describe() if self._wal.durable else None
 
     # -- replica connections -------------------------------------------
 
@@ -633,7 +609,7 @@ class ClusterRouter(ProfileServer):
         stale = self._clients.pop(p, None)
         if stale is not None:
             stale.abort()
-        journal = self._journals[p]
+        state = self._wal.state
         attempt = 0
         while True:
             attempt += 1
@@ -643,18 +619,18 @@ class ClusterRouter(ProfileServer):
                         await self._supervisor.ensure_replica(p)
                     )
                 client = await self._connect_replica(p)
-                snapshot = self._snapshots.get(p)
+                snapshot = state.snapshots.get(p)
                 if snapshot is None:
                     snapshot = self._empty_state(p, client.hello)
                 await client.restore(snapshot, recovering=True)
-                tape = [(e.ids, e.deltas) for e in journal.entries()]
+                tape = [(e.ids, e.deltas) for e in state.entries.get(p, ())]
                 await self._settle(await self._send_chunks(client, tape))
                 replayed = len(tape)
                 await client.resume()
                 self.cluster_stats["replayed_batches"] += replayed
                 self._clients[p] = client
                 self._delivered[p] = max(
-                    self._delivered[p], journal.last_seq
+                    self._delivered[p], state.watermark(p)
                 )
                 return
             except (ConnectionError, OSError):
@@ -773,6 +749,8 @@ class ClusterRouter(ProfileServer):
 
     def _wal_sync(self, wal) -> None:
         """One ack-gating fsync, timed into the fsync histogram."""
+        if not wal.durable:
+            return
         if self._obs_on:
             loop = asyncio.get_running_loop()
             t0 = loop.time()
@@ -945,9 +923,7 @@ class ClusterRouter(ProfileServer):
                 outcomes.append((item, applied))
                 continue
             for p, (ids, deltas) in parts.items():
-                self._journals[p].append(item.seq, ids, deltas)
-                if wal is not None:
-                    wal.append_entry(p, item.seq, ids, deltas)
+                wal.append_entry(p, item.seq, ids, deltas)
                 pending.setdefault(p, []).append((ids, deltas))
                 flush_last[p] = item.seq
                 touched.add(p)
@@ -956,7 +932,7 @@ class ClusterRouter(ProfileServer):
             if self._obs_on and item.conn.trace:
                 traced.append((item, tuple(parts)))
             outcomes.append((item, applied))
-        if wal is not None and pending:
+        if wal.durable and pending:
             await fault_point("router.journal")
             self._wal_sync(wal)
         if pending:
@@ -988,9 +964,12 @@ class ClusterRouter(ProfileServer):
         after a crash stays within max(``snapshot_every`` batches,
         m_p events) — the same order of work as the restore itself.
         """
-        journal = self._journals[p]
-        return len(journal) >= self._snapshot_every and (
-            journal.events
+        state = self._wal.state
+        tape = state.entries.get(p)
+        return (
+            tape is not None
+            and len(tape) >= self._snapshot_every
+            and state.events[p]
             >= partition_capacity(self.capacity, p, self._n_parts)
         )
 
@@ -1128,10 +1107,9 @@ class ClusterRouter(ProfileServer):
         """
         wal = self._wal
         ordered = sorted(parts.items())
-        if wal is not None:
-            for p, (ids, deltas) in ordered:
-                wal.append_entry(p, seq, ids, deltas, prepared=True)
-            self._wal_sync(wal)
+        for p, (ids, deltas) in ordered:
+            wal.append_entry(p, seq, ids, deltas, prepared=True)
+        self._wal_sync(wal)
         await fault_point("router.prepare")
         staged: list[int] = []
         try:
@@ -1145,7 +1123,7 @@ class ClusterRouter(ProfileServer):
                 staged.append(p)
         except BaseException as exc:
             aborting = isinstance(exc, Exception)
-            if aborting and wal is not None:
+            if aborting:
                 wal.append_decision(seq, parts.keys(), commit=False)
                 self._wal_sync(wal)
             await fault_point("router.abort")
@@ -1158,15 +1136,11 @@ class ClusterRouter(ProfileServer):
                 self.cluster_stats["strict_aborts"] += 1
                 self._obs_2pc_aborts.inc()
             raise
-        if wal is not None:
-            wal.append_decision(seq, parts.keys(), commit=True)
-            self._wal_sync(wal)
+        # The commit decision moves the staged entries onto the tape, so
+        # recovery replays them if a phase-2 send fails.
+        wal.append_decision(seq, parts.keys(), commit=True)
+        self._wal_sync(wal)
         await fault_point("router.commit")
-        # Committed: journal first (the replay tape must already hold
-        # the entry when a commit send fails and recovery replays), then
-        # phase 2.
-        for p, (ids, deltas) in ordered:
-            self._journals[p].append(seq, ids, deltas)
         for p, _cols in ordered:
             try:
                 await self._replica_call(
@@ -1195,15 +1169,16 @@ class ClusterRouter(ProfileServer):
 
         The checkpoint request rides the replica's ordered connection
         behind everything this flusher already sent, so the returned
-        state covers every journal entry — ``clear`` asserts exactly
-        that.  Gated on the delivery watermark: a partition that is
-        lagging its journal (breaker open, replay pending) must keep
-        its tape — truncating would turn lag into loss.  A connection
+        state covers every journal entry — checked before the WAL
+        applies the coverage rule.  Gated on the delivery watermark: a
+        partition that is lagging its journal (breaker open, replay
+        pending) must keep its tape — truncating would turn lag into
+        loss.  A connection
         lost mid-checkpoint just recovers; the journal stays and the
         snapshot retries after a later flush.
         """
-        journal = self._journals[p]
-        watermark = journal.last_seq
+        wal = self._wal
+        watermark = wal.state.watermark(p)
         if self._delivered[p] < watermark or p in self._breakers:
             return
         await fault_point("router.snapshot")
@@ -1213,10 +1188,16 @@ class ClusterRouter(ProfileServer):
             )
         except (ReplicaUnavailableError, ConnectionError, OSError):
             return
-        self._snapshots[p] = state
-        journal.clear(watermark)
-        if self._wal is not None:
-            self._wal.note_snapshot(p, watermark, state)
+        last = wal.state.watermark(p)
+        if last > watermark:
+            # The pipeline is synchronous, so nothing can append while
+            # the checkpoint is out; a snapshot that misses part of
+            # the tape would turn it into loss.
+            raise ValueError(
+                f"snapshot at seq {watermark} does not cover journal "
+                f"tail at seq {last}"
+            )
+        wal.note_snapshot(p, watermark, state)
         self.cluster_stats["snapshots"] += 1
 
     # -- live rebalancing: rescale(n) ----------------------------------
@@ -1261,7 +1242,7 @@ class ClusterRouter(ProfileServer):
                 )
             for p in range(self._n_parts):
                 if p in self._breakers or (
-                    self._delivered[p] < self._journals[p].last_seq
+                    self._delivered[p] < self._wal.state.watermark(p)
                 ):
                     raise ReplicaUnavailableError(
                         f"partition {p} is lagging or circuit-broken; "
@@ -1291,12 +1272,7 @@ class ClusterRouter(ProfileServer):
             )
             return
         self._migration = {
-            "generation": (
-                self._wal.generation
-                if self._wal is not None
-                else self._generation
-            )
-            + 1,
+            "generation": self._wal.generation + 1,
             "new_n": new_n,
             #: per-new-partition double-written column chunks; the
             #: flusher appends, _migrate/_cutover consume by index.
@@ -1401,12 +1377,11 @@ class ClusterRouter(ProfileServer):
             for q in range(new_n):
                 await mig["clients"][q].resume()
                 states.append(await mig["clients"][q].checkpoint())
-            if self._wal is not None:
-                for q in range(new_n):
-                    self._wal.note_generation_snapshot(
-                        generation, q, self._seq, states[q]
-                    )
-                self._wal.commit_rescale(generation, new_n, self._seq)
+            for q in range(new_n):
+                self._wal.note_generation_snapshot(
+                    generation, q, self._seq, states[q]
+                )
+            self._wal.commit_rescale(generation, new_n, self._seq)
         except (SimulatedCrash, FencedWriterError, asyncio.CancelledError):
             raise
         except Exception as exc:
@@ -1417,11 +1392,7 @@ class ClusterRouter(ProfileServer):
         old_clients = self._clients
         self._reshape(new_n, mig["endpoints"])
         self._clients = dict(mig["clients"])
-        for q in range(new_n):
-            self._journals[q].snapshot_seq = self._seq
-            self._snapshots[q] = states[q]
-            self._delivered[q] = self._seq
-        self._generation = generation
+        self._delivered = [self._seq] * new_n
         self._migration = None
         self._migration_task = None
         for client in old_clients.values():
@@ -1799,7 +1770,9 @@ class ClusterRouter(ProfileServer):
         """Journal entries partition ``p`` has not yet applied."""
         delivered = self._delivered[p]
         return sum(
-            1 for e in self._journals[p].entries() if e.seq > delivered
+            1
+            for e in self._wal.state.entries.get(p, ())
+            if e.seq > delivered
         )
 
     def health_info(self) -> dict[str, Any]:
@@ -1811,15 +1784,15 @@ class ClusterRouter(ProfileServer):
                 "partition": [p, self._n_parts],
                 "endpoint": list(self._endpoints[p]),
                 "connected": p in self._clients,
-                "journal_depth": len(self._journals[p]),
+                "journal_depth": len(self._wal.state.entries.get(p, ())),
                 "journal_lag": self._journal_lag(p),
                 "delivered_seq": self._delivered[p],
-                "snapshot_seq": self._journals[p].snapshot_seq,
+                "snapshot_seq": self._wal.state.snapshot_seqs.get(p, 0),
                 "breaker": "open" if p in self._breakers else "closed",
             }
             for p in range(self._n_parts)
         ]
-        info["generation"] = self._generation
+        info["generation"] = self._wal.generation
         if self._migration is not None:
             mig = self._migration
             info["migration"] = {
@@ -1832,7 +1805,7 @@ class ClusterRouter(ProfileServer):
                     )
                 ),
             }
-        if self._wal is not None:
+        if self._wal.durable:
             info["wal"] = self._wal.describe()
             last = self._wal.last_synced_seq
             info["standbys"] = [
@@ -1846,15 +1819,15 @@ class ClusterRouter(ProfileServer):
         if self._obs_on:
             obs = self._obs
             obs.gauge("router.partitions").set(self._n_parts)
-            obs.gauge("router.generation").set(self._generation)
+            obs.gauge("router.generation").set(self._wal.generation)
             obs.gauge("router.breakers.open").set(len(self._breakers))
             obs.gauge("router.journal.depth").set(
-                sum(len(j) for j in self._journals)
+                sum(len(tape) for tape in self._wal.state.entries.values())
             )
             obs.gauge("router.journal.lag").set(
                 sum(self._journal_lag(p) for p in range(self._n_parts))
             )
-            if self._wal is not None:
+            if self._wal.durable:
                 wal = self._wal.describe()
                 obs.gauge("router.wal.segments").set(wal["segments"])
                 obs.gauge("router.wal.segments_created").set(
@@ -1868,13 +1841,15 @@ class ClusterRouter(ProfileServer):
     def describe_server(self) -> dict[str, Any]:
         out = super().describe_server()
         out["partitions"] = self._n_parts
-        out["generation"] = self._generation
+        out["generation"] = self._wal.generation
         out["snapshot_every"] = self._snapshot_every
-        out["journal_depth"] = sum(len(j) for j in self._journals)
+        out["journal_depth"] = sum(
+            len(tape) for tape in self._wal.state.entries.values()
+        )
         out["strict"] = self._strict
         out["replica_timeout"] = self._replica_timeout
         out["degraded_reads"] = self._degraded
-        if self._wal is not None:
+        if self._wal.durable:
             out["wal"] = self._wal.describe()
         out.update(
             {f"cluster_{k}": v for k, v in self.cluster_stats.items()}

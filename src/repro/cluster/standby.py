@@ -3,19 +3,22 @@
 :class:`StandbyRouter` is the second half of the failover story the
 fenced :class:`~repro.cluster.journal.RouterWal` enables.  It never
 serves while the primary lives — it *follows*: a
-:class:`~repro.cluster.journal.WalTail` replays every synced (hence
-ackable) record into the same shadow state cold recovery would build,
-and the standby's cursor file tells the primary's prune to defer
-segments the tail has not finished.  Promotion is therefore a bounded
-amount of work no matter how long the pair has been running: re-read
-the sealed tail (at most one poll interval of records), write the
-fence, restore the replicas, bind the port.  For the same reason the
+:class:`~repro.cluster.journal.WalTail` applies every synced (hence
+ackable) record to the one replay state the primary's writer and cold
+recovery keep, and the standby's cursor file tells the primary's
+prune to defer segments the tail has not finished.  The log's
+``SNAPSHOT`` records drop covered entries from the tail's tape too, so
+it holds about one snapshot interval, not the ingest history.
+Promotion is therefore a bounded amount of work no matter how long the
+pair has been running: re-read the sealed tail (at most one poll
+interval of records), write the fence, read the snapshot files,
+restore the replicas, bind the port.  For the same reason the
 steady-state poll runs on the event loop, not in a thread: it reads
 ``fence.json``, lists the segments, parses the records appended since
 the last poll and rewrites the cursor file (renamed into place, not
 fsynced).  A poll that finds its segment pruned (only once the cursor
-went stale) or that crosses a rescale cutover also re-reads that
-generation's snapshot files — on the loop, once.
+went stale) re-reads the layout and snapshot files — on the loop,
+once.
 
 Failure detection is two independent signals, both of which must agree
 before the standby moves:
@@ -46,11 +49,14 @@ reordered:
    writer manages to append past the cut are unacked by construction
    (step 1 ran first) and every future reader discards them.
 
-Then the standby becomes an ordinary :class:`ClusterRouter` — via the
-promotion fast path (``wal=RouterWal.resume_at(...)``,
-``recovery=tail.recovery()``), skipping the cold ``load()`` — restores
-the replica tier, binds the service port, and resumes acking with the
-sequence numbers exactly where the primary's last ack left them.
+Steps 1 and 3 are the WAL's own lease and fence writers
+(:meth:`RouterWal.acquire_lease`, :meth:`RouterWal.write_fence`).
+Then the new writer adopts the tail's replay state
+(:meth:`RouterWal.adopt`) and the standby becomes an ordinary
+:class:`ClusterRouter` on it (``wal=``), skipping the cold ``load()``
+— restores the replica tier, binds the service port, and resumes
+acking with the sequence numbers exactly where the primary's last ack
+left them.
 """
 
 from __future__ import annotations
@@ -62,14 +68,7 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.cluster.journal import (
-    _FENCE_NAME,
-    _LEASE_NAME,
-    RouterWal,
-    WalTail,
-    _atomic_write_json,
-    _read_json,
-)
+from repro.cluster.journal import RouterWal, WalTail
 from repro.cluster.router import ClusterRouter
 from repro.errors import CapacityError
 from repro.obs.registry import LATENCY_MS_BOUNDS, get_registry
@@ -158,7 +157,9 @@ class StandbyRouter:
         self._lease_timeout = float(lease_timeout)
         self._poll_interval = float(poll_interval)
         self._probe_timeout = float(probe_timeout)
-        self._wal_sync = bool(wal_sync)
+        #: the writer this standby becomes at promotion; until then
+        #: only its lease reader is used
+        self._wal = RouterWal(self._dir, sync=wal_sync)
         self._router_kwargs = dict(router_kwargs)
         self._tail: WalTail | None = None
         self._watch_task: asyncio.Task | None = None
@@ -204,14 +205,14 @@ class StandbyRouter:
         """
         while True:
             await asyncio.sleep(self._poll_interval)
-            tail = self._tail
-            behind = tail.last_seq
-            tail.poll()
+            state = self._tail.state
+            behind = state.last_seq
+            self._tail.poll()
             if self._obs.enabled:
                 # Replay lag at poll time: how many acked batches the
-                # shadow state was behind when this poll caught it up.
-                self._obs_lag.set(max(0, tail.last_seq - behind))
-                self._obs.gauge("standby.replay.seq").set(tail.last_seq)
+                # replay state was behind when this poll caught it up.
+                self._obs_lag.set(max(0, state.last_seq - behind))
+                self._obs.gauge("standby.replay.seq").set(state.last_seq)
             reason = await self._primary_dead()
             if reason is None:
                 continue
@@ -221,7 +222,7 @@ class StandbyRouter:
 
     async def _primary_dead(self) -> str | None:
         """The two-signal death verdict (None = leave the primary be)."""
-        lease = _read_json(self._dir / _LEASE_NAME)
+        lease = self._wal.read_lease()
         if lease is None:
             # No writer ever claimed this directory; nothing to
             # take over from (and nothing acked that we could lose).
@@ -250,11 +251,14 @@ class StandbyRouter:
         except (TypeError, ValueError):
             return False  # lease never learned its port: trust staleness
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(str(host), port),
-                self._probe_timeout,
-            )
-        except (OSError, asyncio.TimeoutError):
+            # asyncio.timeout, not wait_for: on 3.11 wait_for can drop a
+            # cancellation that lands as the connect completes, and
+            # stop() then waits on the watch loop forever.
+            async with asyncio.timeout(self._probe_timeout):
+                _reader, writer = await asyncio.open_connection(
+                    str(host), port
+                )
+        except (OSError, TimeoutError):
             return False
         writer.close()
         with contextlib.suppress(OSError, ConnectionError):
@@ -288,38 +292,21 @@ class StandbyRouter:
             await fault_point("standby.promote")
             t0 = time.monotonic()
             tail = self._tail
-            owner = f"standby-{self._reader_id}-{os.getpid()}"
+            wal = self._wal
             # Step 1: the lease write that fences the old epoch.
-            epoch = self._claim_epoch(owner)
+            epoch = wal.acquire_lease(
+                f"standby-{self._reader_id}-{os.getpid()}"
+            )
             # Step 2: the sealed tail — complete, because nothing can
             # be acked (= synced) under the old epoch anymore.
             await asyncio.to_thread(tail.poll)
-            tail.refresh_snapshots()
             # Step 3: the byte-exact cut every future reader obeys.
-            _atomic_write_json(
-                self._dir / _FENCE_NAME,
-                {
-                    "epoch": epoch,
-                    "cuts": {
-                        str(index): offset
-                        for index, offset in tail.cuts().items()
-                    },
-                },
-            )
+            wal.write_fence(tail.cuts())
             tail.remove_cursor()
-            wal = RouterWal.resume_at(
-                self._dir,
-                epoch=epoch,
-                next_index=tail.next_index,
-                generation=tail.generation,
-                n_parts=tail.n_parts,
-                covered_seq=tail.covered_seq,
-                last_seq=tail.last_seq,
-                snapshot_seqs=dict(tail.snapshot_seqs),
-                segments=tail.segment_metas(),
-                owner=owner,
-                sync=self._wal_sync,
-            )
+            # Snapshot states come from their files; a file newer than
+            # the last SNAPSHOT record the tail read still covers.
+            tail.state.adopt_files(self._dir)
+            wal.adopt(tail)
             sup = self._supervisor
             if sup is not None:
                 try:
@@ -331,7 +318,6 @@ class StandbyRouter:
                 self._endpoints,
                 supervisor=sup,
                 wal=wal,
-                recovery=tail.recovery(),
                 **self._router_kwargs,
             )
             await router.start()
@@ -344,30 +330,11 @@ class StandbyRouter:
                     "standby.promoted",
                     ms=round(ms, 3),
                     epoch=epoch,
-                    seq=tail.last_seq,
+                    seq=wal.state.last_seq,
                     reason=self.promote_reason,
                 )
             self._promoted.set()
             return router
-
-    def _claim_epoch(self, owner: str) -> int:
-        """Write ``lease.json`` at a strictly higher epoch; return it."""
-        lease = _read_json(self._dir / _LEASE_NAME) or {}
-        fence = _read_json(self._dir / _FENCE_NAME) or {}
-        epoch = (
-            max(int(lease.get("epoch", 0)), int(fence.get("epoch", 0)))
-            + 1
-        )
-        _atomic_write_json(
-            self._dir / _LEASE_NAME,
-            {
-                "epoch": epoch,
-                "owner": owner,
-                "endpoint": None,
-                "renewed": time.time(),
-            },
-        )
-        return epoch
 
     # -- introspection ---------------------------------------------------
 
@@ -382,7 +349,7 @@ class StandbyRouter:
     def describe(self) -> dict[str, Any]:
         """Replication/failover status for health reporting."""
         tail = self._tail
-        lease = _read_json(self._dir / _LEASE_NAME) or {}
+        lease = self._wal.read_lease() or {}
         out: dict[str, Any] = {
             "role": "standby",
             "promoted": self.promoted,

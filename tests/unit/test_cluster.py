@@ -16,7 +16,7 @@ import pytest
 from repro.api import Profiler, Query
 from repro.cluster import (
     ClusterRouter,
-    PartitionJournal,
+    RouterWal,
     partition_capacity,
 )
 from repro.cluster.merge import partition_batch
@@ -27,51 +27,97 @@ from repro.server.protocol import ProtocolError
 from repro.testing.replicas import InProcessSupervisor
 
 
-class TestPartitionJournal:
-    def test_append_entries_clear_roundtrip(self):
-        journal = PartitionJournal(0)
-        journal.append(3, [1, 2], [1, -1])
-        journal.append(5, [0], [2])
-        assert [e.seq for e in journal.entries()] == [3, 5]
-        assert len(journal) == 2
-        assert journal.last_seq == 5
-        assert journal.clear(5) == 2
-        assert len(journal) == 0
-        assert journal.snapshot_seq == 5
-        assert journal.last_seq == 5
+class TestJournalReplayState:
+    """The router's journal is the WAL's replay state; without a
+    directory it lives in memory only."""
+
+    def test_append_entries_snapshot_roundtrip(self):
+        wal = RouterWal(None)
+        wal.append_entry(0, 3, [1, 2], [1, -1])
+        wal.append_entry(0, 5, [0], [2])
+        state = wal.state
+        assert [e.seq for e in state.entries[0]] == [3, 5]
+        assert state.watermark(0) == 5
+        wal.note_snapshot(0, 5, {"v": 5})
+        assert 0 not in state.entries
+        assert state.snapshot_seqs[0] == 5
+        assert state.snapshots[0] == {"v": 5}
+        assert state.watermark(0) == 5
+        assert not any(wal.stats.values())  # no files, no framing
 
     def test_seq_must_be_monotonic(self):
-        journal = PartitionJournal(0)
-        journal.append(4, [0], [1])
+        wal = RouterWal(None)
+        wal.append_entry(0, 4, [0], [1])
         with pytest.raises(ValueError, match="monotonic"):
-            journal.append(4, [1], [1])
+            wal.append_entry(0, 4, [1], [1])
         with pytest.raises(ValueError, match="monotonic"):
-            journal.append(2, [1], [1])
+            wal.append_entry(0, 2, [1], [1])
+        assert [e.seq for e in wal.state.entries[0]] == [4]
 
-    def test_clear_refuses_partial_coverage(self):
-        journal = PartitionJournal(0)
-        journal.append(2, [0], [1])
-        journal.append(7, [1], [1])
+    def test_coverage_drops_only_covered_entries(self):
+        wal = RouterWal(None)
+        wal.append_entry(0, 2, [0], [1])
+        wal.append_entry(0, 7, [1], [1])
+        wal.append_entry(1, 3, [1], [1])
+        wal.state.cover(0, 5)
+        assert [e.seq for e in wal.state.entries[0]] == [7]
+        assert [e.seq for e in wal.state.entries[1]] == [3]
+        wal.state.cover(1, 4)
+        assert 1 not in wal.state.entries
+        # An entry the snapshot already covers never reaches the tape.
+        wal.append_entry(1, 4, [2], [1])
+        assert 1 not in wal.state.entries
+
+    def test_router_refuses_a_snapshot_that_misses_the_tape(self):
+        router = ClusterRouter(4, [("127.0.0.1", 1)], port=0)
+        wal = router._wal
+        wal.append_entry(0, 2, [0], [1])
+        router._delivered[0] = 2
+
+        async def checkpoint_racing_an_append(p, call):
+            # The synchronous pipeline rules this out; if it ever
+            # broke, the snapshot would miss seq 7.
+            wal.append_entry(0, 7, [1], [1])
+            return {"v": 2}
+
+        router._replica_call = checkpoint_racing_an_append
         with pytest.raises(ValueError, match="does not cover"):
-            journal.clear(5)
+            asyncio.run(router._snapshot(0))
         # The tape survives a refused truncation intact.
-        assert [e.seq for e in journal.entries()] == [2, 7]
+        assert [e.seq for e in wal.state.entries[0]] == [2, 7]
+        assert wal.state.snapshot_seqs == {}
 
     def test_events_count_follows_the_tape(self):
-        journal = PartitionJournal(0)
-        journal.append(1, [1, 2, 3], [1, 1, -1])
-        journal.append(2, [4], [2])
-        assert journal.events == 4
-        journal.clear(2)
-        assert journal.events == 0
-        journal.append(3, [5, 6], [1, 1])
-        assert journal.events == 2
+        wal = RouterWal(None)
+        wal.append_entry(0, 1, [1, 2, 3], [1, 1, -1])
+        wal.append_entry(0, 2, [4], [2])
+        assert wal.state.events[0] == 4
+        wal.note_snapshot(0, 2, {})
+        assert wal.state.events.get(0, 0) == 0
+        wal.append_entry(0, 3, [5, 6], [1, 1])
+        assert wal.state.events[0] == 2
+
+    def test_commit_decision_moves_staged_entries_onto_the_tape(self):
+        wal = RouterWal(None)
+        wal.append_entry(0, 1, [1], [1], prepared=True)
+        wal.append_entry(1, 1, [0], [1], prepared=True)
+        wal.append_entry(0, 2, [2], [1], prepared=True)
+        assert wal.state.entries == {}
+        wal.append_decision(1, [0, 1], commit=True)
+        wal.append_decision(2, [0], commit=False)
+        tapes = wal.state.entries
+        assert {p: [e.seq for e in t] for p, t in tapes.items()} == {
+            0: [1],
+            1: [1],
+        }
+        assert wal.state.prepared == {}
 
     def test_boot_state_is_the_implicit_empty_snapshot(self):
-        journal = PartitionJournal(2)
-        assert journal.snapshot_seq == 0
-        assert journal.last_seq == 0
-        assert list(journal.entries()) == []
+        state = RouterWal(None).state
+        assert state.snapshot_seqs.get(2, 0) == 0
+        assert state.watermark(2) == 0
+        assert state.entries == {}
+        assert state.snapshots == {}
 
 
 class TestPartitionBatch:
@@ -192,11 +238,11 @@ class TestSnapshotRule:
             async def send(ids):
                 await client.ingest([(x, 1) for x in ids])
                 await client.ping()  # barrier: the flush is finished
-                journal = router._journals[0]
+                state = router._wal.state
                 seen.append(
                     (
-                        len(journal),
-                        journal.events,
+                        len(state.entries.get(0, ())),
+                        state.events.get(0, 0),
                         router.cluster_stats["snapshots"],
                     )
                 )

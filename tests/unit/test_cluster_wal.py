@@ -13,6 +13,7 @@ import json
 import os
 import struct
 import time
+import zlib
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.cluster.journal import (
     RouterWal,
     WalTail,
     _atomic_write_json,
+    _pack_record,
     _read_json,
 )
 from repro.errors import CheckpointError, FencedWriterError
@@ -188,6 +190,115 @@ class TestTornAndCorrupt:
         assert [e.seq for e in recovery.entries[0]] == [1]
 
 
+class TestMalformedRecords:
+    """A frame can pass its CRC and still not be a record: too short
+    for its header, the wrong length for its count, or empty.  Both
+    readers refuse those typed; a zero-filled tail is a torn write."""
+
+    def _zero_filled(self, tmp_path):
+        with RouterWal(tmp_path) as wal:
+            write_entries(wal, [(0, 1, [1, 2], [1, 1])])
+        seg = sorted(tmp_path.glob("wal-*.log"))[-1]
+        clean = seg.read_bytes()
+        # crc32(b"") == 0: every all-zero frame header passes its CRC.
+        seg.write_bytes(clean + bytes(4096))
+        return seg, clean
+
+    def test_load_truncates_a_zero_filled_tail(self, tmp_path):
+        seg, clean = self._zero_filled(tmp_path)
+        wal = RouterWal(tmp_path)
+        recovery = wal.load()
+        assert [e.seq for e in recovery.entries[0]] == [1]
+        assert seg.read_bytes() == clean
+        write_entries(wal, [(0, 2, [3], [1])])
+        wal.close()
+        again = RouterWal(tmp_path).load()
+        assert [e.seq for e in again.entries[0]] == [1, 2]
+
+    def test_tail_does_not_consume_a_zero_filled_tail(self, tmp_path):
+        seg, clean = self._zero_filled(tmp_path)
+        tail = WalTail(tmp_path, write_cursor=False)
+        assert tail.poll() == 1
+        assert tail.poll() == 0
+        assert [e.seq for e in tail.state.entries[0]] == [1]
+        index = int(seg.stem.split("-")[1])
+        assert tail.cuts() == {index: len(clean)}
+
+    def test_zero_filled_sealed_segment_refuses(self, tmp_path):
+        seg, _clean = self._zero_filled(tmp_path)
+        (tmp_path / "wal-00000099.log").write_bytes(
+            b"RWAL0002" + bytes(8)
+        )
+        with pytest.raises(CheckpointError, match="sealed"):
+            RouterWal(tmp_path).load()
+
+    @staticmethod
+    def _frame(payload):
+        return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"",
+            b"\x01",
+            b"\x01" + bytes(10),
+            struct.pack("<BIQI", 1, 0, 2, 3) + bytes(8),
+            struct.pack("<BQI", 3, 2, 4) + bytes(4),
+            struct.pack("<BIIQ", 5, 1, 2, 2)[:-1],
+            struct.pack("<BIQ", 6, 0, 2) + b"\x00",
+            b"\x63" + bytes(20),
+        ],
+        ids=[
+            "empty-then-record",
+            "type-only",
+            "short-entry-head",
+            "entry-count-mismatch",
+            "decision-count-mismatch",
+            "short-rescale",
+            "long-snapshot",
+            "unknown-type",
+        ],
+    )
+    def test_both_readers_refuse_typed(self, tmp_path, payload):
+        with RouterWal(tmp_path) as wal:
+            write_entries(wal, [(0, 1, [1], [1])])
+        seg = sorted(tmp_path.glob("wal-*.log"))[-1]
+        good = self._frame(_pack_record(("entry", 2, 0, [2], [1], False)))
+        seg.write_bytes(seg.read_bytes() + self._frame(payload) + good)
+        with pytest.raises(CheckpointError):
+            WalTail(tmp_path, write_cursor=False).poll()
+        with pytest.raises(CheckpointError):
+            RouterWal(tmp_path).load()
+
+
+class TestTailTape:
+    def test_tail_tape_stays_within_one_snapshot_interval(self, tmp_path):
+        # 20 rounds of 50 entries, each round snapshotted at its last
+        # seq, with a tail poll after each round: SNAPSHOT records
+        # reach the tail through the log and drop what they cover.
+        wal = RouterWal(tmp_path)
+        tail = WalTail(tmp_path, write_cursor=False)
+        seq = 0
+        for _round in range(20):
+            for _ in range(50):
+                seq += 1
+                wal.append_entry(0, seq, [seq % 7], [1])
+            wal.sync()
+            wal.note_snapshot(0, seq, {"seq": seq})
+            tail.poll()
+            # At most this round's entries: the previous round's
+            # SNAPSHOT record rode this round's sync.
+            tape = tail.state.entries.get(0, [])
+            assert len(tape) <= 50
+            assert all(e.seq > seq - 50 for e in tape)
+            assert tail.state.snapshot_seqs.get(0, 0) >= seq - 50
+        wal.sync()  # the last SNAPSHOT record rides a sync of its own
+        tail.poll()
+        assert tail.state.entries == {}
+        assert tail.state.snapshot_seqs == {0: seq}
+        wal.close()
+
+
 class TestUnwrittenSegmentHeader:
     """A writer creates a segment and its header reaches the file with
     the first flush, so a reader can meet an empty file or a prefix of
@@ -216,8 +327,8 @@ class TestUnwrittenSegmentHeader:
         assert tail.poll() == 0  # no offset was cached: still waiting
         seg.write_bytes(data)  # the writer's first flush lands
         assert tail.poll() == 1
-        assert tail.last_seq == 1
-        assert [e.seq for e in tail.entries[0]] == [1]
+        assert tail.state.last_seq == 1
+        assert [e.seq for e in tail.state.entries[0]] == [1]
 
     @pytest.mark.parametrize(
         "head",
@@ -401,7 +512,7 @@ class TestPruneVsTailReader:
         assert wal.segment_count > 1
         # ... and once the tail catches up, the same snapshot prunes.
         tail.poll()
-        assert tail.last_seq == 59
+        assert tail.state.last_seq == 59
         assert tail.records_consumed == 59
         assert wal.prune() >= 1
         assert wal.segment_count == 1
@@ -432,7 +543,7 @@ class TestPruneVsTailReader:
         wal.note_snapshot(0, 39, {"v": 1})
         self._fill(wal, 40, 50)
         tail.poll()
-        assert tail.last_seq == 49
+        assert tail.state.last_seq == 49
         tail.remove_cursor()
         assert wal.prune() >= 0
         wal.close()
@@ -480,20 +591,31 @@ class TestLeaseAndFence:
         new.close()
 
     def test_promotion_lease_write_fences_the_very_next_sync(self, tmp_path):
-        from repro.cluster import StandbyRouter
-
+        """Promotion's three steps through the WAL's own writers: the
+        lease fences the old writer's very next sync, the tail reads
+        the sealed log, and the fence cuts off whatever the fenced
+        writer leaves behind."""
         old = RouterWal(tmp_path)
         old.acquire_lease("old-primary")
         for seq in (1, 2):
             old.append_entry(0, seq, [seq], [1])
             old.sync()
-        standby = StandbyRouter(20, tmp_path, endpoints=[("127.0.0.1", 1)])
-        assert standby._claim_epoch("standby") == 2
+        tail = WalTail(tmp_path, write_cursor=False)
+        new = RouterWal(tmp_path)
+        assert new.acquire_lease("standby") == 2
         old.append_entry(0, 3, [3], [1])
         with pytest.raises(FencedWriterError):
             old.sync()
         assert old.last_synced_seq == 2
-        old.close()
+        tail.poll()
+        new.write_fence(tail.cuts())
+        assert _read_json(tmp_path / "fence.json")["epoch"] == 2
+        old.close()  # the fenced writer's unsynced residue hits the file
+        new.adopt(tail)
+        assert [e.seq for e in new.state.entries[0]] == [1, 2]
+        recovery = RouterWal(tmp_path).load()
+        assert [e.seq for e in recovery.entries[0]] == [1, 2]
+        assert recovery.last_seq == 2
 
     def test_same_size_lease_rewrite_still_fences(self, tmp_path):
         """A lease rewrite of the same size and mtime still fences:
