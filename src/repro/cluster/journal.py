@@ -100,7 +100,7 @@ from typing import Any, Iterator
 
 import numpy as _np
 
-from repro.errors import CheckpointError, FencedWriterError
+from repro.errors import CheckpointError, FencedWriterError, WalCommitError
 from repro.testing.faults import fault_point_sync
 
 __all__ = [
@@ -847,6 +847,10 @@ class RouterWal:
         if fault:
             fault_point_sync("wal.append")
         self.state.apply(record)
+        self._frame(record)
+
+    def _frame(self, record: tuple) -> None:
+        """Queue ``record``'s frame for the next :meth:`sync`."""
         payload = _pack_record(record)
         self._writer()
         self._pending.append(
@@ -1046,25 +1050,42 @@ class RouterWal:
 
         Appends + syncs the record (a crash before this point recovers
         the *old* layout — the staged generation snapshots are ignored
-        without the record), seals the segment so no file ever mixes
-        generations, then rewrites ``layout.json`` and retires the old
+        without the record), and only then moves the replay state to
+        the new layout, seals the segment so no file ever mixes
+        generations, rewrites ``layout.json`` and retires the old
         layout's snapshots and segments.
+
+        Once the record is framed there is no abort: it may already be
+        on disk, and the next sync would write it if not.  Any failure
+        from there on raises :class:`~repro.errors.WalCommitError`
+        (a fencing trip stays :class:`~repro.errors.FencedWriterError`).
         """
         if generation <= self.state.generation:
             raise CheckpointError(
                 f"rescale generation must advance: {generation} after "
                 f"{self.state.generation}"
             )
-        self._log(("rescale", cutover_seq, generation, n_parts))
-        self.state.snapshots = self._staged.pop(generation, {})
-        self._staged.clear()
-        if self._dir is None:
-            return
-        self.sync()
-        self._seal_segment()
-        self._write_layout()
-        self._drop_superseded_snapshots()
-        self.prune()
+        record = ("rescale", cutover_seq, generation, n_parts)
+        if self._dir is not None:
+            fault_point_sync("wal.append")
+            self._frame(record)
+        try:
+            self.sync()
+            self.state.apply(record)
+            self.state.snapshots = self._staged.pop(generation, {})
+            self._staged.clear()
+            if self._dir is not None:
+                self._seal_segment()
+                self._write_layout()
+                self._drop_superseded_snapshots()
+                self.prune()
+        except FencedWriterError:
+            raise
+        except Exception as exc:
+            raise WalCommitError(
+                f"rescale to generation {generation} was logged but not "
+                f"committed: {exc!r}"
+            ) from exc
 
     def _write_layout(self) -> None:
         _atomic_write_json(

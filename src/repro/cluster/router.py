@@ -78,6 +78,7 @@ from repro.errors import (
     ClusterUnhealthyError,
     FencedWriterError,
     ReplicaUnavailableError,
+    WalCommitError,
 )
 from repro.obs.registry import LATENCY_MS_BOUNDS
 from repro.server.client import AsyncProfileClient
@@ -1382,7 +1383,12 @@ class ClusterRouter(ProfileServer):
                     generation, q, self._seq, states[q]
                 )
             self._wal.commit_rescale(generation, new_n, self._seq)
-        except (SimulatedCrash, FencedWriterError, asyncio.CancelledError):
+        except (
+            SimulatedCrash,
+            FencedWriterError,
+            WalCommitError,
+            asyncio.CancelledError,
+        ):
             raise
         except Exception as exc:
             await self._abort_rescale(exc)
@@ -1472,7 +1478,7 @@ class ClusterRouter(ProfileServer):
                     await self._begin_rescale(item)
                 else:
                     await self._cutover()
-            except (SimulatedCrash, FencedWriterError):
+            except (SimulatedCrash, FencedWriterError, WalCommitError):
                 await self._die()
                 raise asyncio.CancelledError from None
             return

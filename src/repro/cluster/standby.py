@@ -251,14 +251,11 @@ class StandbyRouter:
         except (TypeError, ValueError):
             return False  # lease never learned its port: trust staleness
         try:
-            # asyncio.timeout, not wait_for: on 3.11 wait_for can drop a
-            # cancellation that lands as the connect completes, and
-            # stop() then waits on the watch loop forever.
-            async with asyncio.timeout(self._probe_timeout):
-                _reader, writer = await asyncio.open_connection(
-                    str(host), port
-                )
-        except (OSError, TimeoutError):
+            reader, writer = await asyncio.wait_for(
+                asyncio.open_connection(str(host), port),
+                self._probe_timeout,
+            )
+        except (OSError, asyncio.TimeoutError):
             return False
         writer.close()
         with contextlib.suppress(OSError, ConnectionError):

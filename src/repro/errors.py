@@ -25,6 +25,7 @@ __all__ = [
     "ReplicaRecoveringError",
     "ClusterUnhealthyError",
     "FencedWriterError",
+    "WalCommitError",
 ]
 
 
@@ -130,6 +131,19 @@ class FencedWriterError(ReproError, RuntimeError):
     events of the batch that tripped the fence were never acked and
     belong to no epoch; clients see a dropped connection, exactly as
     if the old router had been SIGKILLed.
+    """
+
+    retryable = False
+
+
+class WalCommitError(ReproError, RuntimeError):
+    """A WAL commit record was appended but could not be made durable.
+
+    Terminal for the writer, like :class:`FencedWriterError`: the
+    record may already be on disk, and if it is not, the writer's next
+    sync would put it there.  The writer can no longer tell which
+    outcome a cold boot will recover, so the router dies rather than
+    keep serving a layout the log might contradict.
     """
 
     retryable = False

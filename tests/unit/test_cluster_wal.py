@@ -8,6 +8,7 @@ durable commit decision behind them; segments prune once snapshots
 cover them.
 """
 
+import asyncio
 import io
 import json
 import os
@@ -17,6 +18,8 @@ import zlib
 
 import pytest
 
+from repro.api import Profiler
+from repro.cluster import ClusterRouter
 from repro.cluster.journal import (
     RouterWal,
     WalTail,
@@ -24,7 +27,10 @@ from repro.cluster.journal import (
     _pack_record,
     _read_json,
 )
-from repro.errors import CheckpointError, FencedWriterError
+from repro.errors import CheckpointError, FencedWriterError, WalCommitError
+from repro.server import AsyncProfileClient
+from repro.testing.faults import FaultSchedule, arm, disarm
+from repro.testing.replicas import InProcessSupervisor
 
 
 def write_entries(wal, spec):
@@ -695,3 +701,129 @@ class TestRescaleRecord:
             wal.commit_rescale(1, 2, 0)
             with pytest.raises(CheckpointError):
                 wal.commit_rescale(1, 3, 0)
+
+
+def _replay_view(wal):
+    state = wal.state
+    return (
+        state.generation,
+        state.n_parts,
+        state.covered_seq,
+        dict(state.snapshot_seqs),
+        dict(state.snapshots),
+        {p: [e.seq for e in tape] for p, tape in state.entries.items()},
+    )
+
+
+class TestFailedRescaleCommit:
+    """Once the RESCALE record is framed a failure cannot abort: the
+    record may be on disk already, or reach it with the next sync."""
+
+    @pytest.mark.parametrize(
+        "point, durable",
+        [("wal.sync", False), ("wal.synced", True)],
+        ids=["before-write", "after-fsync"],
+    )
+    def test_failure_is_terminal_and_leaves_the_replay_state(
+        self, tmp_path, point, durable
+    ):
+        wal = RouterWal(tmp_path)
+        write_entries(wal, [(0, 1, [1], [1]), (1, 2, [0], [2])])
+        wal.note_snapshot(0, 1, {"old": 0})
+        wal.sync()
+        for q in range(3):
+            wal.note_generation_snapshot(1, q, 2, {"part": q})
+        before = _replay_view(wal)
+        arm(FaultSchedule([(point, 0, "error")]))
+        try:
+            with pytest.raises(WalCommitError):
+                wal.commit_rescale(1, 3, 2)
+        finally:
+            disarm()
+        assert _replay_view(wal) == before
+        wal.abandon()
+        recovery = RouterWal(tmp_path).load()
+        if durable:
+            assert (recovery.generation, recovery.n_parts) == (1, 3)
+            assert recovery.entries == {}
+        else:
+            assert recovery.generation == 0
+            assert recovery.snapshots == {0: {"old": 0}}
+            assert {
+                p: [e.seq for e in es] for p, es in recovery.entries.items()
+            } == {1: [2]}
+
+
+class TestFailedCutover:
+    def test_router_dies_and_recovery_is_exact(self, tmp_path):
+        """A cutover whose RESCALE sync fails kills the router instead
+        of aborting back to the old layout; a cold boot on the same
+        directory, and a replica restore after it, are bit-for-bit."""
+        m, n = 12, 2
+        first = [[(k, 1) for k in range(m)]] * 3
+        later = [[(k, 2) for k in range(0, m, 3)], [(1, -1), (4, 3)]]
+
+        async def scenario():
+            sup = await InProcessSupervisor(m, n).start()
+            router = ClusterRouter(
+                m, supervisor=sup, journal_dir=tmp_path, port=0
+            )
+            await router.start()
+            client = await AsyncProfileClient.connect(port=router.port)
+            control = await AsyncProfileClient.connect(port=router.port)
+            schedule = FaultSchedule()
+
+            def fail_next_sync():
+                # The cutover's next WAL sync is the RESCALE record's.
+                count = schedule.counts.get("wal.sync", 0)
+                schedule.add("wal.sync", count, "error")
+
+            schedule.add("router.cutover", 0, fail_next_sync)
+            try:
+                for batch in first:
+                    await client.ingest(batch)
+                arm(schedule)
+                with pytest.raises(ConnectionError):
+                    await control.rescale(3)
+            finally:
+                disarm()
+                client.abort()
+                control.abort()
+            crashed = router.crashed
+            await sup.abort_generation()
+            router2 = ClusterRouter(
+                m, supervisor=sup, journal_dir=tmp_path, port=0
+            )
+            await router2.start()
+            client2 = await AsyncProfileClient.connect(port=router2.port)
+            try:
+                booted = await client2.checkpoint()
+                await sup.crash(0)
+                for batch in later:
+                    await client2.ingest(batch)
+                recovered = await client2.checkpoint()
+                health = await client2.health()
+            finally:
+                await client2.aclose()
+                await router2.stop()
+                await sup.stop()
+            return crashed, schedule.fired, booted, recovered, health
+
+        crashed, fired, booted, recovered, health = asyncio.run(scenario())
+        assert crashed
+        assert fired[-1][0] == "wal.sync"
+        assert (health["partitions"], health["generation"]) == (2, 0)
+        reference = Profiler.open(m, backend="flat")
+        try:
+            for batch in first:
+                reference.ingest(batch)
+            restored = Profiler.from_state(booted)
+            assert restored.frequencies() == reference.frequencies()
+            restored.close()
+            for batch in later:
+                reference.ingest(batch)
+            restored = Profiler.from_state(recovered)
+            assert restored.frequencies() == reference.frequencies()
+            restored.close()
+        finally:
+            reference.close()
