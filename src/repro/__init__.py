@@ -21,8 +21,7 @@ Package map:
   (exact / sharded / approximate / baselines), one ingest verb, fused
   multi-query plans.
 - :mod:`repro.core` — the paper's algorithm and its query surface.
-- :mod:`repro.engine` — scale-out layer: batched ingestion, sharding.
-  (:class:`ProfileService` is deprecated in favour of the facade.)
+- :mod:`repro.engine` — scale-out layer: sharding and the merge algebra.
 - :mod:`repro.baselines` — heap / balanced-tree / bucket comparators.
 - :mod:`repro.streams` — log-stream generators (paper section 3 setup),
   sliding windows, persistence.
@@ -37,7 +36,6 @@ from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile
 from repro.core.queries import ModeResult, TopEntry
 from repro.core.snapshot import ProfileSnapshot
-from repro.engine.service import ProfileService
 from repro.engine.sharding import ShardedProfiler
 from repro.errors import (
     CapacityError,
@@ -64,7 +62,6 @@ __all__ = [
     "FrequencyUnderflowError",
     "InvariantViolationError",
     "ModeResult",
-    "ProfileService",
     "ProfileSnapshot",
     "Profiler",
     "Query",

@@ -2,13 +2,12 @@
 
 :class:`Profiler` is the documented way into the package.  It replaces
 the choose-an-implementation-first surfaces (``SProfile``,
-``DynamicProfiler``, ``ShardedProfiler``, ``ProfileService``) with a
-single factory::
+``DynamicProfiler``, ``ShardedProfiler``) with a single factory::
 
     profiler = Profiler.open(capacity, backend="auto", keys="dense")
 
 one ingest verb (:meth:`Profiler.ingest`, superseding the
-``add``/``add_many``/``apply``/``submit`` zoo), one query surface, and
+``add``/``add_many``/``apply`` zoo), one query surface, and
 a fused multi-query plan (:meth:`Profiler.evaluate`, see
 :mod:`repro.api.plan`).  Backends stay importable for code that needs
 the raw structures; the facade guarantees they all answer through the
@@ -78,6 +77,13 @@ __all__ = ["API_STATE_VERSION", "Profiler"]
 API_STATE_VERSION = 1
 
 _KEY_MODES = ("dense", "hashable")
+
+
+def _is_count(value: Any) -> bool:
+    """Whether a checkpoint field is a plain non-negative int."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) and value >= 0
 
 
 def _normalize_batch(batch) -> list[tuple[Any, int]]:
@@ -952,16 +958,29 @@ class Profiler:
         events = state["events"]
         if keys not in _KEY_MODES:
             raise CheckpointError(f"bad keys mode: {keys!r}")
-        if not isinstance(batches, int) or batches < 0:
+        if not _is_count(batches):
             raise CheckpointError(f"bad batches counter: {batches!r}")
-        if not isinstance(events, int) or events < 0:
+        if not _is_count(events):
             raise CheckpointError(f"bad events counter: {events!r}")
+        # These backends have a fixed universe their cores must match.
+        fixed = backend in ("flat", "sharded", "parallel") or (
+            backend == "exact" and keys == "dense"
+        )
+        if fixed and not _is_count(capacity):
+            raise CheckpointError(f"bad capacity: {capacity!r}")
 
         interner = None
         if catalog is not None:
+            if not isinstance(catalog, list):
+                raise CheckpointError(
+                    f"catalog must be a list, got {type(catalog).__name__}"
+                )
             interner = ObjectInterner()
-            for obj in catalog:
-                interner.intern(obj)
+            try:
+                for obj in catalog:
+                    interner.intern(obj)
+            except TypeError as exc:
+                raise CheckpointError(f"bad catalog key: {exc}") from exc
             if len(interner) != len(catalog):
                 raise CheckpointError("catalog contains duplicate keys")
             if isinstance(capacity, int) and len(interner) > capacity:
@@ -970,25 +989,11 @@ class Profiler:
                     f"is {capacity}"
                 )
 
-        if backend in ("exact", "flat") and keys == "dense":
+        if backend == "flat" or (backend == "exact" and keys == "dense"):
             if backend == "flat":
                 impl: Any = flat_profile_from_state(state["profile"])
             else:
                 impl = profile_from_state(state["profile"])
-            if impl.allow_negative == strict:
-                raise CheckpointError(
-                    "strict flag disagrees with profile allow_negative"
-                )
-            interner = None
-        elif backend == "flat" and keys == "hashable":
-            # Facade-interned flat universe: fixed capacity, catalog
-            # names the claimed dense slots; unclaimed slots must hold
-            # no counted mass (mirror of the sharded-hashable check).
-            if interner is None:
-                raise CheckpointError("hashable checkpoint lacks a catalog")
-            if not isinstance(capacity, int) or capacity < 0:
-                raise CheckpointError(f"bad capacity: {capacity!r}")
-            impl = flat_profile_from_state(state["profile"])
             if impl.capacity != capacity:
                 raise CheckpointError(
                     f"profile capacity {impl.capacity} does not match "
@@ -998,11 +1003,22 @@ class Profiler:
                 raise CheckpointError(
                     "strict flag disagrees with profile allow_negative"
                 )
-            for dense in range(len(interner), capacity):
-                if impl.frequency(dense) != 0:
+            if keys == "dense":
+                interner = None
+            else:
+                # Facade-interned flat universe: the catalog names the
+                # claimed dense slots; unclaimed slots must hold no
+                # counted mass (mirror of the sharded-hashable check).
+                if interner is None:
                     raise CheckpointError(
-                        f"uncataloged slot {dense} holds non-zero frequency"
+                        "hashable checkpoint lacks a catalog"
                     )
+                for dense in range(len(interner), capacity):
+                    if impl.frequency(dense) != 0:
+                        raise CheckpointError(
+                            f"uncataloged slot {dense} holds non-zero "
+                            f"frequency"
+                        )
         elif backend == "exact" and keys == "hashable":
             if interner is None:
                 raise CheckpointError("hashable checkpoint lacks a catalog")
@@ -1025,7 +1041,7 @@ class Profiler:
         elif backend in ("sharded", "parallel"):
             shard_states = state["profile"]
             n_shards = state["shards"]
-            if not isinstance(n_shards, int) or n_shards <= 0:
+            if not _is_count(n_shards) or n_shards == 0:
                 raise CheckpointError(f"bad n_shards: {n_shards!r}")
             if not isinstance(shard_states, list):
                 raise CheckpointError("sharded state must hold a list")
@@ -1034,8 +1050,6 @@ class Profiler:
                     f"{len(shard_states)} shard states for "
                     f"n_shards={n_shards}"
                 )
-            if not isinstance(capacity, int) or capacity < 0:
-                raise CheckpointError(f"bad capacity: {capacity!r}")
             core = state.get("core", "sprofile")
             if backend == "parallel":
                 # Checkpoints of the retired multi-process engine hold

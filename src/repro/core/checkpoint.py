@@ -9,6 +9,7 @@ instead of silently producing wrong statistics.
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 from typing import Any
 
@@ -67,9 +68,13 @@ def profile_to_state(profile) -> dict[str, Any]:
         # tolist() (array engine) yields plain Python ints, keeping
         # np.int64 scalars out of the JSON-safe payload.
         "ttof": ttof.tolist() if hasattr(ttof, "tolist") else list(ttof),
-        "runs": [list(run) for run in profile.blocks.as_tuples()],
-        "n_adds": profile.n_adds,
-        "n_removes": profile.n_removes,
+        # A dense rebuild fed numpy deltas leaves numpy frequencies
+        # and counters; int() keeps them out of the payload too.
+        "runs": [
+            [int(v) for v in run] for run in profile.blocks.as_tuples()
+        ],
+        "n_adds": int(profile.n_adds),
+        "n_removes": int(profile.n_removes),
     }
 
 
@@ -99,10 +104,22 @@ def _restore(state: dict[str, Any], install):
     runs = state["runs"]
     if not isinstance(capacity, int) or capacity < 0:
         raise CheckpointError(f"bad capacity: {capacity!r}")
+    if not isinstance(ttof, list):
+        raise CheckpointError(
+            f"ttof must be a list, got {type(ttof).__name__}"
+        )
     if len(ttof) != capacity:
         raise CheckpointError(
             f"ttof length {len(ttof)} != capacity {capacity}"
         )
+    for key in ("n_adds", "n_removes"):
+        value = state[key]
+        if (
+            not isinstance(value, numbers.Integral)
+            or isinstance(value, bool)
+            or value < 0
+        ):
+            raise CheckpointError(f"bad {key} counter: {value!r}")
 
     try:
         profile = install(

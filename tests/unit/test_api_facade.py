@@ -106,8 +106,9 @@ class TestOpen:
 class TestIngestVocabulary:
     """One verb accepts Events, flag pairs, delta pairs and mappings."""
 
-    def test_mixed_batch(self):
-        profiler = Profiler.open(10)
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_mixed_batch(self, shards):
+        profiler = Profiler.open(10, shards=shards)
         n = profiler.ingest(
             [
                 Event(1, Action.ADD),
@@ -121,6 +122,8 @@ class TestIngestVocabulary:
         assert profiler.frequency(1) == 3
         assert profiler.frequency(2) == -1
         assert profiler.frequency(3) == 4
+        assert profiler.batches_ingested == 1
+        assert profiler.events_ingested == 5
 
     def test_mapping_batch(self):
         profiler = Profiler.open(10)
@@ -134,12 +137,31 @@ class TestIngestVocabulary:
         profiler.ingest([(0, 0)])  # delta: no-op
         assert profiler.frequency(0) == -1
 
-    def test_opposing_events_coalesce(self):
-        profiler = Profiler.open(10)
-        assert profiler.ingest([(1, True), (1, False)]) == 0
-        assert profiler.n_events == 0
-        assert profiler.events_ingested == 2
+    @pytest.mark.parametrize("shards", [None, 2])
+    @pytest.mark.parametrize(
+        "batch,net,raw",
+        [
+            ([(1, True), (1, False)], 0, 2),
+            ([(1, True), (1, False), (2, True)], 1, 3),
+        ],
+        ids=["all-cancel", "partial-cancel"],
+    )
+    def test_opposing_events_coalesce(self, shards, batch, net, raw):
+        profiler = Profiler.open(10, shards=shards)
+        assert profiler.ingest(batch) == net
+        assert profiler.n_events == net
+        assert profiler.events_ingested == raw
         assert profiler.batches_ingested == 1
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_ingest_arrays(self, shards):
+        profiler = Profiler.open(4, shards=shards)
+        assert profiler.ingest_arrays([0, 1, 1], [1, 1, 1]) == 3
+        assert profiler.frequency(1) == 2
+        with pytest.raises(CapacityError):
+            profiler.ingest_arrays([0], [1, -1])
+        assert profiler.total == 3
+        assert profiler.events_ingested == 3
 
     def test_unparseable_items_rejected(self):
         profiler = Profiler.open(10)
@@ -240,6 +262,15 @@ class TestQuerySurface:
         assert len(profiler.histogram()) == 4
         assert profiler.heavy_hitters(0.5) == [(1, 3)]
         assert [e.frequency for e in profiler.iter_sorted()][:2] == [-1, 0]
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_snapshot_is_frozen(self, shards):
+        profiler = Profiler.open(4, shards=shards)
+        profiler.ingest([(0, True), (0, True), (3, True)])
+        snap = profiler.snapshot()
+        profiler.ingest([(1, True)] * 10)
+        assert snap.total == 3
+        assert sorted(snap.frequencies()) == [0, 0, 1, 2]
 
     def test_bottom_k_via_merge_on_sharded(self):
         profiler = Profiler.open(6, backend="sharded", shards=3)
@@ -456,6 +487,69 @@ class TestFlatBackend:
         assert info["backend"] == "approx"
 
 
+def _tamper_base(backend):
+    """A 7-slot checkpoint with mass on the first (or only) core."""
+    shards = 2 if backend == "sharded" else None
+    profiler = Profiler.open(7, backend=backend, shards=shards)
+    profiler.ingest({0: 2, 1: 1, 4: 3})
+    return json.loads(json.dumps(profiler.to_state()))
+
+
+def _core(state):
+    """The first (sharded) or only core profile state of a checkpoint."""
+    profile = state["profile"]
+    return profile[0] if isinstance(profile, list) else profile
+
+
+def _bump_first_run(state):
+    """Edit the frequency of the first core's lowest run."""
+    _core(state)["runs"][0][2] += 1_000_000
+
+
+#: Corruptions every dense backend's checkpoint must refuse.
+TAMPERS = {
+    "version": lambda s: s.update(version=99),
+    "keys-mode": lambda s: s.update(keys="fuzzy"),
+    "batches-negative": lambda s: s.update(batches=-1),
+    "batches-str": lambda s: s.update(batches="3"),
+    "events-str": lambda s: s.update(events="many"),
+    "events-negative": lambda s: s.update(events=-4),
+    "no-profile": lambda s: s.pop("profile"),
+    "backend": lambda s: s.update(backend="bucket"),
+    "capacity-str": lambda s: s.update(capacity="10"),
+    "capacity-negative": lambda s: s.update(capacity=-1),
+    "capacity-mismatch": lambda s: s.update(capacity=99),
+    "capacity-float": lambda s: s.update(capacity=float(s["capacity"])),
+    "profile-str": lambda s: s.update(profile="oops"),
+    "catalog-int": lambda s: s.update(catalog=0),
+    "catalog-unhashable": lambda s: s.update(catalog=[[0]]),
+    "ttof-int": lambda s: _core(s).update(ttof=0),
+    "n_adds-str": lambda s: _core(s).update(n_adds="x"),
+    "n_adds-none": lambda s: _core(s).update(n_adds=None),
+    "n_removes-str": lambda s: _core(s).update(n_removes="x"),
+    "runs-edited": _bump_first_run,
+}
+
+#: Corruptions of the sharded envelope (the shard list and its count).
+SHARD_TAMPERS = {
+    "shards-str": lambda s: s.update(shards="2"),
+    "shards-zero": lambda s: s.update(shards=0),
+    "shard-count": lambda s: s.update(profile=s["profile"][:-1]),
+    "mixed-allow-negative": lambda s: s["profile"][0].update(
+        allow_negative=False
+    ),
+}
+
+TAMPER_CASES = [
+    pytest.param(backend, mutate, id=f"{name}-{backend}")
+    for name, mutate in TAMPERS.items()
+    for backend in ("flat", "exact", "sharded")
+] + [
+    pytest.param("sharded", mutate, id=f"{name}-sharded")
+    for name, mutate in SHARD_TAMPERS.items()
+]
+
+
 class TestCheckpoints:
     def _assert_round_trip(self, profiler):
         restored = Profiler.from_state(
@@ -515,24 +609,26 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             bucket.to_state()
 
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda s: s.update(version=99),
-            lambda s: s.update(keys="fuzzy"),
-            lambda s: s.update(batches=-1),
-            lambda s: s.update(events="many"),
-            lambda s: s.pop("profile"),
-            lambda s: s.update(backend="bucket"),
-        ],
-    )
-    def test_tampered_states_rejected(self, mutate):
-        profiler = Profiler.open(6, backend="sharded", shards=2)
-        profiler.ingest({1: 2})
-        state = profiler.to_state()
+    @pytest.mark.parametrize("backend,mutate", TAMPER_CASES)
+    def test_tampered_states_rejected(self, backend, mutate):
+        state = _tamper_base(backend)
         mutate(state)
         with pytest.raises(CheckpointError):
             Profiler.from_state(state)
+
+    def test_restored_sharded_profile_keeps_ingesting(self):
+        profiler = Profiler.open(11, shards=3)
+        profiler.ingest([(x % 11, True) for x in range(40)])
+        restored = Profiler.from_state(profiler.to_state())
+        restored.ingest([(5, True), (5, True)])
+        assert restored.frequency(5) == profiler.frequency(5) + 2
+        restored.backend.audit()
+
+    def test_load_rejects_corrupt_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(CheckpointError, match="not valid JSON"):
+            Profiler.load(path)
 
     def test_strict_flag_must_match_profile(self):
         profiler = Profiler.open(6, strict=True)

@@ -2,15 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.checkpoint import (
     STATE_VERSION,
+    flat_profile_from_state,
     load_profile,
     profile_from_state,
     profile_to_state,
     save_profile,
 )
+from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile
 from repro.core.validation import audit_profile
 from repro.errors import CheckpointError
@@ -49,6 +52,22 @@ class TestRoundtrip:
     def test_zero_capacity(self):
         restored = profile_from_state(profile_to_state(SProfile(0)))
         assert restored.capacity == 0
+
+    @pytest.mark.parametrize(
+        "cls,restore",
+        [(SProfile, profile_from_state), (FlatProfile, flat_profile_from_state)],
+    )
+    def test_numpy_deltas_round_trip(self, cls, restore):
+        # apply() with numpy deltas takes the dense rebuild, which
+        # leaves numpy frequencies and counters behind.
+        profile = cls(4)
+        profile.apply({0: np.int64(3), 1: np.int64(1)})
+        state = profile_to_state(profile)
+        restored = restore(json.loads(json.dumps(state)))
+        assert restored.frequencies() == [3, 1, 0, 0]
+        assert restored.n_adds == 4
+        state["n_adds"] = np.int64(4)
+        assert type(restore(state).n_adds) is int
 
     def test_bulk_built_base_total_survives(self):
         profile = SProfile.from_frequencies([5, 2, 0])
@@ -104,6 +123,13 @@ class TestMalformedStates:
     def test_ttof_not_a_permutation(self, small_profile):
         state = profile_to_state(small_profile)
         state["ttof"] = [0] * state["capacity"]
+        with pytest.raises(CheckpointError):
+            profile_from_state(state)
+
+    @pytest.mark.parametrize("value", ["x", None, 1.5, True, -1])
+    def test_bad_counter(self, small_profile, value):
+        state = profile_to_state(small_profile)
+        state["n_removes"] = value
         with pytest.raises(CheckpointError):
             profile_from_state(state)
 

@@ -16,7 +16,6 @@ import repro.core.dynamic
 import repro.core.profile
 import repro.core.queries
 import repro.engine.merge
-import repro.engine.service
 import repro.engine.sharding
 
 MODULES = [
@@ -32,7 +31,6 @@ MODULES = [
     repro.core.profile,
     repro.core.queries,
     repro.engine.merge,
-    repro.engine.service,
     repro.engine.sharding,
 ]
 
@@ -40,12 +38,7 @@ MODULES = [
 @pytest.mark.parametrize(
     "module", MODULES, ids=[m.__name__ for m in MODULES]
 )
-@pytest.mark.filterwarnings(
-    "ignore:ProfileService is deprecated:DeprecationWarning"
-)
 def test_module_doctests(module):
-    # The service shim's examples still run (legacy callers read them),
-    # hence the deprecation filter above.
     result = doctest.testmod(module)
     assert result.failed == 0
     assert result.attempted > 0  # the module must actually carry examples

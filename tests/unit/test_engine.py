@@ -1,29 +1,21 @@
-"""Unit tests for the engine layer: ShardedProfiler and ProfileService.
+"""Unit tests for the engine layer: ShardedProfiler.
 
-ProfileService is a deprecation shim (superseded by repro.api.Profiler);
-this module exercises the shim deliberately, so its warnings are
-filtered here and asserted explicitly in TestServiceDeprecation.
+Batched ingestion and checkpoints of a sharded profile go through the
+facade (``Profiler.open(m, shards=N)``); tests/unit/test_api_facade.py
+covers them.
 """
 
 import random
-import warnings
 
 import pytest
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:ProfileService is deprecated:DeprecationWarning"
-)
-
 from repro.core.profile import SProfile
-from repro.engine.service import ProfileService
 from repro.engine.sharding import ShardedProfiler
 from repro.errors import (
     CapacityError,
-    CheckpointError,
     EmptyProfileError,
     FrequencyUnderflowError,
 )
-from repro.streams.events import Action, Event
 
 
 def _random_pair(capacity, n_shards, n_events, seed=0, **kwargs):
@@ -196,191 +188,6 @@ class TestShardedUpdates:
         looped.remove(1)
         assert batched.frequencies() == looped.frequencies()
         batched.audit()
-
-
-class TestProfileService:
-    def test_submit_mixed_event_shapes(self):
-        service = ProfileService(capacity=10, n_shards=2)
-        n = service.submit(
-            [Event(1, Action.ADD), (1, Action.ADD), (2, True), (3, False)]
-        )
-        assert n == 4
-        assert service.frequency(1) == 2
-        assert service.frequency(3) == -1
-        assert service.batches_ingested == 1
-        assert service.events_ingested == 4
-
-    def test_submit_counts_raw_events_but_applies_net(self):
-        service = ProfileService(capacity=4, n_shards=2)
-        n = service.submit([(0, True), (0, False), (1, True)])
-        assert n == 1  # the add/remove pair for key 0 cancelled
-        assert service.events_ingested == 3
-        assert service.profiler.n_events == 1
-
-    def test_submit_arrays(self):
-        service = ProfileService(capacity=4, n_shards=2)
-        service.submit_arrays([0, 1, 1], [True, True, True])
-        assert service.frequency(1) == 2
-        with pytest.raises(CapacityError):
-            service.submit_arrays([0], [True, False])
-
-    def test_query_delegation(self):
-        service = ProfileService(capacity=6, n_shards=3)
-        service.submit([(0, True)] * 3 + [(1, True)])
-        assert service.mode().example == 0
-        assert service.top_k(1)[0].frequency == 3
-        assert service.least().frequency == 0
-        assert service.median_frequency() == 0
-        assert service.quantile(1.0) == 3
-        assert service.support(3) == 1
-        assert service.histogram() == [(0, 4), (1, 1), (3, 1)]
-        assert service.heavy_hitters(0.5)[0].obj == 0
-        assert service.total == 4
-
-    def test_snapshot(self):
-        service = ProfileService(capacity=4, n_shards=2)
-        service.submit([(0, True), (0, True), (3, True)])
-        snap = service.snapshot()
-        service.submit([(1, True)] * 10)
-        assert snap.total == 3  # frozen before the second batch
-        assert sorted(snap.frequencies()) == [0, 0, 1, 2]
-
-
-class TestServiceCheckpoint:
-    def _service(self):
-        service = ProfileService(capacity=11, n_shards=3)
-        service.submit([(x % 11, True) for x in range(40)])
-        service.submit([(5, False), (6, False)])
-        return service
-
-    def test_round_trip_state(self):
-        service = self._service()
-        restored = ProfileService.from_state(service.to_state())
-        assert restored.profiler.frequencies() == (
-            service.profiler.frequencies()
-        )
-        assert restored.n_shards == service.n_shards
-        assert restored.batches_ingested == service.batches_ingested
-        assert restored.events_ingested == service.events_ingested
-        assert restored.histogram() == service.histogram()
-
-    def test_round_trip_file(self, tmp_path):
-        service = self._service()
-        path = tmp_path / "service.json"
-        service.save(path)
-        restored = ProfileService.load(path)
-        assert restored.profiler.frequencies() == (
-            service.profiler.frequencies()
-        )
-
-    def test_restored_service_keeps_ingesting(self):
-        restored = ProfileService.from_state(self._service().to_state())
-        before = restored.frequency(5)
-        restored.submit([(5, True), (5, True)])
-        assert restored.frequency(5) == before + 2
-        restored.profiler.audit()
-
-    def test_missing_keys_rejected(self):
-        state = self._service().to_state()
-        del state["shards"]
-        with pytest.raises(CheckpointError):
-            ProfileService.from_state(state)
-
-    def test_version_mismatch_rejected(self):
-        state = self._service().to_state()
-        state["version"] = 99
-        with pytest.raises(CheckpointError):
-            ProfileService.from_state(state)
-
-    def test_wrong_shard_count_rejected(self):
-        state = self._service().to_state()
-        state["shards"] = state["shards"][:-1]
-        with pytest.raises(CheckpointError):
-            ProfileService.from_state(state)
-
-    def test_tampered_shard_rejected(self):
-        state = self._service().to_state()
-        state["shards"][0]["runs"][0][2] += 1_000_000
-        with pytest.raises(CheckpointError):
-            ProfileService.from_state(state)
-
-    def test_shard_capacity_mismatch_rejected(self):
-        state = self._service().to_state()
-        state["capacity"] = 12  # partition arithmetic no longer matches
-        with pytest.raises(CheckpointError):
-            ProfileService.from_state(state)
-
-    def test_corrupt_json_file(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(CheckpointError):
-            ProfileService.load(path)
-
-
-class TestServiceCheckpointTypeTampering:
-    def _state(self):
-        service = ProfileService(capacity=6, n_shards=2)
-        service.submit([(1, True), (2, True)])
-        return service.to_state()
-
-    @pytest.mark.parametrize(
-        "key,value",
-        [
-            ("capacity", "10"),
-            ("capacity", -1),
-            ("n_shards", "2"),
-            ("shards", "oops"),
-            ("batches", "3"),
-            ("events", -4),
-        ],
-    )
-    def test_wrong_types_raise_checkpoint_error(self, key, value):
-        state = self._state()
-        state[key] = value
-        with pytest.raises(CheckpointError):
-            ProfileService.from_state(state)
-
-    def test_mixed_allow_negative_rejected(self):
-        state = self._state()
-        state["shards"][0]["allow_negative"] = False
-        with pytest.raises(CheckpointError):
-            ProfileService.from_state(state)
-
-
-class TestServiceDeprecation:
-    """ProfileService is a shim: it must warn exactly at legacy entry
-    points and keep answering correctly afterwards."""
-
-    def test_constructor_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.Profiler"):
-            ProfileService(capacity=4, n_shards=2)
-
-    def test_from_state_warns_once(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            state = ProfileService(capacity=4, n_shards=2).to_state()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ProfileService.from_state(state)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_shim_still_answers(self):
-        service = ProfileService(capacity=6, n_shards=2)
-        service.submit([(1, True), (1, True), (2, True)])
-        assert service.mode().example == 1
-        assert service.frequency(2) == 1
-
-    def test_facade_does_not_warn(self):
-        from repro.api import Profiler
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            profiler = Profiler.open(8, backend="sharded", shards=2)
-            profiler.ingest([(1, True), (2, False)])
-            profiler.mode()
 
 
 class TestFlatShardCores:

@@ -1054,6 +1054,19 @@ class TestRestoreOp:
                 assert client.restore(state) == "flat"
                 assert client.frequency(4) == 4
 
+    def test_blocking_client_restore_of_malformed_state(self):
+        from repro.errors import CheckpointError
+
+        with ServerThread(Profiler.open(30)) as server:
+            with ProfileClient(server.host, server.port) as client:
+                client.ingest({4: 4})
+                state = client.checkpoint()
+                state["profile"]["n_adds"] = "x"
+                with pytest.raises(CheckpointError, match="n_adds"):
+                    client.restore(state)
+                # The hosted state survived the refusal.
+                assert client.frequency(4) == 4
+
 
 class TestReconnect:
     def test_async_dial_backoff_gives_up_with_context(self):
