@@ -86,6 +86,17 @@ def _is_count(value: Any) -> bool:
     return isinstance(value, int) and value >= 0
 
 
+def _detuple(key: Any) -> Any:
+    """Undo JSON's tuple-to-list rewrite of a catalog key, recursively.
+
+    Lists are unhashable, so no valid key is a list: every list in a
+    loaded catalog was a tuple when it was saved.
+    """
+    if isinstance(key, list):
+        return tuple(_detuple(item) for item in key)
+    return key
+
+
 def _normalize_batch(batch) -> list[tuple[Any, int]]:
     """Flatten one ingest batch into ``(obj, delta)`` pairs.
 
@@ -194,7 +205,7 @@ class Profiler:
         self._impl = impl
         self._backend_name = backend_name
         self._keys = keys
-        self._strict = strict
+        self._strict = bool(strict)
         self._interner = interner
         self._capacity = capacity
         self._batches = 0
@@ -951,24 +962,34 @@ class Profiler:
             )
         backend = state["backend"]
         keys = state["keys"]
-        strict = bool(state["strict"])
+        strict = state["strict"]
         capacity = state["capacity"]
         catalog = state["catalog"]
         batches = state["batches"]
         events = state["events"]
         if keys not in _KEY_MODES:
             raise CheckpointError(f"bad keys mode: {keys!r}")
+        if not isinstance(strict, bool):
+            raise CheckpointError(f"bad strict flag: {strict!r}")
+        sharded = backend in ("sharded", "parallel")
+        if not sharded and state["shards"] is not None:
+            raise CheckpointError(
+                f"shards must be null off the sharded backend, "
+                f"got {state['shards']!r}"
+            )
         if not _is_count(batches):
             raise CheckpointError(f"bad batches counter: {batches!r}")
         if not _is_count(events):
             raise CheckpointError(f"bad events counter: {events!r}")
         # These backends have a fixed universe their cores must match.
-        fixed = backend in ("flat", "sharded", "parallel") or (
+        fixed = sharded or backend == "flat" or (
             backend == "exact" and keys == "dense"
         )
         if fixed and not _is_count(capacity):
             raise CheckpointError(f"bad capacity: {capacity!r}")
 
+        if keys == "dense" and catalog is not None:
+            raise CheckpointError("dense-key checkpoint carries a catalog")
         interner = None
         if catalog is not None:
             if not isinstance(catalog, list):
@@ -978,7 +999,7 @@ class Profiler:
             interner = ObjectInterner()
             try:
                 for obj in catalog:
-                    interner.intern(obj)
+                    interner.intern(_detuple(obj))
             except TypeError as exc:
                 raise CheckpointError(f"bad catalog key: {exc}") from exc
             if len(interner) != len(catalog):
@@ -1003,9 +1024,7 @@ class Profiler:
                 raise CheckpointError(
                     "strict flag disagrees with profile allow_negative"
                 )
-            if keys == "dense":
-                interner = None
-            else:
+            if keys == "hashable":
                 # Facade-interned flat universe: the catalog names the
                 # claimed dense slots; unclaimed slots must hold no
                 # counted mass (mirror of the sharded-hashable check).
@@ -1038,7 +1057,7 @@ class Profiler:
             impl._profile = inner
             impl._rebind()
             interner = None
-        elif backend in ("sharded", "parallel"):
+        elif sharded:
             shard_states = state["profile"]
             n_shards = state["shards"]
             if not _is_count(n_shards) or n_shards == 0:
@@ -1082,9 +1101,7 @@ class Profiler:
             impl = ShardedProfiler(0, n_shards=n_shards, core=core)
             impl._m = capacity
             impl._shards = shards
-            if keys == "dense":
-                interner = None
-            elif interner is not None:
+            if interner is not None:
                 # Dense slots beyond the catalog have no name; a
                 # truncated or tampered catalog must not leave counted
                 # mass on anonymous slots.

@@ -63,7 +63,9 @@ def profile_to_state(profile) -> dict[str, Any]:
     return {
         "version": STATE_VERSION,
         "capacity": profile.capacity,
-        "allow_negative": profile.allow_negative,
+        # bool(): restore requires real bools, whatever truthy value
+        # the profile was constructed with.
+        "allow_negative": bool(profile.allow_negative),
         "track_freq_index": profile.blocks.tracks_freq_index,
         # tolist() (array engine) yields plain Python ints, keeping
         # np.int64 scalars out of the JSON-safe payload.
@@ -76,6 +78,21 @@ def profile_to_state(profile) -> dict[str, Any]:
         "n_adds": int(profile.n_adds),
         "n_removes": int(profile.n_removes),
     }
+
+
+def _is_int(value: Any) -> bool:
+    """Whether a state field is an integral, non-bool value (numpy
+    integers included)."""
+    return isinstance(value, numbers.Integral) and not isinstance(
+        value, bool
+    )
+
+
+def _check_flags(state: dict[str, Any], keys) -> None:
+    """Require each named state field to be a real bool."""
+    for key in keys:
+        if not isinstance(state[key], bool):
+            raise CheckpointError(f"bad {key} flag: {state[key]!r}")
 
 
 def _restore(state: dict[str, Any], install):
@@ -102,7 +119,7 @@ def _restore(state: dict[str, Any], install):
     capacity = state["capacity"]
     ttof = state["ttof"]
     runs = state["runs"]
-    if not isinstance(capacity, int) or capacity < 0:
+    if not _is_int(capacity) or capacity < 0:
         raise CheckpointError(f"bad capacity: {capacity!r}")
     if not isinstance(ttof, list):
         raise CheckpointError(
@@ -113,13 +130,9 @@ def _restore(state: dict[str, Any], install):
             f"ttof length {len(ttof)} != capacity {capacity}"
         )
     for key in ("n_adds", "n_removes"):
-        value = state[key]
-        if (
-            not isinstance(value, numbers.Integral)
-            or isinstance(value, bool)
-            or value < 0
-        ):
-            raise CheckpointError(f"bad {key} counter: {value!r}")
+        if not _is_int(state[key]) or state[key] < 0:
+            raise CheckpointError(f"bad {key} counter: {state[key]!r}")
+    _check_flags(state, ("allow_negative", "track_freq_index"))
 
     try:
         profile = install(
@@ -154,12 +167,12 @@ def profile_from_state(state: dict[str, Any]) -> SProfile:
     """
 
     def install(ttof, runs, st):
-        profile = SProfile(0, allow_negative=bool(st["allow_negative"]))
+        profile = SProfile(0, allow_negative=st["allow_negative"])
         profile._install(
             ttof,
             runs,
-            allow_negative=bool(st["allow_negative"]),
-            track_freq_index=bool(st["track_freq_index"]),
+            allow_negative=st["allow_negative"],
+            track_freq_index=st["track_freq_index"],
         )
         return profile
 
@@ -181,7 +194,7 @@ def flat_profile_from_state(
     def install(ttof, runs, st):
         profile = FlatProfile(
             0,
-            allow_negative=bool(st["allow_negative"]),
+            allow_negative=st["allow_negative"],
             array_engine=array_engine,
         )
         profile._install_runs(ttof, runs)
@@ -223,7 +236,7 @@ def flat_profile_to_array_state(profile: FlatProfile) -> dict[str, Any]:
     return {
         "version": ARRAY_STATE_VERSION,
         "capacity": profile._m,
-        "allow_negative": profile._allow_negative,
+        "allow_negative": bool(profile._allow_negative),
         "block_slots": bn,
         "free_head": int(profile._free_head),
         "n_adds": profile._n_adds,
@@ -281,9 +294,21 @@ def flat_profile_from_array_state(
             f"array state version {state['version']} unsupported "
             f"(expected {ARRAY_STATE_VERSION})"
         )
+    # Counts cannot be negative; the free-list head is -1 when empty;
+    # the base total and the last tracked statistic (a frequency) may
+    # be negative in negative mode.
+    for key, low in (
+        ("capacity", 0), ("block_slots", 0), ("n_adds", 0),
+        ("n_removes", 0), ("free_head", -1), ("base_total", None),
+        ("last_tracked", None),
+    ):
+        value = state[key]
+        if not _is_int(value) or (low is not None and value < low):
+            raise CheckpointError(f"bad {key}: {value!r}")
+    _check_flags(state, ("allow_negative",))
     m = int(state["capacity"])
     bn = int(state["block_slots"])
-    if m < 0 or bn < 0 or bn > max(m, 1):
+    if bn > max(m, 1):
         raise CheckpointError(
             f"bad capacity/slot counts: m={m}, block_slots={bn}"
         )
@@ -297,7 +322,7 @@ def flat_profile_from_array_state(
         return arr.copy() if copy and arr is state[key] else arr
 
     profile = FlatProfile(
-        0, allow_negative=bool(state["allow_negative"]), array_engine=True
+        0, allow_negative=state["allow_negative"], array_engine=True
     )
     profile._m = m
     profile._ftot = adopt("ftot", m)

@@ -528,6 +528,18 @@ TAMPERS = {
     "n_adds-none": lambda s: _core(s).update(n_adds=None),
     "n_removes-str": lambda s: _core(s).update(n_removes="x"),
     "runs-edited": _bump_first_run,
+    "strict-none": lambda s: s.update(strict=None),
+    "strict-int": lambda s: s.update(strict=int(s["strict"])),
+    "allow_negative-str": lambda s: _core(s).update(allow_negative="x"),
+    "track_freq_index-str": lambda s: _core(s).update(
+        track_freq_index="x"
+    ),
+}
+
+#: Envelope fields an unsharded checkpoint must leave null.
+UNSHARDED_TAMPERS = {
+    "shards-str": lambda s: s.update(shards="x"),
+    "shards-int": lambda s: s.update(shards=2),
 }
 
 #: Corruptions of the sharded envelope (the shard list and its count).
@@ -547,6 +559,10 @@ TAMPER_CASES = [
 ] + [
     pytest.param("sharded", mutate, id=f"{name}-sharded")
     for name, mutate in SHARD_TAMPERS.items()
+] + [
+    pytest.param(backend, mutate, id=f"{name}-{backend}")
+    for name, mutate in UNSHARDED_TAMPERS.items()
+    for backend in ("flat", "exact")
 ]
 
 
@@ -590,6 +606,35 @@ class TestCheckpoints:
         restored = self._assert_round_trip(profiler)
         assert restored.frequency("x") == 2
         assert restored.mode().example == "x"
+
+    @pytest.mark.parametrize("backend", ["flat", "exact"])
+    def test_tuple_keys_survive_save_load(self, tmp_path, backend):
+        # JSON writes tuples as lists; load must turn them back.
+        keys = [(1, 2), ("a", (3, ("b", 4))), ((), 5), "plain"]
+        profiler = Profiler.open(8, keys="hashable", backend=backend)
+        profiler.ingest([(key, n + 1) for n, key in enumerate(keys)])
+        path = tmp_path / "tuples.json"
+        profiler.save(path)
+        restored = Profiler.load(path)
+        for n, key in enumerate(keys):
+            assert restored.frequency(key) == n + 1
+        restored.ingest([((1, 2), 1)])
+        assert restored.frequency((1, 2)) == 2
+        assert restored.to_state()["catalog"] == (
+            profiler.to_state()["catalog"]
+        )
+
+    @pytest.mark.parametrize("backend", ["flat", "exact"])
+    @pytest.mark.parametrize("catalog", [[[{}]], [[0], [0]], [{}]])
+    def test_bad_hashable_catalog_rejected(self, backend, catalog):
+        # A list can only stand for a tuple: one holding an unhashable
+        # item, or two lists naming one tuple, must still be refused.
+        profiler = Profiler.open(8, keys="hashable", backend=backend)
+        profiler.ingest([("a", 1)])
+        state = json.loads(json.dumps(profiler.to_state()))
+        state["catalog"] = catalog
+        with pytest.raises(CheckpointError):
+            Profiler.from_state(state)
 
     def test_save_load_file(self, tmp_path):
         profiler = Profiler.open(6, backend="sharded", shards=2, strict=True)

@@ -342,6 +342,26 @@ class TestStructureManagement:
         assert fp.n_events == 0
         fp.audit()
 
+    def test_fresh_and_cleared_tables_share_rank_ints(self):
+        """The O(m) constant: one int object per rank, not one per
+        table.  Four separate ``range`` lists traced ~168 B/key."""
+        import tracemalloc
+
+        m = 100_000
+        tracemalloc.start()
+        try:
+            fp = FlatProfile(m)
+            fresh = tracemalloc.get_traced_memory()[0] / m
+            fp.track_statistic(list(range(0, m, 3)), [True] * 33_334, m - 1)
+            fp.clear()
+            cleared = tracemalloc.get_traced_memory()[0] / m
+        finally:
+            tracemalloc.stop()
+        assert fresh <= 80, fresh
+        assert cleared <= 80, cleared
+        fp.audit()
+        assert fp.frequencies() == [0] * m
+
     def test_block_slot_recycling_is_bounded(self):
         fp = FlatProfile(50)
         rng = random.Random(1)
@@ -634,4 +654,50 @@ class TestArrayState:
         bad_ttof["ttof"][0] = 10**6
         with pytest.raises(CheckpointError):
             flat_profile_from_array_state(bad_ttof)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            (key, value)
+            for key in (
+                "capacity", "block_slots", "free_head", "n_adds",
+                "n_removes", "base_total", "last_tracked",
+            )
+            for value in ("x", None, 1.5, True)
+        ]
+        + [("allow_negative", value) for value in ("x", None, 1.5, 1)]
+        + [
+            ("capacity", -1), ("block_slots", -1), ("n_adds", -1),
+            ("n_removes", -1), ("free_head", -2),
+        ],
+    )
+    def test_bad_scalar_fields_raise_checkpoint_error(self, key, value):
+        pytest.importorskip("numpy")
+        from repro.core.checkpoint import (
+            flat_profile_from_array_state,
+            flat_profile_to_array_state,
+        )
+
+        ap = FlatProfile(10, array_engine=True)
+        ap.add_many([1, 1, 2])
+        state = flat_profile_to_array_state(ap)
+        state[key] = value
+        with pytest.raises(CheckpointError):
+            flat_profile_from_array_state(state)
+
+    def test_negative_mode_scalars_round_trip(self):
+        np = pytest.importorskip("numpy")
+        from repro.core.checkpoint import (
+            flat_profile_from_array_state,
+            flat_profile_to_array_state,
+        )
+
+        ap = FlatProfile(6, array_engine=True)
+        assert ap.track_statistic([0, 0], [False, False], 0) == -2
+        state = flat_profile_to_array_state(ap)
+        assert state["last_tracked"] == -2 and state["base_total"] == 0
+        state["n_adds"] = np.int64(state["n_adds"])
+        restored = flat_profile_from_array_state(state)
+        assert restored.frequencies() == ap.frequencies()
+        assert restored.last_tracked == -2
 
