@@ -30,10 +30,14 @@ estimators assume —
   all rank arithmetic in the hot loops into allocation-free list
   loads — the single biggest constant-factor lever measured here
   (+30-50% on the fused paths).  Both tables and the permutations
-  share **one rank range** (:func:`_rank_tables`): each is a slice of
+  share **one rank range** (:class:`_RankRange`): each is a slice of
   a single materialised ``-1 .. m+1``, so a rank is one int object
   however many tables hold it (~72 traced bytes per key for a fresh
-  profile, not ~168 with a separate range per table);
+  profile, not ~168 with a separate range per table).  The range is
+  shared by every live list-engine profile of one capacity, through a
+  weak map (:func:`_rank_range`), and released with the last of them:
+  a second live profile of the same capacity costs ~24 B/key, and
+  building or dropping one allocates or frees no int objects;
 - dead block ids are recycled through an intrusive free list threaded
   through ``_bl`` (``_bl[dead] = next dead id``, head in
   ``_free_head``) — no pool object, no ``append``/``pop`` calls.
@@ -87,6 +91,7 @@ copy of the update logic.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -105,17 +110,45 @@ from repro.errors import (
 __all__ = ["FlatProfile"]
 
 
-def _rank_tables(m: int) -> tuple[list[int], list[int]]:
-    """List-engine ``(prev, nxt)`` for capacity ``m``: two slices of one
-    materialised range ``-1 .. m+1``.
+class _RankRange:
+    """List-engine ``prev``/``nxt`` for one capacity ``m``: two slices
+    of one materialised range ``-1 .. m+1``.
 
     Every other list that holds ranks takes its ints from ``prev``
     (``prev[k + 1] == k``) — the identity ``ftot``/``ttof`` of a fresh
-    profile and the ``ftot`` that :meth:`FlatProfile._install_runs`
-    fills — so each rank is one int object shared by all of them.
+    profile, the ``ftot`` that :meth:`FlatProfile._install_runs` fills
+    and the ``ttof`` that :meth:`FlatProfile.grow` splices — so each
+    rank is one int object shared by all of them.  Neither table is
+    ever written, so every live profile of one capacity shares one
+    range (:func:`_rank_range`).
     """
-    ranks = list(range(-1, m + 2))
-    return ranks[: m + 1], ranks[2:]
+
+    __slots__ = ("prev", "nxt", "__weakref__")
+
+    def __init__(self, m: int) -> None:
+        ranks = list(range(-1, m + 2))
+        self.prev = ranks[: m + 1]
+        self.nxt = ranks[2:]
+
+
+#: capacity -> the range its live list-engine profiles share.  Held
+#: weakly: each profile keeps its range alive, so the last profile of a
+#: capacity takes the O(m) range with it.
+_RANGES: "weakref.WeakValueDictionary[int, _RankRange]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _rank_range(m: int) -> _RankRange:
+    """The shared rank range for capacity ``m``, built on first use.
+
+    Two threads racing on a new ``m`` at worst build two ranges; each
+    stays valid, only unshared.
+    """
+    ranks = _RANGES.get(m)
+    if ranks is None:
+        ranks = _RANGES[m] = _RankRange(m)
+    return ranks
 
 
 class _FlatBlockReader:
@@ -128,7 +161,10 @@ class _FlatBlockReader:
     :func:`~repro.core.validation.audit_profile`, snapshots, the
     sharded merges, the fused-plan runs views — drives a
     ``FlatProfile`` unchanged.  The view is stateless: it reads the
-    live arrays, so it never goes stale.
+    live arrays, so it never goes stale.  It is built per access
+    (:attr:`FlatProfile.blocks`), so the profile holds no reference to
+    it: no profile <-> view cycle, and a dropped profile is freed by
+    refcount at once instead of waiting for the cyclic GC.
     """
 
     __slots__ = ("_p",)
@@ -356,8 +392,8 @@ class FlatProfile(ProfileQueryMixin):
         "_bf",
         "_prev",
         "_nxt",
+        "_ranks",
         "_free_head",
-        "_blocks",
         "_last_tracked",
         "_allow_negative",
         "_base_total",
@@ -397,10 +433,10 @@ class FlatProfile(ProfileQueryMixin):
                 self._bn = 1
             self._prev = _np.arange(-1, capacity, dtype=_np.int64)
             self._nxt = _np.arange(1, capacity + 2, dtype=_np.int64)
+            self._ranks = None
         else:
             self._reset_lists(capacity)
         self._free_head = -1
-        self._blocks = _FlatBlockReader(self)
         self._last_tracked = 0
         self._allow_negative = allow_negative
         self._base_total = 0
@@ -1542,11 +1578,14 @@ class FlatProfile(ProfileQueryMixin):
         old_ttof = (
             self._ttof.tolist() if self._array else self._ttof
         )
-        new_ttof = (
-            old_ttof[:splice]
-            + list(range(old_m, new_m))
-            + old_ttof[splice:]
-        )
+        # Take every object id from the new capacity's shared range
+        # (held here until _install_runs adopts it), so ttof holds the
+        # same int objects as ftot and the rank tables.
+        ranks = _rank_range(new_m)
+        ids = ranks.prev[1:]
+        new_ttof = list(map(ids.__getitem__, old_ttof[:splice]))
+        new_ttof += ids[old_m:]
+        new_ttof += map(ids.__getitem__, old_ttof[splice:])
         runs: list[tuple[int, int, int]] = []
         zero_emitted = False
         for block in self._blocks.iter_blocks():
@@ -1667,9 +1706,15 @@ class FlatProfile(ProfileQueryMixin):
         return max(variance, 0.0)
 
     @property
+    def _blocks(self) -> _FlatBlockReader:
+        # The query mixin's reader; see _FlatBlockReader for why it
+        # is built per access.
+        return _FlatBlockReader(self)
+
+    @property
     def blocks(self) -> _FlatBlockReader:
         """Read access to the block structure (BlockSet-shaped view)."""
-        return self._blocks
+        return _FlatBlockReader(self)
 
     # O(1) overrides of the mixin's generic lookups — pure array reads,
     # no Block materialization.
@@ -1737,7 +1782,7 @@ class FlatProfile(ProfileQueryMixin):
         ``m``: identity permutations, one block ``[0, m)`` at frequency
         0, and rank tables that share their ints with the permutations.
         """
-        self._prev, self._nxt = _rank_tables(m)
+        self._install_rank_range(m)
         self._ftot = self._prev[1:]
         self._ttof = self._prev[1:]
         if m:
@@ -1778,6 +1823,7 @@ class FlatProfile(ProfileQueryMixin):
         # The rank tables are immutable constants of m — share them.
         clone._prev = self._prev
         clone._nxt = self._nxt
+        clone._ranks = self._ranks
         clone._free_head = self._free_head
         clone._last_tracked = self._last_tracked
         clone._base_total = self._base_total
@@ -1845,8 +1891,7 @@ class FlatProfile(ProfileQueryMixin):
             self._bl = []
             self._bre = []
             self._bf = []
-            self._prev = [-1]
-            self._nxt = [1]
+            self._install_rank_range(0)
             self._free_head = -1
             return
         ttof = _np.argsort(freqs, kind="stable")
@@ -1920,7 +1965,16 @@ class FlatProfile(ProfileQueryMixin):
                 self._prev = _np.arange(-1, m, dtype=_np.int64)
                 self._nxt = _np.arange(1, m + 2, dtype=_np.int64)
             else:
-                self._prev, self._nxt = _rank_tables(m)
+                self._install_rank_range(m)
+
+    def _install_rank_range(self, m: int) -> None:
+        """List engine: adopt the rank range shared by every live
+        profile of capacity ``m``.  Holding it in ``_ranks`` is what
+        keeps it in the weak map."""
+        ranks = _rank_range(m)
+        self._ranks = ranks
+        self._prev = ranks.prev
+        self._nxt = ranks.nxt
 
     def _install_runs(
         self, ttof: list[int], runs: list[tuple[int, int, int]]
@@ -1934,12 +1988,11 @@ class FlatProfile(ProfileQueryMixin):
         re-audits in full).
         """
         m = len(ttof)
-        # Reuse the live rank tables when m has not moved; either way
-        # ftot takes its ints from prev, so the tables share them.
-        if not self._array and len(self._prev) == m + 1:
-            prev, nxt = self._prev, self._nxt
-        else:
-            prev, nxt = _rank_tables(m)
+        # ftot takes its ints from the shared range (held here until
+        # installed), so the tables and every other profile of this
+        # capacity share them.
+        ranks = _rank_range(m)
+        prev = ranks.prev
         ftot = [0] * m
         for obj, rank in zip(ttof, islice(prev, 1, None)):
             ftot[obj] = rank
@@ -1985,7 +2038,7 @@ class FlatProfile(ProfileQueryMixin):
         self._bl = bl
         self._bre = bre
         self._bf = bf
-        self._prev, self._nxt = prev, nxt
+        self._install_rank_range(m)
         self._free_head = -1
 
     def audit(self) -> None:

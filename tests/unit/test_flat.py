@@ -8,7 +8,9 @@ by its own invariant checker and by round-tripping the runs through a
 real :class:`~repro.core.blockset.BlockSet`).
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,7 +20,8 @@ from repro.core.checkpoint import (
     profile_from_state,
     profile_to_state,
 )
-from repro.core.flat import FlatProfile
+from repro import Profiler
+from repro.core.flat import _RANGES, FlatProfile
 from repro.core.profile import SProfile
 from repro.core.validation import audit_profile
 from repro.errors import (
@@ -372,6 +375,97 @@ class TestStructureManagement:
         assert fp.block_slots <= 51
         assert fp.block_count + fp.free_slots == fp.block_slots
         fp.audit()
+
+
+def traced_bytes_per_key(build, m):
+    """Traced bytes per key that ``build()``'s result holds (alive
+    until the measurement is taken)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = build()
+        cost = (tracemalloc.get_traced_memory()[0] - base) / m
+    finally:
+        tracemalloc.stop()
+    return cost, held
+
+
+class TestSharedRankRange:
+    """Every live list-engine profile of one capacity shares one weakly
+    held rank range, so only the first pays for the rank ints."""
+
+    M = 100_000
+
+    def test_second_profile_shares_the_range(self):
+        m = self.M
+        first = FlatProfile(m)
+        cost, second = traced_bytes_per_key(lambda: FlatProfile(m), m)
+        assert first._prev is second._prev
+        assert first._nxt is second._nxt
+        assert cost <= 30, cost
+        second.add(5)
+        assert first.frequency(5) == 0
+        first.audit()
+        second.audit()
+
+    def test_sharded_profiler_shares_one_range(self):
+        m = self.M
+        cost, profiler = traced_bytes_per_key(
+            lambda: Profiler.open(m, shards=4), m
+        )
+        assert cost <= 40, cost
+        profiler.ingest([(7, 1), (7, 1), (99_999, 1)])
+        assert profiler.mode().frequency == 2
+
+    def test_range_dies_with_its_last_profile(self):
+        """No O(m) outlives the profiles: the weak map drops the
+        capacity and traced memory returns to its baseline."""
+        m = self.M
+        gc.collect()
+        assert m not in _RANGES
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            a = FlatProfile(m)
+            b = a.copy()
+            c = FlatProfile(m)
+            ids = list(range(0, m, 7))
+            c.track_statistic(ids, [True] * len(ids), m - 1)
+            del ids
+            c.clear()
+            assert a._prev is b._prev is c._prev
+            assert m in _RANGES
+            held = tracemalloc.get_traced_memory()[0] - base
+            del a, b, c
+            left = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert m not in _RANGES
+        assert left <= 0.01 * held, (left, held)
+
+    def test_grow_takes_ttof_ints_from_the_shared_range(self):
+        """``grow`` used to mint a second set of rank ints (~104 B/key
+        against ~72 for a fresh profile)."""
+        m = self.M
+
+        def build():
+            fp = FlatProfile(m // 2)
+            fp.add_many([1, 1, 2, m // 2 - 1])
+            fp.remove(3)
+            fp.grow(m - m // 2)
+            return fp
+
+        cost, fp = traced_bytes_per_key(build, m)
+        assert cost <= 80, cost
+        fp.audit()
+        expected = [0] * m
+        expected[1] = 2
+        expected[2] = 1
+        expected[3] = -1
+        expected[m // 2 - 1] = 1
+        assert fp.frequencies() == expected
+        assert fp._prev is FlatProfile(m)._prev
 
 
 class TestFlatCheckpoint:
