@@ -31,7 +31,6 @@ Package map:
 """
 
 from repro.api import EvalResult, Profiler, Query
-from repro.core.dynamic import DynamicProfiler
 from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile
 from repro.core.queries import ModeResult, TopEntry
@@ -55,7 +54,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CapacityError",
     "CheckpointError",
-    "DynamicProfiler",
     "EmptyProfileError",
     "EvalResult",
     "FlatProfile",

@@ -19,7 +19,7 @@ __all__ = [
 #: Dense internal object id, an integer in ``[0, capacity)``.
 ObjectId = int
 
-#: External id accepted by :class:`repro.core.dynamic.DynamicProfiler`.
+#: External id accepted by ``Profiler.open(keys="hashable")``.
 ExternalId = Hashable
 
 #: Net occurrence count of an object (may be negative when allowed).

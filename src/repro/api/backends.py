@@ -19,12 +19,12 @@ Three kinds of machinery live here:
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import merge as _heap_merge
 from typing import Hashable, Iterator
 
 from repro.api.plan import Run
 from repro.baselines.registry import available_profilers, make_profiler
-from repro.core.dynamic import DynamicProfiler
 from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile, net_deltas
 from repro.core.queries import ModeResult, TopEntry
@@ -62,18 +62,17 @@ def resolve_backend(
     """Collapse ``"auto"`` to a concrete backend name.
 
     ``auto`` picks the sharded engine when a shard fan-out is given;
-    the flat struct-of-arrays engine for dense keys, at any
-    ``capacity`` (the fastest exact single-core path; see
-    ``BENCH_core.json``); and the block-object exact engine otherwise
-    — hashable keys need the growable universe, and
-    ``track_freq_index`` needs the O(1) frequency->block index only
-    the block-object engine maintains.
+    otherwise the flat struct-of-arrays engine, for dense and hashable
+    keys alike, at any ``capacity`` (the fastest exact single-core
+    path; see ``BENCH_core.json``); and the block-object exact engine
+    when ``track_freq_index`` asks for the O(1) frequency->block index
+    only that engine maintains.
     """
     if backend != "auto":
         return backend
     if shards is not None:
         return "sharded"
-    if keys == "dense" and not track_freq_index:
+    if not track_freq_index:
         return "flat"
     return "exact"
 
@@ -92,7 +91,9 @@ def build_backend(
 
     Returns ``(impl, facade_interned)`` — the second flag tells the
     facade it must own an :class:`~repro.core.interner.ObjectInterner`
-    (hashable keys over a dense-id implementation).
+    (hashable keys over a dense-id implementation).  A hashable
+    universe on the ``flat`` or ``exact`` core may omit the capacity:
+    its core then starts empty and the facade grows it on demand.
     """
     name = resolve_backend(backend, keys, shards, track_freq_index, capacity)
     if shards is not None and name != "sharded":
@@ -115,18 +116,13 @@ def build_backend(
             f"unknown options for backend {name!r}: {sorted(options)}"
         )
 
-    if name == "exact" and keys == "hashable":
-        return (
-            DynamicProfiler(
-                allow_negative=allow_negative,
-                initial_capacity=capacity if capacity is not None else 8,
-            ),
-            False,
-        )
+    growable = keys == "hashable" and name in ("flat", "exact")
     if capacity is None:
-        raise CapacityError(
-            f"backend {name!r} with {keys!r} keys requires a capacity"
-        )
+        if not growable:
+            raise CapacityError(
+                f"backend {name!r} with {keys!r} keys requires a capacity"
+            )
+        capacity = 0
     if name == "flat":
         if track_freq_index:
             raise CapacityError(
@@ -148,7 +144,7 @@ def build_backend(
                 allow_negative=allow_negative,
                 track_freq_index=track_freq_index,
             ),
-            False,
+            keys == "hashable",
         )
     if name == "sharded":
         return (
@@ -182,17 +178,26 @@ class _ProfileRunsView:
     Serves both block-structured cores — :class:`SProfile` (block
     objects) and :class:`FlatProfile` (struct-of-arrays) — through the
     shared ``_ttof`` + ``blocks`` read contract.
+
+    ``live`` bounds the walk to dense ids ``[0, live)`` — the keys a
+    hashable universe has registered.  The core's other slots are
+    phantoms pinned at frequency 0, so they all sit in the zero run:
+    the walk subtracts them from that run's count and skips them when
+    naming its objects.
     """
 
-    __slots__ = ("_p", "_decode")
+    __slots__ = ("_p", "_decode", "_live")
 
-    def __init__(self, profile: SProfile | FlatProfile, decode=None) -> None:
+    def __init__(
+        self, profile: SProfile | FlatProfile, decode=None, live=None
+    ) -> None:
         self._p = profile
         self._decode = decode
+        self._live = profile.capacity if live is None else live
 
     @property
     def size(self) -> int:
-        return self._p.capacity
+        return self._live
 
     @property
     def total(self) -> int:
@@ -204,8 +209,19 @@ class _ProfileRunsView:
     def iter_runs_desc(self) -> Iterator[Run]:
         ttof = self._p._ttof
         decode = self._decode
+        phantoms = self._p.capacity - self._live
         for block in self._p.blocks.iter_blocks_desc():
             l, r, f = block.l, block.r, block.f
+            if f == 0 and phantoms:
+                count = r - l + 1 - phantoms
+                if count:
+                    yield Run(
+                        0,
+                        count,
+                        partial(self.registered, range(r, l - 1, -1)),
+                        partial(self.registered, range(l, r + 1)),
+                    )
+                continue
 
             def head(limit, l=l, r=r):
                 stop = l - 1 if limit is None else max(l - 1, r - limit)
@@ -222,71 +238,22 @@ class _ProfileRunsView:
 
             yield Run(f, r - l + 1, head, tail)
 
-
-class _DynamicRunsView:
-    """Run walk over a :class:`DynamicProfiler`'s logical universe.
-
-    Phantom slots (pre-allocated, never registered) all live in the
-    zero-frequency block; the walk subtracts them from that run's count
-    and filters them out of object enumeration, exactly as the
-    profiler's own queries do.
-    """
-
-    __slots__ = ("_p",)
-
-    def __init__(self, profiler: DynamicProfiler) -> None:
-        self._p = profiler
-
-    @property
-    def size(self) -> int:
-        return len(self._p)
-
-    @property
-    def total(self) -> int:
-        return self._p.total
-
-    def frequency(self, obj) -> int:
-        return self._p.frequency(obj)
-
-    def iter_runs_desc(self) -> Iterator[Run]:
-        p = self._p
-        size = len(p)
-        phantoms = p.phantom_count
-        inner = p.profile
-        ttof = inner._ttof
-        external = p.external
-
-        for block in inner.blocks.iter_blocks_desc():
-            l, r, f = block.l, block.r, block.f
-            count = r - l + 1
-            if f == 0:
-                count -= phantoms
-                if count <= 0:
-                    continue
-
-            def head(limit, l=l, r=r):
-                out = []
-                for rank in range(r, l - 1, -1):
-                    dense = ttof[rank]
-                    if dense >= size:
-                        continue
-                    out.append(external(dense))
-                    if limit is not None and len(out) == limit:
-                        break
-                return out
-
-            def tail(limit, l=l, r=r):
-                out = []
-                for rank in range(l, r + 1):
-                    dense = ttof[rank]
-                    if dense >= size:
-                        continue
-                    out.append(external(dense))
-                    if limit is not None and len(out) == limit:
-                        break
-                return out
-
-            yield Run(f, count, head, tail)
+    def registered(self, ranks, limit=None) -> list:
+        """The registered objects at ``ranks``, in order, up to
+        ``limit`` (phantoms skipped)."""
+        ttof = self._p._ttof
+        live = self._live
+        decode = self._decode
+        out = []
+        if limit == 0:
+            return out
+        for rank in ranks:
+            dense = int(ttof[rank])
+            if dense < live:
+                out.append(decode(dense) if decode else dense)
+                if len(out) == limit:
+                    break
+        return out
 
 
 class _ShardedRunsView:
@@ -375,15 +342,15 @@ class _ShardedRunsView:
         return Run(f, count, head, tail)
 
 
-def runs_view_for(impl, decode=None):
+def runs_view_for(impl, decode=None, live=None):
     """The fused-walk adapter for ``impl``, or ``None`` if it has no
-    block structure to walk (baselines, sketches)."""
+    block structure to walk (baselines, sketches).  ``live`` bounds a
+    single core to its registered dense ids (see
+    :class:`_ProfileRunsView`)."""
     if isinstance(impl, (SProfile, FlatProfile)):
-        return _ProfileRunsView(impl, decode)
+        return _ProfileRunsView(impl, decode, live)
     if isinstance(impl, ShardedProfiler):
         return _ShardedRunsView(impl, decode)
-    if isinstance(impl, DynamicProfiler):
-        return _DynamicRunsView(impl)
     return None
 
 

@@ -2,7 +2,7 @@
 
 :class:`Profiler` is the documented way into the package.  It replaces
 the choose-an-implementation-first surfaces (``SProfile``,
-``DynamicProfiler``, ``ShardedProfiler``) with a single factory::
+``FlatProfile``, ``ShardedProfiler``) with a single factory::
 
     profiler = Profiler.open(capacity, backend="auto", keys="dense")
 
@@ -23,18 +23,24 @@ same vocabulary with the same edge semantics.
 >>> p.quantile(1.0)
 3
 
-Hashable keys ride the same surface:
+Hashable keys ride the same surface.  The facade interns them onto a
+dense core, the paper's one-time mapping of ids onto ``[1, m]``;
+without a ``capacity`` the core grows by doubling as new keys arrive.
+Queries answer over the registered keys only:
 
 >>> likes = Profiler.open(keys="hashable")
 >>> likes.ingest([("ada", +2), ("bob", +1)])
 3
->>> likes.top_k(1)
-[TopEntry(obj='ada', frequency=2)]
+>>> likes.top_k(5)
+[TopEntry(obj='ada', frequency=2), TopEntry(obj='bob', frequency=1)]
+>>> likes.least().frequency, len(likes)
+(1, 2)
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 from typing import Any, Hashable, Iterator
 
@@ -51,7 +57,6 @@ from repro.core.checkpoint import (
     profile_from_state,
     profile_to_state,
 )
-from repro.core.dynamic import DynamicProfiler
 from repro.core.flat import FlatProfile
 from repro.core.interner import ObjectInterner
 from repro.core.profile import (
@@ -60,11 +65,13 @@ from repro.core.profile import (
     net_deltas,
     net_deltas_arrays,
 )
-from repro.core.queries import ModeResult, TopEntry
+from repro.core.queries import ModeResult, TopEntry, quantile_rank
+from repro.core.snapshot import ProfileSnapshot
 from repro.engine.sharding import ShardedProfiler
 from repro.errors import (
     CapacityError,
     CheckpointError,
+    EmptyProfileError,
     FrequencyUnderflowError,
     UnsupportedQueryError,
 )
@@ -77,6 +84,9 @@ __all__ = ["API_STATE_VERSION", "Profiler"]
 API_STATE_VERSION = 1
 
 _KEY_MODES = ("dense", "hashable")
+
+#: First size of a growable core; it doubles from here.
+_MIN_GROWTH = 8
 
 
 def _is_count(value: Any) -> bool:
@@ -171,7 +181,10 @@ class Profiler:
       ``"approx"``/any registry baseline) behind one contract;
     - key translation — ``keys="hashable"`` accepts arbitrary hashable
       ids over *every* backend, interning them to the dense universe
-      the paper's structures require;
+      the paper's structures require.  On a single core (``flat``,
+      ``exact``) queries answer over registered keys only: the core's
+      unclaimed slots are *phantoms* pinned at frequency 0, never
+      named and never counted;
     - the fused query plan: :meth:`evaluate` answers a batch of
       :class:`~repro.api.plan.Query` descriptions in one block walk.
     """
@@ -183,6 +196,7 @@ class Profiler:
         "_strict",
         "_interner",
         "_capacity",
+        "_core",
         "_batches",
         "_events",
         "_obs",
@@ -208,6 +222,14 @@ class Profiler:
         self._strict = bool(strict)
         self._interner = interner
         self._capacity = capacity
+        # The dense core of a single-core hashable universe, whose
+        # queries skip the phantom slots; None everywhere else.
+        self._core = (
+            impl
+            if interner is not None
+            and isinstance(impl, (SProfile, FlatProfile))
+            else None
+        )
         self._batches = 0
         self._events = 0
         # Preallocated instrument slots: the ingest hot path touches
@@ -241,14 +263,16 @@ class Profiler:
         Parameters
         ----------
         capacity:
-            Universe size ``m``.  Required for dense keys; optional for
-            ``backend="exact", keys="hashable"`` (the universe grows)
-            and ``backend="approx"`` (sketches are sublinear).
+            Universe size ``m``.  Required for dense keys.  With
+            ``keys="hashable"`` it bounds the keys that may register,
+            on every backend; the ``flat`` and ``exact`` cores may omit
+            it, and then grow by doubling as keys arrive.  Optional for
+            ``backend="approx"`` (sketches are sublinear).
         backend:
-            ``"auto"`` (sharded when ``shards`` is given, the flat
-            struct-of-arrays engine for dense keys, block-object exact
-            otherwise), ``"flat"``, ``"exact"``, ``"sharded"``,
-            ``"approx"`` or any name from
+            ``"auto"`` (sharded when ``shards`` is given, block-object
+            exact when ``track_freq_index`` is set, the flat
+            struct-of-arrays engine otherwise), ``"flat"``,
+            ``"exact"``, ``"sharded"``, ``"approx"`` or any name from
             :func:`repro.baselines.registry.available_profilers`.
         shards:
             Shard fan-out; implies the sharded backend under ``auto``.
@@ -397,84 +421,92 @@ class Profiler:
                 "register() applies to hashable keys; dense ids are "
                 "always tracked"
             )
-        if self._interner is not None:
-            self._intern_new(obj)
-        else:
-            self._impl.register(obj)
-
-    def _intern_new(self, obj: Hashable) -> int:
         interner = self._interner
-        dense = interner.get(obj)
-        if dense is None:
-            if len(interner) >= (self._capacity or 0):
+        if interner is None:
+            raise self._unsupported("register")
+        if obj not in interner:
+            self._reserve(1)
+            interner.intern(obj)
+
+    def _reserve(self, fresh: int) -> None:
+        """Make room for ``fresh`` new keys, or refuse them.
+
+        A declared capacity bounds the universe.  Without one, the core
+        grows by doubling from 8 slots — amortized O(1) per
+        registration, Tarjan–Zwick's resizable-array discipline.  The
+        new slots are phantoms until keys claim them.
+        """
+        claimed = len(self._interner)
+        bound = self._capacity
+        if bound is not None:
+            if claimed + fresh > bound:
                 raise CapacityError(
-                    f"universe is full ({self._capacity} keys); cannot "
-                    f"register {obj!r}"
+                    f"registering {fresh} new keys would exceed capacity "
+                    f"{bound} ({bound - claimed} slots remain)"
                 )
-            dense = interner.intern(obj)
-        return dense
+            return
+        core = self._impl
+        size = core.capacity
+        target = size
+        while target < claimed + fresh:
+            target += max(target, _MIN_GROWTH)
+        if target > size:
+            core.grow(target - size)
 
     def _encode_interned(self, deltas) -> dict[int, int]:
         """Net, validate and dense-encode deltas for an interned backend.
 
-        All-or-nothing: capacity overflow and strict-mode underflows
-        (on known *and* never-seen keys) raise before anything is
-        registered or mutated.
+        One pass over the net map.  All-or-nothing, with a fixed error
+        precedence: a strict removal of a never-seen key, then capacity
+        overflow, then a known-key underflow — all raised before any
+        key is registered or any frequency moves.
         """
         net = net_deltas(deltas)
-        interner = self._interner
-        get = interner.get
+        get = self._interner.get
+        strict = self._strict
+        encoded: dict[int, int] = {}
         fresh = []
+        underflow = None
         for obj, d in net.items():
-            if d == 0:
+            if not d:
                 continue
-            if get(obj) is None:
-                if self._strict and d < 0:
+            dense = get(obj)
+            if dense is None:
+                if strict and d < 0:
                     raise FrequencyUnderflowError(
                         f"cannot remove never-seen object {obj!r} in "
                         f"strict mode"
                     )
-                fresh.append(obj)
-        if len(interner) + len(fresh) > (self._capacity or 0):
-            raise CapacityError(
-                f"batch registers {len(fresh)} new keys but only "
-                f"{(self._capacity or 0) - len(interner)} slots remain "
-                f"of {self._capacity}"
-            )
-        if self._strict:
-            impl = self._impl
-            for obj, d in net.items():
-                if d >= 0:
-                    continue
-                dense = get(obj)
-                if dense is not None and impl.frequency(dense) + d < 0:
-                    raise FrequencyUnderflowError(
-                        f"removing object {obj!r} at frequency "
-                        f"{impl.frequency(dense)} {-d} times (net) would "
-                        f"go negative"
-                    )
-        encoded: dict[int, int] = {}
-        for obj, d in net.items():
-            if d == 0:
+                fresh.append((obj, d))
                 continue
-            encoded[self._intern_new(obj)] = d
+            if strict and d < 0 and underflow is None:
+                f = self._impl.frequency(dense)
+                if f + d < 0:
+                    underflow = FrequencyUnderflowError(
+                        f"removing object {obj!r} at frequency {f} {-d} "
+                        f"times (net) would go negative"
+                    )
+            encoded[dense] = d
+        if fresh:
+            self._reserve(len(fresh))
+        if underflow is not None:
+            raise underflow
+        intern = self._interner.intern
+        for obj, d in fresh:
+            encoded[intern(obj)] = d
         return encoded
 
     # ------------------------------------------------------------------
-    # Key translation helpers
+    # Key translation and phantom slots
     # ------------------------------------------------------------------
-
-    def _encode_key(self, obj):
-        if self._interner is None:
-            return obj
-        return self._interner.get(obj)
 
     def _decode_key(self, dense):
         """External name of a dense id.
 
-        Interned universes are fixed at ``capacity``; a slot no key has
-        claimed yet still exists at frequency 0 and reports its dense
-        id (it has no external name until something registers it).
+        A sharded or baseline hashable universe is fixed at
+        ``capacity``: a slot no key has claimed yet still exists at
+        frequency 0 and reports its dense id.  Single cores never
+        name such a slot (see :meth:`_phantoms`).
         """
         interner = self._interner
         if interner is None:
@@ -500,19 +532,92 @@ class Profiler:
     def _unsupported(self, query: str) -> UnsupportedQueryError:
         return UnsupportedQueryError(self.backend_name, query)
 
+    def _phantoms(self) -> int:
+        """Unclaimed slots of a single-core hashable universe.
+
+        They are dense ids ``>= len(interner)``, pinned at frequency 0
+        because no key owns them, so they all sit in the zero block.
+        Queries over such a core subtract them from that block; with
+        no phantoms the core answers for the universe unchanged.
+        """
+        core = self._core
+        if core is None:
+            return 0
+        return core.capacity - len(self._interner)
+
+    def _view(self):
+        """The fused-walk adapter, bounded to registered keys on a
+        single hashable core; ``None`` for structureless backends."""
+        interner = self._interner
+        return runs_view_for(
+            self._impl,
+            self._decode_key if interner is not None else None,
+            len(interner) if self._core is not None else None,
+        )
+
+    def _registered(self) -> int:
+        """Registered key count; raises on an empty universe."""
+        size = len(self._interner)
+        if size == 0:
+            raise EmptyProfileError("no keys registered")
+        return size
+
+    def _zero_block(self):
+        """The zero block of a core holding phantoms, and the count of
+        registered keys inside it.  O(1): the first phantom sits in it,
+        so no block walk is needed to find it."""
+        core = self._core
+        zero = core.blocks.block_at(core._ftot[len(self._interner)])
+        return zero, zero.r - zero.l + 1 - self._phantoms()
+
+    def _extreme(self, top: bool) -> ModeResult:
+        """Mode (``top``) or least over the registered keys of a core
+        holding phantoms.  O(1), or O(#phantoms) to name a registered
+        key when the extreme frequency is 0."""
+        self._registered()
+        blocks = self._core.blocks
+        block = blocks.rightmost() if top else blocks.leftmost()
+        if block.f == 0:
+            count = block.r - block.l + 1 - self._phantoms()
+            if count:
+                ranks = (
+                    range(block.r, block.l - 1, -1) if top
+                    else range(block.l, block.r + 1)
+                )
+                example = self._view().registered(ranks, 1)[0]
+                return ModeResult(frequency=0, count=count, example=example)
+            block = blocks.block_at(block.l - 1 if top else block.r + 1)
+        rank = block.r if top else block.l
+        return ModeResult(
+            frequency=block.f,
+            count=block.r - block.l + 1,
+            example=self._interner.external(int(self._core._ttof[rank])),
+        )
+
+    def _frequency_at(self, rank: int) -> int:
+        """Frequency at ascending rank ``rank`` among the registered
+        keys of a core holding phantoms.  O(1)."""
+        zero, real = self._zero_block()
+        if rank >= zero.l + real:
+            rank += self._phantoms()
+        elif rank >= zero.l:
+            return 0
+        return self._core.frequency_at_rank(rank)
+
     def _delegate_or_fuse(self, name: str, query: Query):
         """Call ``impl.<name>`` when it exists; otherwise answer from
-        the fused walk (DynamicProfiler lacks a few of the optional
-        queries that the run walk answers uniformly)."""
+        the fused walk (baselines lack a few of the optional queries
+        that the run walk answers uniformly)."""
         method = getattr(self._impl, name, None)
         if method is not None:
             return method(*query.args)
-        view = runs_view_for(
-            self._impl,
-            self._decode_key if self._interner is not None else None,
-        )
+        return self._fuse(query)
+
+    def _fuse(self, query: Query):
+        """Answer one query from the fused run walk."""
+        view = self._view()
         if view is None:
-            raise self._unsupported(name)
+            raise self._unsupported(query.kind)
         return evaluate_fused(view, (query,), frequency=self.frequency)[0]
 
     # ------------------------------------------------------------------
@@ -530,67 +635,92 @@ class Profiler:
 
     def mode(self) -> ModeResult:
         """Most frequent object(s)."""
+        if self._phantoms():
+            return self._extreme(True)
         return self._decode_mode(self._impl.mode())
 
     def least(self) -> ModeResult:
         """Least frequent object(s)."""
+        if self._phantoms():
+            return self._extreme(False)
         return self._decode_mode(self._impl.least())
 
     def max_frequency(self) -> int:
+        if self._phantoms():
+            return self._extreme(True).frequency
         return self._delegate_or_fuse("max_frequency", Query.max_frequency())
 
     def min_frequency(self) -> int:
+        if self._phantoms():
+            return self._extreme(False).frequency
         return self._delegate_or_fuse("min_frequency", Query.min_frequency())
 
     def top_k(self, k: int) -> list[TopEntry]:
         """The ``min(k, m)`` most frequent objects, descending."""
-        return [self._decode_entry(e) for e in self._impl.top_k(k)]
+        if not self._phantoms():
+            return [self._decode_entry(e) for e in self._impl.top_k(k)]
+        if k < 0:
+            raise CapacityError(f"k must be >= 0, got {k}")
+        out: list[TopEntry] = []
+        for run in self._view().iter_runs_desc():
+            if len(out) >= k:
+                break
+            out += [TopEntry(obj, run.f) for obj in run.head(k - len(out))]
+        return out
 
     def bottom_k(self, k: int) -> list[TopEntry]:
         """The ``min(k, m)`` least frequent objects, ascending."""
         impl = self._impl
-        bottom = getattr(impl, "bottom_k", None)
+        bottom = None if self._phantoms() else getattr(impl, "bottom_k", None)
         if bottom is not None:
             return [self._decode_entry(e) for e in bottom(k)]
-        iter_sorted = getattr(impl, "iter_sorted", None)
-        if iter_sorted is None:
+        if getattr(impl, "iter_sorted", None) is None:
             raise self._unsupported("bottom_k")
         if k < 0:
             raise CapacityError(f"k must be >= 0, got {k}")
-        out = []
-        for entry in iter_sorted():
-            if len(out) >= k:
-                break
-            out.append(self._decode_entry(entry))
-        return out
+        return list(islice(self.iter_sorted(), k))
 
     def kth_most_frequent(self, k: int) -> TopEntry:
         method = getattr(self._impl, "kth_most_frequent", None)
-        if method is not None:
-            return self._decode_entry(method(k))
-        return self._delegate_or_fuse(
-            "kth_most_frequent", Query.kth_most_frequent(k)
-        )
+        if method is None or self._phantoms():
+            return self._fuse(Query.kth_most_frequent(k))
+        return self._decode_entry(method(k))
 
     def median_frequency(self) -> int:
         """Lower median of the frequency array."""
+        if self._phantoms():
+            return self._frequency_at((self._registered() - 1) // 2)
         return self._impl.median_frequency()
 
     def quantile(self, q: float) -> int:
         """Frequency at quantile ``q``; semantics per
         :func:`~repro.core.queries.quantile_rank`."""
+        if self._phantoms():
+            return self._frequency_at(quantile_rank(q, self._registered()))
         return self._impl.quantile(q)
 
     def histogram(self) -> list[tuple[int, int]]:
         """``(frequency, #objects)`` pairs, ascending."""
-        return self._impl.histogram()
+        histogram = self._impl.histogram()
+        phantoms = self._phantoms()
+        if not phantoms:
+            return histogram
+        return [
+            (f, count - phantoms) if f == 0 else (f, count)
+            for f, count in histogram
+            if f or count > phantoms
+        ]
 
     def support(self, f: int) -> int:
         """Number of objects at frequency exactly ``f``."""
-        return self._impl.support(f)
+        count = self._impl.support(f)
+        if f == 0:
+            count -= self._phantoms()
+        return count
 
     def heavy_hitters(self, phi: float) -> list[TopEntry]:
         """Objects with frequency strictly above ``phi * total``."""
+        # Phantoms sit at 0, never above the (positive) threshold.
         method = getattr(self._impl, "heavy_hitters", None)
         if method is not None:
             return [self._decode_entry(e) for e in method(phi)]
@@ -603,6 +733,11 @@ class Profiler:
         impl_query = getattr(self._impl, "objects_with_frequency", None)
         if impl_query is None:
             raise self._unsupported("objects_with_frequency")
+        if f == 0 and self._phantoms():
+            if limit is not None and limit < 0:
+                raise CapacityError(f"limit must be >= 0, got {limit}")
+            zero, _real = self._zero_block()
+            return self._view().registered(range(zero.l, zero.r + 1), limit)
         return [self._decode_key(o) for o in impl_query(f, limit=limit)]
 
     def majority(self):
@@ -620,6 +755,11 @@ class Profiler:
         impl_query = getattr(self._impl, "frequency_at_rank", None)
         if impl_query is None:
             raise self._unsupported("frequency_at_rank")
+        if self._phantoms():
+            size = len(self._interner)
+            if not 0 <= rank < size:
+                raise IndexError(f"rank {rank} out of range [0, {size})")
+            return self._frequency_at(rank)
         return impl_query(rank)
 
     def object_at_rank(self, rank: int):
@@ -627,34 +767,68 @@ class Profiler:
         impl_query = getattr(self._impl, "object_at_rank", None)
         if impl_query is None:
             raise self._unsupported("object_at_rank")
+        phantoms = self._phantoms()
+        if phantoms:
+            size = self._registered()
+            if not 0 <= rank < size:
+                raise CapacityError(f"rank {rank} out of range [0, {size})")
+            zero, real = self._zero_block()
+            if rank >= zero.l + real:
+                rank += phantoms
+            elif rank >= zero.l:
+                zeros = range(zero.l, zero.r + 1)
+                return self._view().registered(zeros, rank - zero.l + 1)[-1]
         return self._decode_key(impl_query(rank))
 
     def iter_sorted(self) -> Iterator[TopEntry]:
         """Yield ``(object, frequency)`` ascending by frequency."""
-        impl = self._impl
-        if isinstance(impl, DynamicProfiler):
-            for obj, f in impl.items():
-                yield TopEntry(obj, f)
-            return
-        iter_sorted = getattr(impl, "iter_sorted", None)
+        iter_sorted = getattr(self._impl, "iter_sorted", None)
         if iter_sorted is None:
             raise self._unsupported("iter_sorted")
+        live = len(self._interner) if self._core is not None else None
         for entry in iter_sorted():
-            yield self._decode_entry(entry)
+            if live is None or entry.obj < live:
+                yield self._decode_entry(entry)
 
     def frequencies(self) -> list[int]:
-        """Materialize the dense frequency array (inspection/tests)."""
+        """Materialize the dense frequency array (inspection/tests).
+
+        On a single hashable core, index ``i`` is the key registered
+        ``i``-th (:meth:`snapshot` uses the same dense ids)."""
         impl_query = getattr(self._impl, "frequencies", None)
         if impl_query is None:
             raise self._unsupported("frequencies")
+        if self._core is not None:
+            return impl_query()[: len(self._interner)]
         return impl_query()
 
     def snapshot(self):
-        """Frozen point-in-time copy answering the same queries."""
+        """Frozen point-in-time copy answering the same queries.
+
+        On a single hashable core the copy covers the registered keys
+        only, under their dense ids ``[0, len(self))``.
+        """
         impl_query = getattr(self._impl, "snapshot", None)
         if impl_query is None:
             raise self._unsupported("snapshot")
-        return impl_query()
+        phantoms = self._phantoms()
+        if not phantoms:
+            return impl_query()
+        core = self._core
+        size = len(self._interner)
+        runs: list[tuple[int, int, int]] = []
+        cursor = 0
+        for block in core.blocks.iter_blocks():
+            count = block.r - block.l + 1 - (phantoms if block.f == 0 else 0)
+            if count:
+                runs.append((cursor, cursor + count - 1, block.f))
+                cursor += count
+        return ProfileSnapshot(
+            ttof=[d for d in map(int, core._ttof) if d < size],
+            runs=runs,
+            total=core.total,
+            n_events=core.n_events,
+        )
 
     # ------------------------------------------------------------------
     # The fused multi-query plan
@@ -664,18 +838,15 @@ class Profiler:
         """Answer every query in one block walk (see
         :mod:`repro.api.plan`).
 
-        On block-structured backends (exact, sharded, hashable-exact)
-        all walk-kind queries share a single descending run walk; on
+        On block-structured backends (flat, exact, sharded) all
+        walk-kind queries share a single descending run walk; on
         structureless backends (baselines, approx) each query
         dispatches to its standalone method.  Answers are identical
         either way up to tie order inside equal frequencies.
         """
         plan = normalize_queries(queries)
         self._obs_queries.inc(len(plan))
-        view = runs_view_for(
-            self._impl,
-            self._decode_key if self._interner is not None else None,
-        )
+        view = self._view()
         if view is None:
             values = tuple(self._dispatch(q) for q in plan)
         else:
@@ -709,10 +880,7 @@ class Profiler:
         """Does this backend answer ``query`` (a Query kind name)?"""
         if query in ("frequency", "total"):
             return True
-        declared = getattr(self._impl, "SUPPORTED_QUERIES", None)
-        if declared is None:
-            # DynamicProfiler answers the full exact surface.
-            return True
+        declared = self._impl.SUPPORTED_QUERIES
         if query == "active_count":
             return (
                 hasattr(self._impl, "active_count")
@@ -745,14 +913,7 @@ class Profiler:
             "events_ingested": self._events,
         }
         impl = self._impl
-        if isinstance(impl, DynamicProfiler):
-            out["engine"] = {
-                "kind": "dynamic",
-                "physical_capacity": impl.physical_capacity,
-                "phantom_slots": impl.phantom_count,
-                "inner": _engine_stats(impl.profile),
-            }
-        elif isinstance(impl, ShardedProfiler):
+        if isinstance(impl, ShardedProfiler):
             out["engine"] = {
                 "kind": "sharded",
                 "core": impl.core,
@@ -834,9 +995,12 @@ class Profiler:
 
     @property
     def capacity(self) -> int:
-        """Logical universe size (registered keys for hashable mode)."""
+        """Universe size: the declared bound, or for a hashable
+        universe opened without one, the registered key count."""
         if self._interner is not None:
-            return self._capacity or 0
+            if self._capacity is None:
+                return len(self._interner)
+            return self._capacity
         return self._impl.capacity
 
     @property
@@ -873,15 +1037,11 @@ class Profiler:
         """Tracked objects: dense capacity, or registered hashables."""
         if self._interner is not None:
             return len(self._interner)
-        if isinstance(self._impl, DynamicProfiler):
-            return len(self._impl)
         return self._impl.capacity
 
     def __contains__(self, obj) -> bool:
         if self._interner is not None:
             return obj in self._interner
-        if isinstance(self._impl, DynamicProfiler):
-            return obj in self._impl
         return isinstance(obj, int) and 0 <= obj < self._impl.capacity
 
     # ------------------------------------------------------------------
@@ -891,8 +1051,10 @@ class Profiler:
     def to_state(self) -> dict[str, Any]:
         """Full facade state as a JSON-safe dict.
 
-        Supported for the exact (dense and hashable), flat, sharded
-        and approx backends; baselines do not checkpoint.
+        Supported for the flat, exact, sharded and approx backends;
+        baselines do not checkpoint.  A hashable universe adds its
+        catalog (keys in registration order); a growable one declares
+        ``capacity: null`` and its core may hold phantom slots.
         Approx states are JSON-safe whenever the ingested keys are
         (see :meth:`ApproxProfiler.to_state
         <repro.api.backends.ApproxProfiler.to_state>`).
@@ -902,8 +1064,6 @@ class Profiler:
             payload: Any = profile_to_state(impl)
         elif isinstance(impl, ShardedProfiler):
             payload = [profile_to_state(shard) for shard in impl.shards]
-        elif isinstance(impl, DynamicProfiler):
-            payload = profile_to_state(impl.profile)
         elif isinstance(impl, ApproxProfiler):
             payload = impl.to_state()
         else:
@@ -914,8 +1074,6 @@ class Profiler:
         catalog = None
         if self._interner is not None:
             catalog = list(self._interner)
-        elif isinstance(impl, DynamicProfiler):
-            catalog = list(impl._interner)
         state = {
             "version": API_STATE_VERSION,
             "backend": self._backend_name,
@@ -981,15 +1139,17 @@ class Profiler:
             raise CheckpointError(f"bad batches counter: {batches!r}")
         if not _is_count(events):
             raise CheckpointError(f"bad events counter: {events!r}")
-        # These backends have a fixed universe their cores must match.
-        fixed = sharded or backend == "flat" or (
-            backend == "exact" and keys == "dense"
-        )
-        if fixed and not _is_count(capacity):
+        # These backends declare the universe their cores must match;
+        # a hashable single core may declare none (it grows).
+        single = backend in ("flat", "exact")
+        growable = single and keys == "hashable" and capacity is None
+        if (sharded or single) and not (growable or _is_count(capacity)):
             raise CheckpointError(f"bad capacity: {capacity!r}")
 
         if keys == "dense" and catalog is not None:
             raise CheckpointError("dense-key checkpoint carries a catalog")
+        if keys == "hashable" and catalog is None and backend != "approx":
+            raise CheckpointError("hashable checkpoint lacks a catalog")
         interner = None
         if catalog is not None:
             if not isinstance(catalog, list):
@@ -1010,12 +1170,18 @@ class Profiler:
                     f"is {capacity}"
                 )
 
-        if backend == "flat" or (backend == "exact" and keys == "dense"):
+        if single:
             if backend == "flat":
                 impl: Any = flat_profile_from_state(state["profile"])
             else:
                 impl = profile_from_state(state["profile"])
-            if impl.capacity != capacity:
+            if growable:
+                if impl.capacity < len(interner):
+                    raise CheckpointError(
+                        f"profile capacity {impl.capacity} is smaller "
+                        f"than the catalog ({len(interner)} keys)"
+                    )
+            elif impl.capacity != capacity:
                 raise CheckpointError(
                     f"profile capacity {impl.capacity} does not match "
                     f"declared capacity {capacity}"
@@ -1025,38 +1191,15 @@ class Profiler:
                     "strict flag disagrees with profile allow_negative"
                 )
             if keys == "hashable":
-                # Facade-interned flat universe: the catalog names the
-                # claimed dense slots; unclaimed slots must hold no
-                # counted mass (mirror of the sharded-hashable check).
-                if interner is None:
-                    raise CheckpointError(
-                        "hashable checkpoint lacks a catalog"
-                    )
-                for dense in range(len(interner), capacity):
+                # The catalog names the claimed dense slots; the rest
+                # are phantoms and must hold no counted mass (mirror
+                # of the sharded-hashable check).
+                for dense in range(len(interner), impl.capacity):
                     if impl.frequency(dense) != 0:
                         raise CheckpointError(
                             f"uncataloged slot {dense} holds non-zero "
                             f"frequency"
                         )
-        elif backend == "exact" and keys == "hashable":
-            if interner is None:
-                raise CheckpointError("hashable checkpoint lacks a catalog")
-            inner = profile_from_state(state["profile"])
-            if inner.capacity < len(interner):
-                raise CheckpointError(
-                    f"profile capacity {inner.capacity} smaller than "
-                    f"catalog size {len(interner)}"
-                )
-            for dense in range(len(interner), inner.capacity):
-                if inner.frequency(dense) != 0:
-                    raise CheckpointError(
-                        f"phantom slot {dense} holds non-zero frequency"
-                    )
-            impl = DynamicProfiler.__new__(DynamicProfiler)
-            impl._interner = interner
-            impl._profile = inner
-            impl._rebind()
-            interner = None
         elif sharded:
             shard_states = state["profile"]
             n_shards = state["shards"]

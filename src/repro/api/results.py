@@ -1,6 +1,6 @@
 """Versioned, frozen result containers for the unified query surface.
 
-Every backend — flat, dynamic, sharded (merged), baseline, approximate —
+Every backend — flat, exact, sharded (merged), baseline, approximate —
 answers through the same vocabulary:
 
 - scalar statistics are plain ints/floats,

@@ -7,9 +7,11 @@ The public surface of this subpackage:
 - :class:`repro.core.flat.FlatProfile` — the same algorithm on flat
   struct-of-arrays storage: integer loads/stores only, fused stream
   loops, vectorized bulk rebuilds (the facade's ``"flat"`` backend and
-  the ``"auto"`` choice for dense keys).
-- :class:`repro.core.dynamic.DynamicProfiler` — arbitrary hashable ids and
-  amortized-O(1) capacity growth on top of :class:`SProfile`.
+  its ``"auto"`` choice).  Both cores ``grow`` by splicing in
+  zero-frequency slots; the facade doubles them that way to host a
+  hashable universe of unknown size.
+- :class:`repro.core.interner.ObjectInterner` — the one mapping of
+  arbitrary hashable ids onto dense ids, used by the facade.
 - :class:`repro.core.snapshot.ProfileSnapshot` — immutable point-in-time
   copy answering the same queries.
 - :mod:`repro.core.stats` — distribution summaries over a profile.
@@ -25,7 +27,6 @@ from repro.core.checkpoint import (
     profile_from_state,
     profile_to_state,
 )
-from repro.core.dynamic import DynamicProfiler
 from repro.core.flat import FlatProfile
 from repro.core.interner import ObjectInterner
 from repro.core.profile import SProfile
@@ -38,7 +39,6 @@ __all__ = [
     "Block",
     "BlockPool",
     "BlockSet",
-    "DynamicProfiler",
     "FlatProfile",
     "ModeResult",
     "ObjectInterner",

@@ -99,6 +99,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as _np
 
 from repro.core.block import Block
+from repro.core.profile import net_deltas
 from repro.core.queries import ProfileQueryMixin
 from repro.errors import (
     CapacityError,
@@ -1220,9 +1221,8 @@ class FlatProfile(ProfileQueryMixin):
         >>> p.frequencies()
         [2, 1, 0, 0]
         """
-        from repro.core.profile import net_deltas
-
-        net = net_deltas(deltas)
+        # A dict is already a net map, and nothing below mutates it.
+        net = deltas if isinstance(deltas, dict) else net_deltas(deltas)
         m = self._m
         adds: dict[int, int] = {}
         removes: dict[int, int] = {}

@@ -61,7 +61,7 @@ def net_deltas(deltas) -> dict:
     """Coalesce ``(key, delta)`` pairs (or a mapping) into a net map.
 
     The shared batch-normalization step of every ``apply``
-    implementation (flat, dynamic, baseline), so their semantics
+    implementation (flat, exact, baseline), so their semantics
     cannot drift: mappings are taken item-wise, pair streams are
     summed per key.
     """
@@ -129,8 +129,8 @@ class SProfile(ProfileQueryMixin):
     ----------
     capacity:
         ``m``, the maximum number of distinct objects.  Ids are dense
-        integers in ``[0, capacity)``; wrap arbitrary ids with
-        :class:`~repro.core.dynamic.DynamicProfiler`.
+        integers in ``[0, capacity)``; for arbitrary ids open
+        ``Profiler.open(keys="hashable")``, which interns them.
     allow_negative:
         Permit frequencies below zero (paper semantics, default).  When
         False, removing an object at frequency 0 raises
@@ -557,7 +557,8 @@ class SProfile(ProfileQueryMixin):
         >>> p.frequencies()
         [2, 1, 0, 0]
         """
-        net = net_deltas(deltas)
+        # A dict is already a net map, and nothing below mutates it.
+        net = deltas if isinstance(deltas, dict) else net_deltas(deltas)
         m = self._m
         adds: dict[int, int] = {}
         removes: dict[int, int] = {}
@@ -832,7 +833,7 @@ class SProfile(ProfileQueryMixin):
         return n
 
     # ------------------------------------------------------------------
-    # Growth (used by DynamicProfiler; amortized O(1) with doubling)
+    # Growth (hosting a growing universe; amortized O(1) with doubling)
     # ------------------------------------------------------------------
 
     def grow(self, extra: int) -> None:
@@ -841,8 +842,9 @@ class SProfile(ProfileQueryMixin):
         O(m + extra) rebuild: the new zero-frequency ranks are spliced at
         the position where frequency 0 belongs in the ascending order, so
         the operation is valid in both strict and negative modes.  With
-        capacity doubling (as :class:`DynamicProfiler` drives it) the
-        amortized cost per registered object is O(1).
+        capacity doubling (as the facade drives it for a hashable
+        universe opened without a capacity) the amortized cost per
+        registered object is O(1).
         """
         if extra <= 0:
             raise CapacityError(f"extra must be positive, got {extra}")

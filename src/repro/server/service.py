@@ -61,7 +61,6 @@ import numpy as np
 
 from repro.api.backends import ApproxProfiler
 from repro.api.facade import Profiler
-from repro.core.dynamic import DynamicProfiler
 from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile, net_deltas
 from repro.engine.sharding import ShardedProfiler
@@ -111,8 +110,8 @@ def _resolve_strategy(profiler: Profiler) -> str:
     - ``dense``: dense-keyed exact engines — validate ids (and strict
       underflows against an overlay) per wire batch, then apply all
       admitted batches as one merged ``ingest``.
-    - ``interned`` / ``dynamic``: hashable keys — same overlay scheme
-      plus registration/capacity accounting.
+    - ``interned``: hashable keys — same overlay scheme plus
+      registration/capacity accounting.
     - ``approx``: add-only — a wire batch is admissible iff its own
       net deltas are all non-negative (history-independent).
     - ``sequential``: unknown backends (registry baselines) — no
@@ -124,13 +123,20 @@ def _resolve_strategy(profiler: Profiler) -> str:
         return "approx"
     if getattr(profiler, "_interner", None) is not None:
         return "interned"
-    if isinstance(impl, DynamicProfiler):
-        return "dynamic"
     if profiler.keys == "dense" and isinstance(
         impl, (SProfile, FlatProfile, ShardedProfiler)
     ):
         return "dense"
     return "sequential"
+
+
+def _declared_bound(profiler: Profiler):
+    """The universe bound a restore must keep: an interned universe's
+    declared capacity (``None`` when it grows, so a growable replica
+    accepts any growable checkpoint), else the backend's capacity."""
+    if profiler._interner is not None:
+        return profiler._capacity
+    return profiler.capacity
 
 
 class _FlushPlanner:
@@ -157,9 +163,8 @@ class _FlushPlanner:
         # explicitly before the merged ingest: a key whose deltas
         # cancel to zero ACROSS wire batches is dropped by the merged
         # net pass, but sequential application would have registered
-        # it (claiming an interned capacity slot / a dynamic universe
-        # entry, observable through support(0), len(), capacity
-        # accounting).
+        # it (claiming an interned slot, observable through
+        # support(0), len() and capacity accounting).
         self._fresh: dict = {}
 
     def fresh_keys(self):
@@ -182,8 +187,6 @@ class _FlushPlanner:
             self._admit_dense(net)
         elif strategy == "interned":
             self._admit_interned(net)
-        elif strategy == "dynamic":
-            self._admit_dynamic(net)
         elif strategy == "approx":
             for obj, d in net.items():
                 if d < 0:
@@ -258,69 +261,44 @@ class _FlushPlanner:
                     )
 
     def _admit_interned(self, net: dict) -> None:
-        # Mirrors Profiler._encode_interned check-for-check, in the
-        # same order (never-seen strict underflow wins over capacity
-        # overflow wins over known-key underflow).
-        interner = self._p._interner
+        # Mirrors Profiler._encode_interned check-for-check, with the
+        # same precedence (never-seen strict underflow wins over
+        # capacity overflow wins over known-key underflow).  A
+        # universe opened without a capacity grows: no overflow.
+        get = self._p._interner.get
         strict = self._p.strict
+        fresh = self._fresh
         fresh_new = []
+        underflow = None
         for obj, d in net.items():
-            if d == 0:
+            if not d:
                 continue
-            if interner.get(obj) is None and obj not in self._fresh:
+            if get(obj) is None and obj not in fresh:
                 if strict and d < 0:
                     raise FrequencyUnderflowError(
                         f"cannot remove never-seen object {obj!r} in "
                         f"strict mode"
                     )
                 fresh_new.append(obj)
-        capacity = self._p.capacity or 0
-        claimed = len(interner) + len(self._fresh)
-        if claimed + len(fresh_new) > capacity:
-            raise CapacityError(
-                f"batch registers {len(fresh_new)} new keys but only "
-                f"{capacity - claimed} slots remain of {capacity}"
-            )
-        if strict:
-            for obj, d in net.items():
-                if d < 0 and self._shifted(obj) + d < 0:
-                    raise FrequencyUnderflowError(
-                        f"removing object {obj!r} at frequency "
-                        f"{self._shifted(obj)} {-d} times (net) would "
-                        f"go negative"
-                    )
-        self._fresh.update(dict.fromkeys(fresh_new))
-
-    def _admit_dynamic(self, net: dict) -> None:
-        if not self._p.strict:
-            self._fresh.update(
-                dict.fromkeys(
-                    obj for obj, d in net.items()
-                    if d != 0 and obj not in self._p.backend
-                )
-            )
-            return
-        impl = self._p.backend
-        for obj, d in net.items():
-            if d >= 0:
-                continue
-            if obj not in impl and obj not in self._fresh:
-                raise FrequencyUnderflowError(
-                    f"cannot remove never-seen object {obj!r} in "
-                    f"strict mode"
-                )
-            if self._shifted(obj) + d < 0:
-                raise FrequencyUnderflowError(
+            elif (
+                strict and d < 0 and underflow is None
+                and self._shifted(obj) + d < 0
+            ):
+                underflow = FrequencyUnderflowError(
                     f"removing object {obj!r} at frequency "
-                    f"{self._shifted(obj)} {-d} times (net) would go "
-                    f"negative"
+                    f"{self._shifted(obj)} {-d} times (net) would "
+                    f"go negative"
                 )
-        self._fresh.update(
-            dict.fromkeys(
-                obj for obj, d in net.items()
-                if d != 0 and obj not in impl
+        bound = self._p._capacity
+        claimed = len(self._p._interner) + len(fresh)
+        if bound is not None and claimed + len(fresh_new) > bound:
+            raise CapacityError(
+                f"registering {len(fresh_new)} new keys would exceed "
+                f"capacity {bound} ({bound - claimed} slots remain)"
             )
-        )
+        if underflow is not None:
+            raise underflow
+        fresh.update(dict.fromkeys(fresh_new))
 
 
 # ----------------------------------------------------------------------
@@ -1004,8 +982,7 @@ class ProfileServer:
                     # order: the merged net pass drops keys whose
                     # deltas cancel to zero across wire batches, but
                     # sequential application would have registered
-                    # them (claiming their interned capacity slot /
-                    # universe entry).
+                    # them (claiming their interned slot).
                     for obj in planner.fresh_keys():
                         profiler.register(obj)
                     self._ingest_merged([it for _, it, _a in admitted])
@@ -1346,19 +1323,10 @@ class ProfileServer:
         """
         replacement = Profiler.from_state(state)
         current = self._profiler
-        # A dynamic universe's "capacity" is just its registered-key
-        # count, not an identity — a fresh dynamic replica (capacity 0)
-        # must accept any dynamic checkpoint.
-        both_dynamic = isinstance(
-            replacement.backend, DynamicProfiler
-        ) and isinstance(current.backend, DynamicProfiler)
         if (
             replacement.keys != current.keys
             or bool(replacement.strict) != bool(current.strict)
-            or (
-                replacement.capacity != current.capacity
-                and not both_dynamic
-            )
+            or _declared_bound(replacement) != _declared_bound(current)
         ):
             replacement.close()
             raise CheckpointError(

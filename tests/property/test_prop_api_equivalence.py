@@ -155,26 +155,78 @@ def test_fused_evaluate_agrees_across_backends(batched):
             assert values == reference, name
 
 
-@given(batched_events)
+#: Every walk kind, plus point queries, for the hashable-universe
+#: comparison below.
+FULL_PLAN = (
+    Query.mode(),
+    Query.least(),
+    Query.max_frequency(),
+    Query.min_frequency(),
+    Query.top_k(UNIVERSE),
+    Query.kth_most_frequent(1),
+    Query.median(),
+    *(Query.quantile(q) for q in QUANTILE_GRID),
+    Query.histogram(),
+    *(Query.support(f) for f in (-1, 0, 1, 2)),
+    Query.heavy_hitters(0.25),
+    Query.active_count(),
+    Query.total(),
+    Query.frequency("k0"),
+    Query.frequency("never-seen"),
+)
+
+
+def _tie_free(profiler, query, value):
+    """An answer with tie order inside equal frequencies factored out:
+    named objects are checked against their own frequency and dropped."""
+    if query.kind in ("mode", "least"):
+        assert profiler.frequency(value.example) == value.frequency
+        return value.frequency, value.count
+    if query.kind in ("top_k", "heavy_hitters"):
+        assert all(profiler.frequency(e.obj) == e.frequency for e in value)
+        return [e.frequency for e in value]
+    if query.kind == "kth_most_frequent":
+        assert profiler.frequency(value.obj) == value.frequency
+        return value.frequency
+    return value
+
+
+@given(batched_events, st.integers(min_value=UNIVERSE, max_value=40))
 @settings(max_examples=40, deadline=None)
-def test_flat_hashable_keys_match_dynamic(batched):
-    """Interned hashable keys over the flat engine answer like the
-    growable dynamic backend."""
+def test_bounded_and_growable_hashable_universes_agree(batched, bound):
+    """A hashable universe answers the same with or without a declared
+    capacity: both count registered keys only, whatever phantom slots
+    their cores hold (bounded: ``bound - len``; growable: up to the
+    last doubling)."""
     stream, n_batches = batched
     named = [(f"k{obj}", delta) for obj, delta in stream]
-    flat = Profiler.open(UNIVERSE, backend="flat", keys="hashable")
-    dynamic = Profiler.open(keys="hashable")
-    _feed({"flat": flat, "dynamic": dynamic}, named, n_batches)
-    freqs = {}
-    for obj in range(UNIVERSE):
-        key = f"k{obj}"
-        freqs[key] = dynamic.frequency(key)
-        assert flat.frequency(key) == freqs[key]
-    assert flat.total == dynamic.total
-    # The interned-flat universe is fully materialized (unclaimed
-    # slots sit at frequency 0), the dynamic universe is
-    # registered-only — so extremes compare through that lens.
-    assert flat.max_frequency() == max(list(freqs.values()) + [0])
+    universes = {
+        "bounded": Profiler.open(bound, backend="flat", keys="hashable"),
+        "growable": Profiler.open(keys="hashable"),
+        "growable-exact": Profiler.open(keys="hashable", backend="exact"),
+    }
+    _feed(universes, named, n_batches)
+    reference = universes["growable"]
+    if len(reference) == 0:
+        for profiler in universes.values():
+            assert len(profiler) == 0
+        return
+    expected = [
+        _tie_free(reference, q, v)
+        for q, v in reference.evaluate(*FULL_PLAN)
+    ]
+    for name, profiler in universes.items():
+        assert len(profiler) == len(reference), name
+        answers = [
+            _tie_free(profiler, q, v)
+            for q, v in profiler.evaluate(*FULL_PLAN)
+        ]
+        assert answers == expected, name
+        # Standalone calls answer as the fused walk does.
+        standalone = [
+            _tie_free(profiler, q, profiler._dispatch(q)) for q in FULL_PLAN
+        ]
+        assert standalone == expected, name
 
 
 @given(batched_events)

@@ -16,7 +16,7 @@ The contract under test (the engine's whole correctness story):
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dynamic import DynamicProfiler
+from repro.api import Profiler
 from repro.core.profile import SProfile
 from repro.core.validation import audit_profile
 from repro.engine.sharding import ShardedProfiler
@@ -143,19 +143,19 @@ def test_sharded_matches_single_profile(case):
     st.integers(min_value=1, max_value=10),
 )
 @settings(max_examples=100, deadline=None)
-def test_dynamic_profiler_batches_match_sequential(events, cut):
-    sequential = DynamicProfiler()
-    for obj, is_add in events:
-        sequential.update(obj, is_add)
+def test_hashable_universe_batches_match_sequential(events, cut):
+    sequential = Profiler.open(keys="hashable")
+    for event in events:
+        sequential.ingest([event])
 
-    batched = DynamicProfiler()
+    batched = Profiler.open(keys="hashable")
     for start in range(0, len(events), cut):
         chunk = events[start : start + cut]
-        batched.add_many([o for o, a in chunk if a])
-        batched.remove_many([o for o, a in chunk if not a])
+        batched.ingest([(o, True) for o, a in chunk if a])
+        batched.ingest([(o, False) for o, a in chunk if not a])
 
     for obj in "abcdefg":
         assert batched.frequency(obj) == sequential.frequency(obj)
     assert batched.total == sequential.total
     assert batched.histogram() == sequential.histogram()
-    audit_profile(batched.profile)
+    audit_profile(batched.backend)

@@ -12,7 +12,6 @@ from repro.api import (
 )
 from repro.api.backends import resolve_backend
 from repro.baselines.registry import available_profilers
-from repro.core.dynamic import DynamicProfiler
 from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile
 from repro.engine.sharding import ShardedProfiler
@@ -60,9 +59,18 @@ class TestOpen:
         assert profiler.n_shards == 3
         assert profiler.backend.core == "flat"
 
-    def test_exact_hashable_is_dynamic(self):
+    def test_hashable_keys_intern_over_one_dense_core(self):
+        # auto picks the flat core for hashable keys too; exact is the
+        # block-object core with the caller's track_freq_index.
         profiler = Profiler.open(keys="hashable")
-        assert isinstance(profiler.backend, DynamicProfiler)
+        assert profiler.backend_name == "flat"
+        assert isinstance(profiler.backend, FlatProfile)
+        exact = Profiler.open(keys="hashable", backend="exact")
+        assert isinstance(exact.backend, SProfile)
+        assert not exact.backend.blocks.tracks_freq_index
+        indexed = Profiler.open(keys="hashable", track_freq_index=True)
+        assert indexed.backend_name == "exact"
+        assert indexed.backend.blocks.tracks_freq_index
 
     def test_every_registry_baseline_opens(self):
         for name in available_profilers():
@@ -304,8 +312,8 @@ class TestQuerySurface:
         assert not tree.supports("top_k")
 
     def test_optional_queries_on_hashable_exact(self):
-        # DynamicProfiler lacks these methods natively; the facade
-        # answers them through the fused walk instead of crashing.
+        # The core holds phantom slots here; the facade answers these
+        # over the registered keys only.
         profiler = Profiler.open(keys="hashable")
         profiler.ingest({"a": 5, "b": 2, "c": -1})
         assert profiler.max_frequency() == 5
@@ -469,17 +477,17 @@ class TestFlatBackend:
         assert engine["pool"]["max_free"] == 10
         assert engine["pool"]["free"] >= 0
 
-    def test_describe_sharded_and_dynamic(self):
+    def test_describe_sharded_and_hashable(self):
         sharded = Profiler.open(8, shards=2)
         info = sharded.describe()
         assert info["engine"]["kind"] == "sharded"
         assert info["engine"]["core"] == "flat"
         assert len(info["engine"]["shards"]) == 2
-        dynamic = Profiler.open(keys="hashable")
-        dynamic.ingest([("a", +1)])
-        info = dynamic.describe()
-        assert info["engine"]["kind"] == "dynamic"
-        assert info["engine"]["inner"]["kind"] == "sprofile"
+        hashable = Profiler.open(keys="hashable", backend="exact")
+        hashable.ingest([("a", +1)])
+        info = hashable.describe()
+        assert info["capacity"] == 1
+        assert info["engine"]["kind"] == "sprofile"
 
     def test_describe_structureless_backend_has_no_engine(self):
         info = Profiler.open(backend="approx").describe()

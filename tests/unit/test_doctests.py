@@ -12,7 +12,6 @@ import repro.apps.median_service
 import repro.apps.topk_tracker
 import repro.approx.spacesaving
 import repro.bench.reporting
-import repro.core.dynamic
 import repro.core.profile
 import repro.core.queries
 import repro.engine.merge
@@ -27,7 +26,6 @@ MODULES = [
     repro.apps.topk_tracker,
     repro.approx.spacesaving,
     repro.bench.reporting,
-    repro.core.dynamic,
     repro.core.profile,
     repro.core.queries,
     repro.engine.merge,

@@ -106,14 +106,13 @@ class TestBulkCounts:
             profile.remove_count(1, -1)
 
 
-class TestDynamicConsume:
+class TestHashableConsume:
     def test_consume_pairs(self):
-        from repro.core.dynamic import DynamicProfiler
+        from repro.api import Profiler
 
-        profiler = DynamicProfiler()
-        count = profiler.consume(
-            [("a", True), ("b", True), ("a", True), ("b", False)]
-        )
-        assert count == 4
+        profiler = Profiler.open(keys="hashable")
+        for event in [("a", True), ("b", True), ("a", True), ("b", False)]:
+            profiler.ingest([event])
+        assert profiler.events_ingested == 4
         assert profiler.frequency("a") == 2
         assert profiler.frequency("b") == 0

@@ -164,20 +164,20 @@ class TestQuantileEdgeSemantics:
     and negative-frequency profiles."""
 
     def _backends(self, capacity):
+        from repro.api import Profiler
         from repro.baselines.bucket import BucketProfiler
         from repro.baselines.tree_profiler import TreeProfiler
-        from repro.core.dynamic import DynamicProfiler
         from repro.engine.sharding import ShardedProfiler
 
-        dynamic = DynamicProfiler()
+        hashable = Profiler.open(keys="hashable")
         for x in range(capacity):
-            dynamic.register(x)
+            hashable.register(x)
         return [
             SProfile(capacity),
             ShardedProfiler(capacity, n_shards=3),
             BucketProfiler(capacity),
             TreeProfiler(capacity, structure="fenwick"),
-            dynamic,
+            hashable,
         ]
 
     def test_rank_helper_edges(self):
@@ -199,7 +199,8 @@ class TestQuantileEdgeSemantics:
         deltas = {0: -3, 1: -1, 2: 4, 3: 1, 7: -2, 9: 6}
         answers = set()
         for profiler in self._backends(capacity):
-            profiler.apply(deltas)
+            # The hashable facade's write verb is ingest().
+            (getattr(profiler, "apply", None) or profiler.ingest)(deltas)
             answers.add(profiler.quantile(q))
         assert len(answers) == 1, answers
 

@@ -355,7 +355,7 @@ class TestPlanner:
         assert _resolve_strategy(Profiler.open(10)) == "dense"
         assert _resolve_strategy(Profiler.open(10, shards=2)) == "dense"
         assert (
-            _resolve_strategy(Profiler.open(keys="hashable")) == "dynamic"
+            _resolve_strategy(Profiler.open(keys="hashable")) == "interned"
         )
         assert (
             _resolve_strategy(Profiler.open(10, backend="flat",
@@ -404,9 +404,16 @@ class TestPlanner:
         with pytest.raises(CapacityError):
             planner.admit([("a", -1)])
 
-    def test_dynamic_strict_never_seen(self):
+    def test_growable_universe_has_no_capacity_bound(self):
+        profiler = Profiler.open(keys="hashable")
+        planner = _FlushPlanner(profiler, "interned")
+        assert planner.admit([(f"k{i}", 1) for i in range(20)]) == 20
+        assert planner.admit([("k0", 1), ("new", 1)]) == 2
+        assert len(planner.fresh_keys()) == 21
+
+    def test_growable_strict_never_seen(self):
         profiler = Profiler.open(keys="hashable", strict=True)
-        planner = _FlushPlanner(profiler, "dynamic")
+        planner = _FlushPlanner(profiler, "interned")
         with pytest.raises(FrequencyUnderflowError):
             planner.admit([("ghost", -1)])
         assert planner.admit([("real", +1)]) == 1
@@ -1053,6 +1060,25 @@ class TestRestoreOp:
             with ProfileClient(b.host, b.port) as client:
                 assert client.restore(state) == "flat"
                 assert client.frequency(4) == 4
+
+    def test_restore_compares_declared_bounds(self):
+        from repro.errors import CheckpointError
+
+        source = Profiler.open(keys="hashable")
+        source.ingest({"a": 2, "b": 1, "c": 1})
+        state = source.to_state()
+        # A growable replica takes any growable checkpoint, whatever
+        # its registered key count; a bounded one refuses it.
+        with ServerThread(Profiler.open(keys="hashable")) as growable:
+            with ProfileClient(growable.host, growable.port) as client:
+                client.ingest({"z": 1})
+                assert client.restore(state) == "flat"
+                assert client.frequency("a") == 2
+        bounded = Profiler.open(3, backend="flat", keys="hashable")
+        with ServerThread(bounded) as server:
+            with ProfileClient(server.host, server.port) as client:
+                with pytest.raises(CheckpointError, match="capacity"):
+                    client.restore(state)
 
     def test_blocking_client_restore_of_malformed_state(self):
         from repro.errors import CheckpointError

@@ -51,9 +51,6 @@ class TestSupportsProfileProtocol:
         profiler = make_profiler(name, 4)
         assert isinstance(profiler, SupportsProfile)
 
-    def test_dynamic_profiler_satisfies_protocol(self):
-        assert isinstance(repro.DynamicProfiler(), SupportsProfile)
-
     def test_unrelated_object_does_not(self):
         assert not isinstance(object(), SupportsProfile)
 
