@@ -44,6 +44,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Hashable, Iterator
 
+import numpy as np
+
 from repro.api.backends import (
     ApproxProfiler,
     build_backend,
@@ -60,10 +62,10 @@ from repro.core.checkpoint import (
 from repro.core.flat import FlatProfile
 from repro.core.interner import ObjectInterner
 from repro.core.profile import (
+    ArrayBatch,
     SProfile,
     net_arrays,
     net_deltas,
-    net_deltas_arrays,
 )
 from repro.core.queries import ModeResult, TopEntry, quantile_rank
 from repro.core.snapshot import ProfileSnapshot
@@ -87,6 +89,11 @@ _KEY_MODES = ("dense", "hashable")
 
 #: First size of a growable core; it doubles from here.
 _MIN_GROWTH = 8
+
+_DENSE_ARRAYS_ONLY = (
+    "ingest_arrays() requires dense keys; hashable keys take the "
+    "ingest() vocabulary"
+)
 
 
 def _is_count(value: Any) -> bool:
@@ -368,14 +375,11 @@ class Profiler:
         """
         deltas = _normalize_batch(batch)
         if self._interner is not None:
-            payload = self._encode_interned(deltas)
+            payload = self._encode_interned(deltas, None, self._strict)
         else:
             payload = deltas
         n = self._impl.apply(payload)
-        self._batches += 1
-        self._events += len(deltas)
-        self._obs_batches.inc()
-        self._obs_events.inc(len(deltas))
+        self._count(1, len(deltas))
         return n
 
     def ingest_arrays(self, ids, deltas) -> int:
@@ -383,33 +387,178 @@ class Profiler:
 
         The dense-key fast path of the binary wire protocol: ``ids``
         and ``deltas`` arrive as (NumPy) int64 arrays, coalescing
-        happens vectorized (:func:`~repro.core.profile.
-        net_deltas_arrays` — one ``unique`` + scatter-add instead of a
-        per-event dict loop), and the net map feeds the same backend
-        ``apply`` as :meth:`ingest` — identical batch semantics
-        (all-or-nothing, strict-mode checks, same return value), zero
-        per-event Python objects before the engine.
+        happens vectorized (:func:`~repro.core.profile.net_arrays` —
+        one ``unique`` + scatter-add instead of a per-event dict loop),
+        and the net feeds the core's ``apply_arrays`` where it has one,
+        its ``apply`` otherwise — identical batch semantics to
+        :meth:`ingest` (all-or-nothing, strict-mode checks, same
+        return value), zero per-event Python objects before the
+        engine.
 
         Dense key mode only: hashable keys cannot ride raw integer
         arrays (use :meth:`ingest`).
         """
         if self._keys != "dense":
-            raise CapacityError(
-                "ingest_arrays() requires dense keys; hashable keys "
-                "take the ingest() vocabulary"
-            )
-        apply_arrays = getattr(self._impl, "apply_arrays", None)
-        if apply_arrays is not None:
-            keys, sums = net_arrays(ids, deltas)
-            n = apply_arrays(keys, sums)
-        else:
-            net = net_deltas_arrays(ids, deltas)
-            n = self._impl.apply(net)
-        self._batches += 1
-        self._events += len(ids)
-        self._obs_batches.inc()
-        self._obs_events.inc(len(ids))
+            raise CapacityError(_DENSE_ARRAYS_ONLY)
+        n = self._apply_nets([net_arrays(ids, deltas)])
+        self._count(1, len(ids))
         return n
+
+    def ingest_batches(self, batches) -> list[int | Exception]:
+        """Apply many batches in one core call; return each outcome.
+
+        Outcome ``i`` is what :meth:`ingest` would return for
+        ``batches[i]``, or the exception it would raise (returned, not
+        raised), had the batches admitted before it been ingested one
+        at a time.  An :class:`~repro.core.profile.ArrayBatch` stands
+        for :meth:`ingest_arrays` on its arrays.  Each batch is
+        all-or-nothing; the admitted ones land in one merged core
+        call.  This is the serving tier's group commit.
+        """
+        outcomes: list = []
+        admitted: list = []
+        pending: dict = {}
+        for batch in batches:
+            try:
+                applied, events, net = self._admit(
+                    batch, pending, self._strict
+                )
+            except Exception as exc:
+                outcomes.append(exc)
+                continue
+            admitted.append((len(outcomes), events, net))
+            outcomes.append(applied)
+        if not admitted:
+            return outcomes
+        try:
+            self._apply_nets([net for _i, _events, net in admitted])
+        except Exception:
+            # Only non-strict dense ids go unchecked, so only a bad id
+            # lands here.  Core applies are atomic: applying each batch
+            # alone is exactly the one-at-a-time history.
+            landed = []
+            for entry in admitted:
+                try:
+                    self._apply_nets([entry[2]])
+                except Exception as exc:
+                    outcomes[entry[0]] = exc
+                else:
+                    landed.append(entry)
+            admitted = landed
+        self._count(len(admitted), sum(entry[1] for entry in admitted))
+        return outcomes
+
+    def admit(
+        self, batch, pending: dict, *, strict: bool | None = None
+    ) -> int:
+        """Check one batch as :meth:`ingest` would, without applying it.
+
+        The check runs against the current state plus ``pending``
+        (dense id -> net delta of batches admitted but not applied
+        yet); under strict rules, the only ones that read it, the
+        batch's own net then joins ``pending``.  Returns what
+        :meth:`ingest` would return and raises what it would raise.
+        ``strict=True`` holds a non-strict profiler to the strict
+        rules: a cluster's two-phase prepare, where strictness is the
+        router's.  On a hashable universe the batch's new keys
+        register.
+        """
+        if strict is None:
+            strict = self._strict
+        return self._admit(batch, pending, strict)[0]
+
+    def _admit(self, batch, pending: dict, strict: bool):
+        """One batch's admission: ``(applied, events, net)``.
+
+        ``net`` is the batch's dense payload for the merged core call:
+        a net dict, or sorted ``(keys, sums)`` arrays for an array
+        batch on a dense core, which stays in NumPy unless strict
+        rules read it.  Non-strict dense ids go unchecked here: the
+        core range-checks every key of the merged call.
+        """
+        approx = isinstance(self._impl, ApproxProfiler)
+        if isinstance(batch, ArrayBatch):
+            if self._keys != "dense":
+                raise CapacityError(_DENSE_ARRAYS_ONLY)
+            events = len(batch)
+            keys, sums = batch.net_arrays()
+            if not approx:
+                if strict:
+                    self._check_dense(
+                        dict(zip(keys.tolist(), sums.tolist())), pending
+                    )
+                return int(np.abs(sums).sum()), events, (keys, sums)
+            net = dict(zip(keys.tolist(), sums.tolist()))
+        else:
+            deltas = _normalize_batch(batch)
+            events = len(deltas)
+            if self._interner is not None:
+                net = self._encode_interned(deltas, pending, strict)
+                return sum(map(abs, net.values())), events, net
+            net = net_deltas(deltas)
+        if approx:
+            for obj, d in net.items():
+                if d < 0:
+                    raise CapacityError(
+                        f"approx backend is add-only; got net delta {d} "
+                        f"for {obj!r}"
+                    )
+        elif strict:
+            self._check_dense(net, pending)
+        return sum(map(abs, net.values())), events, net
+
+    def _check_dense(self, net: dict, pending: dict) -> None:
+        """The strict dense rule, in the core's order: every id in
+        range, then no net removal below zero against the state plus
+        ``pending``.  The batch's net then joins ``pending``."""
+        impl = self._impl
+        m = impl.capacity
+        for x in net:
+            if not 0 <= x < m:
+                raise CapacityError(f"object id {x} out of range [0, {m})")
+        for x, d in net.items():
+            if d < 0:
+                f = impl.frequency(x) + pending.get(x, 0)
+                if f + d < 0:
+                    raise FrequencyUnderflowError(
+                        f"removing object {x} at frequency {f} {-d} "
+                        f"times (net) would go negative"
+                    )
+        for x, d in net.items():
+            pending[x] = pending.get(x, 0) + d
+
+    def _apply_nets(self, nets: list) -> int:
+        """Apply nets as one core call and return its count: one
+        ``apply_arrays`` when all are arrays and the core takes them,
+        else one ``apply`` of their merged dict."""
+        impl = self._impl
+        if hasattr(impl, "apply_arrays") and all(
+            isinstance(net, tuple) for net in nets
+        ):
+            if len(nets) == 1:
+                keys, sums = nets[0]
+            else:
+                keys, sums = net_arrays(
+                    np.concatenate([keys for keys, _sums in nets]),
+                    np.concatenate([sums for _keys, sums in nets]),
+                )
+            return impl.apply_arrays(keys, sums)
+        merged: dict = {}
+        for net in nets:
+            if isinstance(net, tuple):
+                net = zip(net[0].tolist(), net[1].tolist())
+            else:
+                net = net.items()
+            for x, d in net:
+                merged[x] = merged.get(x, 0) + d
+        return impl.apply(merged)
+
+    def _count(self, batches: int, events: int) -> None:
+        """Count applied batches and the raw items they held."""
+        self._batches += batches
+        self._events += events
+        self._obs_batches.inc(batches)
+        self._obs_events.inc(events)
 
     def register(self, obj: Hashable) -> None:
         """Ensure ``obj`` is tracked (frequency 0 if new).
@@ -425,16 +574,18 @@ class Profiler:
         if interner is None:
             raise self._unsupported("register")
         if obj not in interner:
-            self._reserve(1)
+            growth = self._room(1)
+            if growth:
+                self._impl.grow(growth)
             interner.intern(obj)
 
-    def _reserve(self, fresh: int) -> None:
-        """Make room for ``fresh`` new keys, or refuse them.
+    def _room(self, fresh: int) -> int:
+        """Slots the core must grow by to take ``fresh`` new keys.
 
-        A declared capacity bounds the universe.  Without one, the core
-        grows by doubling from 8 slots — amortized O(1) per
-        registration, Tarjan–Zwick's resizable-array discipline.  The
-        new slots are phantoms until keys claim them.
+        A declared capacity bounds the universe: past it, raise.
+        Without one, the core grows by doubling from 8 slots —
+        amortized O(1) per registration, Tarjan–Zwick's resizable-array
+        discipline.  The new slots are phantoms until keys claim them.
         """
         claimed = len(self._interner)
         bound = self._capacity
@@ -444,26 +595,26 @@ class Profiler:
                     f"registering {fresh} new keys would exceed capacity "
                     f"{bound} ({bound - claimed} slots remain)"
                 )
-            return
-        core = self._impl
-        size = core.capacity
+            return 0
+        size = self._impl.capacity
         target = size
         while target < claimed + fresh:
             target += max(target, _MIN_GROWTH)
-        if target > size:
-            core.grow(target - size)
+        return target - size
 
-    def _encode_interned(self, deltas) -> dict[int, int]:
+    def _encode_interned(self, deltas, pending, strict) -> dict[int, int]:
         """Net, validate and dense-encode deltas for an interned backend.
 
         One pass over the net map.  All-or-nothing, with a fixed error
         precedence: a strict removal of a never-seen key, then capacity
-        overflow, then a known-key underflow — all raised before any
-        key is registered or any frequency moves.
+        overflow, then a known-key underflow against the state plus
+        ``pending`` (``None`` for a lone :meth:`ingest`) — all raised
+        before the core grows, any key registers or any frequency
+        moves.  Under strict rules the encoded net then joins
+        ``pending``.
         """
         net = net_deltas(deltas)
         get = self._interner.get
-        strict = self._strict
         encoded: dict[int, int] = {}
         fresh = []
         underflow = None
@@ -481,19 +632,25 @@ class Profiler:
                 continue
             if strict and d < 0 and underflow is None:
                 f = self._impl.frequency(dense)
+                if pending:
+                    f += pending.get(dense, 0)
                 if f + d < 0:
                     underflow = FrequencyUnderflowError(
                         f"removing object {obj!r} at frequency {f} {-d} "
                         f"times (net) would go negative"
                     )
             encoded[dense] = d
-        if fresh:
-            self._reserve(len(fresh))
+        growth = self._room(len(fresh))
         if underflow is not None:
             raise underflow
+        if growth:
+            self._impl.grow(growth)
         intern = self._interner.intern
         for obj, d in fresh:
             encoded[intern(obj)] = d
+        if strict and pending is not None:
+            for dense, d in encoded.items():
+                pending[dense] = pending.get(dense, 0) + d
         return encoded
 
     # ------------------------------------------------------------------
@@ -1002,6 +1159,14 @@ class Profiler:
                 return len(self._interner)
             return self._capacity
         return self._impl.capacity
+
+    @property
+    def declared_capacity(self) -> int | None:
+        """The universe bound a checkpoint restore must keep: ``None``
+        for a hashable universe that grows, else :attr:`capacity`."""
+        if self._interner is not None and self._capacity is None:
+            return None
+        return self.capacity
 
     @property
     def total(self) -> int:

@@ -196,21 +196,22 @@ class ProfilerBase(ABC):
         """Apply ``(object, delta)`` pairs (or a mapping) as unit steps.
 
         Returns the number of net unit events applied.  Deltas for the
-        same key are summed first, and bad ids / strict-mode net
-        underflows are rejected before any event applies — matching
-        :meth:`repro.core.profile.SProfile.apply`'s all-or-nothing
-        batch semantics, so equivalence harnesses feeding both sides a
-        failing batch stay in sync.
+        same key are summed first, then every id is range-checked,
+        then strict-mode net underflows — all before any event applies.
+        That is :meth:`repro.core.profile.SProfile.apply`'s
+        all-or-nothing batch semantics and error precedence, so every
+        dense backend rejects a failing batch with the same error.
         """
         net = net_deltas(deltas)
         m = self._m
         freq = self._freq
         strict = not self._allow_negative
-        for x, d in net.items():
+        for x in net:
             if not 0 <= x < m:
                 raise CapacityError(
                     f"object id {x} out of range [0, {m})"
                 )
+        for x, d in net.items():
             if strict and d < 0 and freq[x] + d < 0:
                 raise FrequencyUnderflowError(
                     f"removing object {x} at frequency {freq[x]} "

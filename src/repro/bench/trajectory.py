@@ -1308,6 +1308,20 @@ def main(argv: list[str] | None = None) -> int:
         if r.strip() and int(r) > 0
     )
 
+    # Read the baseline before anything is written: with --out on the
+    # same path, the run would otherwise be gated against itself.
+    baseline = None
+    if args.check:
+        baseline_path = Path(args.check)
+        if baseline_path.exists():
+            baseline = json.loads(baseline_path.read_text())
+        else:
+            print(
+                f"no baseline at {baseline_path} yet — first run, "
+                f"skipping the regression gate",
+                file=sys.stderr,
+            )
+
     scale = args.scale or ("quick" if args.quick else "full")
     if scale == "both":
         result = run_trajectory(
@@ -1335,34 +1349,32 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(_format_summary(result))
 
+    problems = []
+    if baseline is not None:
+        problems = check_regressions(result, baseline, args.tolerance)
+    failed = bool(problems) and not args.warn_only
+
     if args.out == "-":
         json.dump(result, sys.stdout, indent=2)
         print()
+    elif failed and Path(args.out).resolve() == Path(args.check).resolve():
+        print(
+            f"gate failed: {args.out} keeps the baseline, not this run",
+            file=sys.stderr,
+        )
     else:
         Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
         print(f"payload written to {args.out}")
 
-    if args.check:
-        baseline_path = Path(args.check)
-        if not baseline_path.exists():
-            print(
-                f"no baseline at {baseline_path} yet — first run, "
-                f"skipping the regression gate",
-                file=sys.stderr,
-            )
-            return 0
-        baseline = json.loads(baseline_path.read_text())
-        problems = check_regressions(result, baseline, args.tolerance)
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            if not args.warn_only:
-                return 1
-        else:
-            print(
-                f"regression gate passed against {baseline_path} "
-                f"(tolerance {args.tolerance:.0%})"
-            )
+    for problem in problems:
+        print(f"REGRESSION: {problem}", file=sys.stderr)
+    if failed:
+        return 1
+    if baseline is not None and not problems:
+        print(
+            f"regression gate passed against {args.check} "
+            f"(tolerance {args.tolerance:.0%})"
+        )
     return 0
 
 

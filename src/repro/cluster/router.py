@@ -106,12 +106,10 @@ class _RouterFacade:
 
     The router hosts no engine — state lives in the replicas — but the
     base class reads identity off its profiler (greeting, codec
-    negotiation, health).  ``backend=None`` resolves the base
-    coalescing strategy to ``"sequential"``, which the overridden
-    ``_flush`` never consults anyway.
+    negotiation, health).  The overridden ``_flush`` partitions and
+    fans out instead of ingesting, so the stub takes no batches.
     """
 
-    backend = None
     backend_name = "cluster"
     keys = "dense"
 
@@ -790,10 +788,10 @@ class ClusterRouter(ProfileServer):
         One round trip per partition per flush instead of one per
         chunk; the replica's group commit coalesces what arrives
         together.  Chunks stay separate wire batches (the replica's
-        planner keeps their coalesced flush sequential-equivalent).
-        ``drain=False`` never suspends on the transport (see
-        :meth:`_fan_out`); replay and the rescale drain keep the drain
-        as their backpressure.  A send that fails cancels the acks
+        ``ingest_batches`` keeps their coalesced flush
+        sequential-equivalent).  ``drain=False`` never suspends on the
+        transport (see :meth:`_fan_out`); replay and the rescale drain
+        keep the drain as their backpressure.  A send that fails cancels the acks
         already pending, so a lost connection leaves no orphan futures.
         """
         acks: list[asyncio.Future] = []

@@ -54,7 +54,12 @@ from repro.core.blockset import BlockSet
 from repro.core.queries import ProfileQueryMixin
 from repro.errors import CapacityError, FrequencyUnderflowError
 
-__all__ = ["SProfile", "net_arrays", "net_deltas", "net_deltas_arrays"]
+__all__ = [
+    "ArrayBatch",
+    "SProfile",
+    "net_arrays",
+    "net_deltas",
+]
 
 
 def net_deltas(deltas) -> dict:
@@ -72,42 +77,16 @@ def net_deltas(deltas) -> dict:
     return net
 
 
-def net_deltas_arrays(ids, deltas) -> dict:
-    """:func:`net_deltas` over two parallel integer arrays.
-
-    The vectorized coalescing step of the binary wire hot path: one
-    ``unique`` + scatter-add pair replaces the per-event dict loop, so
-    a decoded ``np.frombuffer`` batch nets without materializing one
-    Python object per event.  Returns the same ``{key: net delta}``
-    dict the pair-stream form produces (Python ints, zero-net keys
-    included, first-occurrence key order).
-    """
-    ids = _np.asarray(ids)
-    deltas = _np.asarray(deltas)
-    if ids.shape != deltas.shape:
-        raise CapacityError(
-            f"ids and deltas must be parallel arrays, got shapes "
-            f"{ids.shape} and {deltas.shape}"
-        )
-    keys, first, inverse = _np.unique(
-        ids, return_index=True, return_inverse=True
-    )
-    sums = _np.zeros(len(keys), dtype=_np.int64)
-    _np.add.at(sums, inverse, deltas)
-    order = _np.argsort(first, kind="stable")
-    return dict(zip(keys[order].tolist(), sums[order].tolist()))
-
-
 def net_arrays(ids, deltas):
     """Net two parallel integer arrays into ``(keys, sums)`` arrays.
 
-    The all-arrays form of :func:`net_deltas_arrays` for consumers
-    that never need a dict (the dense serving hot path): ``keys`` is
-    the *sorted unique* int64 ids and ``sums`` their net deltas, both
-    NumPy arrays — no per-key Python objects at all.  Key order
-    differs from the dict forms (sorted, not first-occurrence), which
-    is immaterial for dense integer ids: additive netting is
-    order-free, and nothing registers keys positionally.
+    The vectorized :func:`net_deltas` of the binary wire hot path: one
+    ``unique`` + scatter-add pair replaces the per-event dict loop.
+    ``keys`` is the *sorted unique* int64 ids and ``sums`` their net
+    deltas (zero-net keys included), both NumPy arrays — no per-key
+    Python objects at all.  Sorted key order is immaterial for dense
+    integer ids: additive netting is order-free, and nothing registers
+    keys positionally.
     """
     ids = _np.asarray(ids)
     deltas = _np.asarray(deltas)
@@ -120,6 +99,46 @@ def net_arrays(ids, deltas):
     sums = _np.zeros(len(keys), dtype=_np.int64)
     _np.add.at(sums, inverse, deltas)
     return keys, sums
+
+
+class ArrayBatch:
+    """One batch as parallel int64 id/delta arrays.
+
+    The zero-copy carrier of the binary ingest hot path: a decoded
+    wire batch holds ``np.frombuffer`` views of the frame body, with
+    no per-event Python objects.  :meth:`~repro.api.Profiler.
+    ingest_batches` takes it as the batch ``ingest_arrays(ids,
+    deltas)`` would apply, netted by :meth:`net_arrays`.
+    """
+
+    __slots__ = ("ids", "deltas")
+
+    def __init__(self, ids, deltas) -> None:
+        self.ids = ids
+        self.deltas = deltas
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ArrayBatch)
+            and list(self.ids) == list(other.ids)
+            and list(self.deltas) == list(other.deltas)
+        )
+
+    def pairs(self) -> list:
+        """Materialize ``(obj, delta)`` tuples (Python ints)."""
+        if not isinstance(self.ids, list):
+            return list(zip(self.ids.tolist(), self.deltas.tolist()))
+        return list(zip(self.ids, self.deltas))
+
+    def net_arrays(self):
+        """All-arrays netting: ``(sorted unique keys, net sums)``."""
+        return net_arrays(self.ids, self.deltas)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"ArrayBatch(n={len(self)})"
 
 
 class SProfile(ProfileQueryMixin):

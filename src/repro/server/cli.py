@@ -234,8 +234,8 @@ async def _amain(args: argparse.Namespace) -> int:
         log_event(
             _log,
             f"listening on {server.host}:{server.port} "
-            f"(backend={profiler.backend_name}, strategy="
-            f"{server.strategy}, codecs={','.join(codecs)}, "
+            f"(backend={profiler.backend_name}, "
+            f"codecs={','.join(codecs)}, "
             f"batch_max={args.batch_max})",
             event="listening",
             host=server.host,

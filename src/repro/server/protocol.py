@@ -111,7 +111,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.api.plan import POINT_KINDS, WALK_KINDS, Query
-from repro.core.profile import net_arrays, net_deltas_arrays
+from repro.core.profile import ArrayBatch
 from repro.core.queries import ModeResult, TopEntry
 from repro.errors import (
     CapacityError,
@@ -254,50 +254,6 @@ _BIN_HEAD = struct.Struct("<IBBHQII")
 _INGEST_ITEM = 16
 #: Acks are (request id, seq, applied) int64 triples.
 _ACK_ITEM = 24
-
-
-class ArrayBatch:
-    """One decoded binary wire batch: parallel int64 id/delta arrays.
-
-    The zero-copy carrier of the binary ingest hot path — both arrays
-    are ``np.frombuffer`` views of the frame body (no per-event Python
-    objects); :meth:`net` coalesces them vectorized and :meth:`pairs`
-    materializes ``(obj, delta)`` tuples only for the slow paths that
-    need them (mixed-codec flush merges, sequential-strategy replay).
-    """
-
-    __slots__ = ("ids", "deltas")
-
-    def __init__(self, ids, deltas) -> None:
-        self.ids = ids
-        self.deltas = deltas
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ArrayBatch)
-            and list(self.ids) == list(other.ids)
-            and list(self.deltas) == list(other.deltas)
-        )
-
-    def pairs(self) -> list:
-        """Materialize ``(obj, delta)`` tuples (Python ints)."""
-        if not isinstance(self.ids, list):
-            return list(zip(self.ids.tolist(), self.deltas.tolist()))
-        return list(zip(self.ids, self.deltas))
-
-    def net(self) -> dict:
-        """Vectorized :func:`~repro.core.profile.net_deltas`."""
-        return net_deltas_arrays(self.ids, self.deltas)
-
-    def net_arrays(self):
-        """All-arrays netting: ``(sorted unique keys, net sums)``."""
-        return net_arrays(self.ids, self.deltas)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ArrayBatch(n={len(self)})"
 
 
 class BinaryFrame:

@@ -10,7 +10,7 @@ The write path is a **micro-batching pipeline**:
    socket, which stalls the sender through TCP flow control);
 2. a single flusher task **group-commits**: whenever it is free it
    takes every wire batch already queued, up to ``batch_max`` events,
-   into **one** engine ``ingest()`` call.  There is no timer — batches
+   into **one** engine call.  There is no timer — batches
    form on their own while the previous flush applies, fsyncs or fans
    out, so a lone batch on an idle server leaves at once and a loaded
    server rides the facade's vectorized batch machinery instead of a
@@ -18,9 +18,10 @@ The write path is a **micro-batching pipeline**:
 3. acks are written per request (pipelining clients match them by id),
    but grouped into one socket write per connection per flush.
 
-Coalescing never changes semantics: a :class:`_FlushPlanner` admits
-each wire batch against the profiler state *plus the net effect of the
-wire batches already admitted in this flush*, exactly reproducing the
+Coalescing never changes semantics: a flush is one
+:meth:`~repro.api.Profiler.ingest_batches` call, which admits each wire
+batch against the profiler state *plus the net effect of the wire
+batches already admitted in this flush*, exactly reproducing the
 outcome of applying the wire batches one ``ingest()`` at a time in
 arrival order.  A rejected wire batch is rejected whole (all-or-nothing
 per wire batch) and the error goes only to the offending client; every
@@ -57,17 +58,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
-from repro.api.backends import ApproxProfiler
 from repro.api.facade import Profiler
-from repro.core.flat import FlatProfile
-from repro.core.profile import SProfile, net_deltas
-from repro.engine.sharding import ShardedProfiler
+from repro.core.profile import net_deltas
 from repro.errors import (
     CapacityError,
     CheckpointError,
-    FrequencyUnderflowError,
     ReplicaRecoveringError,
     ReproError,
 )
@@ -76,7 +71,6 @@ from repro.server.protocol import (
     BIN_KIND_JSON,
     DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
-    ArrayBatch,
     ProtocolError,
     decode_events,
     decode_queries,
@@ -99,206 +93,11 @@ from repro.testing.faults import fault_point
 __all__ = ["ProfileServer", "ServerStats", "ServerThread"]
 
 
-# ----------------------------------------------------------------------
-# Admission control: coalesce without changing semantics
-# ----------------------------------------------------------------------
-
-
-def _resolve_strategy(profiler: Profiler) -> str:
-    """How wire batches may be coalesced for this facade.
-
-    - ``dense``: dense-keyed exact engines — validate ids (and strict
-      underflows against an overlay) per wire batch, then apply all
-      admitted batches as one merged ``ingest``.
-    - ``interned``: hashable keys — same overlay scheme plus
-      registration/capacity accounting.
-    - ``approx``: add-only — a wire batch is admissible iff its own
-      net deltas are all non-negative (history-independent).
-    - ``sequential``: unknown backends (registry baselines) — no
-      coalescing; each wire batch is its own ``ingest`` call, which is
-      trivially equivalent.
-    """
-    impl = profiler.backend
-    if isinstance(impl, ApproxProfiler):
-        return "approx"
-    if getattr(profiler, "_interner", None) is not None:
-        return "interned"
-    if profiler.keys == "dense" and isinstance(
-        impl, (SProfile, FlatProfile, ShardedProfiler)
-    ):
-        return "dense"
-    return "sequential"
-
-
-def _declared_bound(profiler: Profiler):
-    """The universe bound a restore must keep: an interned universe's
-    declared capacity (``None`` when it grows, so a growable replica
-    accepts any growable checkpoint), else the backend's capacity."""
-    if profiler._interner is not None:
-        return profiler._capacity
-    return profiler.capacity
-
-
-class _FlushPlanner:
-    """Sequential-equivalence admission for one coalesced flush.
-
-    ``admit(pairs)`` either returns the facade's would-be ``ingest``
-    return value (net unit events) and folds the batch's net deltas
-    into the overlay, or raises exactly the error a direct
-    ``Profiler.ingest`` would raise had the admitted batches before it
-    already been applied.  After admitting, one merged ``ingest`` of
-    all admitted batches produces the same final state as applying
-    them one at a time (frequencies are additive; engine validation
-    was replayed here per batch, against base state + overlay).
-    """
-
-    __slots__ = ("_p", "_strategy", "_overlay", "_fresh")
-
-    def __init__(self, profiler: Profiler, strategy: str) -> None:
-        self._p = profiler
-        self._strategy = strategy
-        self._overlay: dict = {}
-        # Fresh hashable keys admitted this flush, in admission order
-        # (a dict used as an ordered set).  They must be registered
-        # explicitly before the merged ingest: a key whose deltas
-        # cancel to zero ACROSS wire batches is dropped by the merged
-        # net pass, but sequential application would have registered
-        # it (claiming an interned slot, observable through
-        # support(0), len() and capacity accounting).
-        self._fresh: dict = {}
-
-    def fresh_keys(self):
-        """Admitted never-seen keys, in sequential registration order."""
-        return self._fresh.keys()
-
-    def admit(self, pairs) -> int:
-        # Binary wire batches on a dense backend admit fully
-        # vectorized — no per-key dict, no Python loop (the point of
-        # the binary codec); everything else nets into the shared dict
-        # pipeline.
-        if isinstance(pairs, ArrayBatch):
-            if self._strategy == "dense":
-                return self._admit_dense_arrays(pairs)
-            net = pairs.net()
-        else:
-            net = net_deltas(pairs)
-        strategy = self._strategy
-        if strategy == "dense":
-            self._admit_dense(net)
-        elif strategy == "interned":
-            self._admit_interned(net)
-        elif strategy == "approx":
-            for obj, d in net.items():
-                if d < 0:
-                    raise CapacityError(
-                        f"approx backend is add-only; got net delta {d} "
-                        f"for {obj!r}"
-                    )
-            return sum(net.values())
-        overlay = self._overlay
-        for obj, d in net.items():
-            if d:
-                overlay[obj] = overlay.get(obj, 0) + d
-        return sum(abs(d) for d in net.values())
-
-    def _admit_dense_arrays(self, batch: ArrayBatch) -> int:
-        """Vectorized dense admission of one binary wire batch.
-
-        Semantically identical to the dict pipeline: same range check
-        (net-zero keys included), same strict-mode underflow decision
-        against base state + overlay, same return value.  ``np.unique``
-        returns sorted keys, so the range check is two end reads.  The
-        overlay is only ever *read* by strict-mode checks, so the
-        non-strict path — the serving hot path — skips it entirely and
-        never leaves vectorized code.
-        """
-        keys, sums = batch.net_arrays()
-        m = self._p.capacity
-        if len(keys):
-            lo, hi = int(keys[0]), int(keys[-1])
-            if lo < 0 or hi >= m:
-                bad = lo if lo < 0 else hi
-                raise CapacityError(
-                    f"object id {bad} out of range [0, {m})"
-                )
-        if not self._p.strict:
-            if not isinstance(sums, list):
-                return int(np.abs(sums).sum())
-            return sum(abs(d) for d in sums)
-        key_list = keys.tolist() if not isinstance(keys, list) else keys
-        sum_list = sums.tolist() if not isinstance(sums, list) else sums
-        overlay = self._overlay
-        for x, d in zip(key_list, sum_list):
-            if d < 0 and self._shifted(x) + d < 0:
-                raise FrequencyUnderflowError(
-                    f"removing object {x} at frequency "
-                    f"{self._shifted(x)} {-d} times (net) would go "
-                    f"negative"
-                )
-        for x, d in zip(key_list, sum_list):
-            if d:
-                overlay[x] = overlay.get(x, 0) + d
-        return sum(abs(d) for d in sum_list)
-
-    def _shifted(self, obj) -> int:
-        """Current frequency as the admitted batches would have left it."""
-        return self._p.frequency(obj) + self._overlay.get(obj, 0)
-
-    def _admit_dense(self, net: dict) -> None:
-        m = self._p.capacity
-        for x in net:
-            # Ids arrive protocol-validated as ints; mirror the
-            # engines' range check (which applies to net-zero keys too).
-            if not 0 <= x < m:
-                raise CapacityError(f"object id {x} out of range [0, {m})")
-        if self._p.strict:
-            for x, d in net.items():
-                if d < 0 and self._shifted(x) + d < 0:
-                    raise FrequencyUnderflowError(
-                        f"removing object {x} at frequency "
-                        f"{self._shifted(x)} {-d} times (net) would go "
-                        f"negative"
-                    )
-
-    def _admit_interned(self, net: dict) -> None:
-        # Mirrors Profiler._encode_interned check-for-check, with the
-        # same precedence (never-seen strict underflow wins over
-        # capacity overflow wins over known-key underflow).  A
-        # universe opened without a capacity grows: no overflow.
-        get = self._p._interner.get
-        strict = self._p.strict
-        fresh = self._fresh
-        fresh_new = []
-        underflow = None
-        for obj, d in net.items():
-            if not d:
-                continue
-            if get(obj) is None and obj not in fresh:
-                if strict and d < 0:
-                    raise FrequencyUnderflowError(
-                        f"cannot remove never-seen object {obj!r} in "
-                        f"strict mode"
-                    )
-                fresh_new.append(obj)
-            elif (
-                strict and d < 0 and underflow is None
-                and self._shifted(obj) + d < 0
-            ):
-                underflow = FrequencyUnderflowError(
-                    f"removing object {obj!r} at frequency "
-                    f"{self._shifted(obj)} {-d} times (net) would "
-                    f"go negative"
-                )
-        bound = self._p._capacity
-        claimed = len(self._p._interner) + len(fresh)
-        if bound is not None and claimed + len(fresh_new) > bound:
-            raise CapacityError(
-                f"registering {len(fresh_new)} new keys would exceed "
-                f"capacity {bound} ({bound - claimed} slots remain)"
-            )
-        if underflow is not None:
-            raise underflow
-        fresh.update(dict.fromkeys(fresh_new))
+def _int_ids(profiler) -> bool:
+    """Whether the wire must carry int ids for ``profiler``.  Approx
+    sketches take hashable keys natively whatever the facade's keys
+    mode says; every other dense-keyed backend indexes int arrays."""
+    return profiler.keys == "dense" and profiler.backend_name != "approx"
 
 
 # ----------------------------------------------------------------------
@@ -432,8 +231,8 @@ class ProfileServer:
     Parameters
     ----------
     profiler:
-        The hosted facade; any backend works (exact backends coalesce,
-        see :func:`_resolve_strategy`).
+        The hosted facade; any backend works, and every flush is one
+        :meth:`~repro.api.Profiler.ingest_batches` call.
     host / port:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port` after :meth:`start`).
@@ -491,13 +290,7 @@ class ProfileServer:
         self._queue_size = queue_size
         self._write_timeout = write_timeout
         self._max_frame = max_frame
-        self._strategy = _resolve_strategy(profiler)
-        # Approx sketches take hashable keys natively whatever the
-        # facade's keys mode says; every other dense-keyed backend
-        # indexes integer arrays, so the protocol enforces int ids.
-        self._dense = (
-            profiler.keys == "dense" and self._strategy != "approx"
-        )
+        self._dense = _int_ids(profiler)
         self._binary = bool(binary) and self._dense
         self._role = role
         self._partition = tuple(partition) if partition else None
@@ -564,11 +357,6 @@ class ProfileServer:
     @property
     def stats(self) -> ServerStats:
         return self._stats
-
-    @property
-    def strategy(self) -> str:
-        """The coalescing strategy resolved for the hosted backend."""
-        return self._strategy
 
     async def wait_stopped(self) -> None:
         """Block until :meth:`stop` has completed."""
@@ -953,56 +741,14 @@ class ProfileServer:
             stats.max_flush_events = n_events
         if self._obs_on:
             self._observe_flush(batch, n_events)
-        profiler = self._profiler
-        # Outcomes stay in pipeline order whatever order they were
-        # decided in — acks per connection must follow request order
-        # (the wire contract; blocking clients rely on it).
-        outcomes: list[tuple[_Item, Any]] = [None] * len(batch)
-        if self._strategy == "sequential":
-            for idx, item in enumerate(batch):
-                self._seq += 1
-                item.seq = self._seq
-                try:
-                    outcomes[idx] = (item, self._ingest_one(item.data))
-                except Exception as exc:
-                    outcomes[idx] = (item, exc)
-        else:
-            planner = _FlushPlanner(profiler, self._strategy)
-            admitted: list[tuple[int, _Item, int]] = []
-            for idx, item in enumerate(batch):
-                self._seq += 1
-                item.seq = self._seq
-                try:
-                    admitted.append((idx, item, planner.admit(item.data)))
-                except Exception as exc:
-                    outcomes[idx] = (item, exc)
-            if admitted:
-                try:
-                    # Register admitted fresh keys first, in admission
-                    # order: the merged net pass drops keys whose
-                    # deltas cancel to zero across wire batches, but
-                    # sequential application would have registered
-                    # them (claiming their interned slot).
-                    for obj in planner.fresh_keys():
-                        profiler.register(obj)
-                    self._ingest_merged([it for _, it, _a in admitted])
-                except Exception:
-                    # Planner miss (should not happen): the merged
-                    # ingest rejected atomically, so replaying each
-                    # admitted batch individually is still exact.
-                    for idx, item, _applied in admitted:
-                        try:
-                            outcomes[idx] = (
-                                item, self._ingest_one(item.data)
-                            )
-                        except Exception as exc:
-                            outcomes[idx] = (item, exc)
-                else:
-                    for idx, item, applied in admitted:
-                        outcomes[idx] = (item, applied)
+        outcomes = self._profiler.ingest_batches(
+            [item.data for item in batch]
+        )
         # One socket write per connection, acks in pipeline order.
         per_conn: dict[_Connection, list[tuple[_Item, Any]]] = {}
-        for item, result in outcomes:
+        for item, result in zip(batch, outcomes):
+            self._seq += 1
+            item.seq = self._seq
             if isinstance(result, Exception):
                 stats.rejected += 1
             else:
@@ -1037,40 +783,6 @@ class ProfileServer:
                     flush_events=n_events,
                     coalesced=len(batch),
                 )
-
-    def _ingest_one(self, data) -> int:
-        """One wire batch -> one facade call, on its native path."""
-        if isinstance(data, ArrayBatch):
-            return self._profiler.ingest_arrays(data.ids, data.deltas)
-        return self._profiler.ingest(data)
-
-    def _ingest_merged(self, items: list[_Item]) -> None:
-        """Apply all admitted wire batches of a flush as one call.
-
-        An all-binary flush concatenates the raw int64 arrays and rides
-        :meth:`~repro.api.facade.Profiler.ingest_arrays` — no per-event
-        Python objects between the socket and the engine.  A flush that
-        mixes codecs falls back to materialized pairs (correct, just
-        not zero-copy; mixing is per-flush, so steady-state binary
-        clients are unaffected by an occasional JSON neighbor).
-        """
-        if all(isinstance(it.data, ArrayBatch) for it in items):
-            if len(items) == 1:
-                batch = items[0].data
-                self._profiler.ingest_arrays(batch.ids, batch.deltas)
-                return
-            self._profiler.ingest_arrays(
-                np.concatenate([it.data.ids for it in items]),
-                np.concatenate([it.data.deltas for it in items]),
-            )
-            return
-        merged: list = []
-        for it in items:
-            if isinstance(it.data, ArrayBatch):
-                merged.extend(it.data.pairs())
-            else:
-                merged.extend(it.data)
-        self._profiler.ingest(merged)
 
     def _pack_acks(self, conn: _Connection, acks) -> bytes:
         """Encode one flush's acks for ``conn`` as a single write.
@@ -1263,35 +975,18 @@ class ProfileServer:
         """Phase 1 of a router 2PC transaction: validate and stage.
 
         The replica itself is non-strict (strictness is a cluster-wide
-        property only the router can see whole), so prepare replays the
-        strict admission rules locally: every id in range, and no net
-        removal may underflow the *would-be* frequency — current state
-        plus every already-staged transaction.  Staging applies
-        nothing; the pairs wait in :attr:`_staged` for the decision.
+        property only the router can see whole), so prepare holds the
+        batch to the facade's strict rules against the *would-be*
+        state: current state plus every already-staged transaction.
+        Staging applies nothing; the pairs wait in :attr:`_staged` for
+        the decision.
         """
-        if isinstance(pairs, ArrayBatch):  # pragma: no cover - JSON op
-            net = pairs.net()
-        else:
-            net = net_deltas(pairs)
-        m = self._profiler.capacity
-        overlay: dict = {}
-        for staged_pairs, staged_net in self._staged.values():
+        pending: dict = {}
+        for _pairs, staged_net in self._staged.values():
             for x, d in staged_net.items():
-                overlay[x] = overlay.get(x, 0) + d
-        for x in net:
-            if not 0 <= x < m:
-                raise CapacityError(
-                    f"object id {x} out of range [0, {m})"
-                )
-        for x, d in net.items():
-            if d < 0:
-                shifted = self._profiler.frequency(x) + overlay.get(x, 0)
-                if shifted + d < 0:
-                    raise FrequencyUnderflowError(
-                        f"removing object {x} at frequency {shifted} "
-                        f"{-d} times (net) would go negative"
-                    )
-        self._staged[txn] = (pairs, net)
+                pending[x] = pending.get(x, 0) + d
+        self._profiler.admit(pairs, pending, strict=True)
+        self._staged[txn] = (pairs, net_deltas(pairs))
         return len(self._staged)
 
     def _commit_txn(self, txn: int) -> int:
@@ -1303,7 +998,7 @@ class ProfileServer:
                 f"prepared here, or a restore discarded it"
             )
         pairs, _net = staged
-        return self._ingest_one(pairs)
+        return self._profiler.ingest(pairs)
 
     def _restore_state(self, state: dict, *, recovering: bool = False) -> str:
         """Swap the hosted profiler for a checkpoint (``restore`` op).
@@ -1326,7 +1021,7 @@ class ProfileServer:
         if (
             replacement.keys != current.keys
             or bool(replacement.strict) != bool(current.strict)
-            or _declared_bound(replacement) != _declared_bound(current)
+            or replacement.declared_capacity != current.declared_capacity
         ):
             replacement.close()
             raise CheckpointError(
@@ -1336,9 +1031,7 @@ class ProfileServer:
                 f"hosted profiler (keys={current.keys!r}, "
                 f"strict={current.strict}, capacity={current.capacity})"
             )
-        strategy = _resolve_strategy(replacement)
-        dense = replacement.keys == "dense" and strategy != "approx"
-        if dense != self._dense:
+        if _int_ids(replacement) != self._dense:
             replacement.close()
             raise CheckpointError(
                 "restore would change the wire id contract "
@@ -1346,7 +1039,6 @@ class ProfileServer:
             )
         current.close()
         self._profiler = replacement
-        self._strategy = strategy
         # A restore rewinds time: anything staged under the old state
         # belongs to a router incarnation that no longer exists (the
         # journal replay behind this restore carries every decided
@@ -1431,7 +1123,6 @@ class ProfileServer:
         """The service block of ``describe()``: config + counters."""
         out = {
             "protocol_version": PROTOCOL_VERSION,
-            "strategy": self._strategy,
             "codecs": ["json", "binary"] if self._binary else ["json"],
             "batch_max": self._batch_max,
             "queue_size": self._queue_size,

@@ -2,8 +2,9 @@
 
 :class:`~repro.server.service.ProfileServer` group-commits: each
 flush takes whatever queued while the previous one ran.  Tests that
-need several wire batches in *one* flush (planner masking, rejection
-isolation, barriers, drain) queue them while the flusher is held:
+need several wire batches in *one* flush (cross-batch admission,
+rejection isolation, barriers, drain) queue them while the flusher is
+held:
 
 .. code-block:: python
 

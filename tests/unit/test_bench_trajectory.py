@@ -176,6 +176,24 @@ class TestCliCheckPath:
         assert "REGRESSION" in capsys.readouterr().err
         assert main(args + ["--warn-only"]) == 0
 
+    def test_gate_reads_the_baseline_before_writing_out(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``--out`` on the ``--check`` path (both default to
+        ``BENCH_core.json``) must not gate the run against itself, and
+        a failed gate leaves the baseline byte-identical."""
+        monkeypatch.setattr(
+            "repro.bench.trajectory.run_trajectory",
+            lambda scale, **kw: payload(batch=1.0),
+        )
+        baseline = tmp_path / "BENCH_core.json"
+        baseline.write_text(json.dumps(payload()))
+        before = baseline.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        assert main(["--check", "BENCH_core.json"]) == 1
+        assert "REGRESSION" in capsys.readouterr().err
+        assert baseline.read_bytes() == before
+
     def test_clean_run_reports_gate_passed(
         self, tmp_path, monkeypatch, capsys
     ):

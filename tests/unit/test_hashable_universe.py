@@ -161,6 +161,18 @@ class TestGrowth:
         assert "new0" not in profiler
         assert profiler.evaluate(Query.histogram(), Query.total()) == before
 
+    def test_rejected_batch_never_grows_the_core(self):
+        profiler = Profiler.open(keys="hashable", strict=True)
+        profiler.ingest([(f"k{i}", 1) for i in range(8)])
+        assert profiler.backend.capacity == 8
+        with pytest.raises(FrequencyUnderflowError):
+            profiler.ingest(
+                [("k0", -5)] + [(f"new{i}", 1) for i in range(20)]
+            )
+        assert profiler.backend.capacity == 8
+        state = profiler.to_state()
+        assert Profiler.from_state(state).backend.capacity == 8
+
 
 class TestRemoveSemantics:
     def test_remove_known(self, open_universe):

@@ -6,7 +6,8 @@ The equivalence of coalesced execution against a directly-driven
 facade is property-tested in
 ``tests/property/test_prop_server_equivalence.py``; here we pin the
 mechanics — coalescing, isolation of rejections, ordering, drain,
-backpressure and the planner's masking edge cases.
+backpressure.  Cross-batch admission itself is the facade's
+(``tests/unit/test_ingest_batches.py``).
 """
 
 import asyncio
@@ -33,7 +34,6 @@ from repro.server import (
     ServerThread,
 )
 from repro.server.protocol import ProtocolError, pack_frame
-from repro.server.service import _FlushPlanner, _resolve_strategy
 from repro.testing import (
     FaultSchedule,
     active_schedule,
@@ -84,7 +84,6 @@ class TestBlockingRoundTrip:
         info = served.describe()
         assert info["backend"] == "flat"
         server = info["server"]
-        assert server["strategy"] == "dense"
         assert server["wire_batches"] >= 1
         assert server["flushes"] >= 1
 
@@ -348,76 +347,6 @@ class TestRejectionIsolation:
                 with pytest.raises(UnsupportedQueryError) as excinfo:
                     client.evaluate(Query.median())
                 assert excinfo.value.query == "median"
-
-
-class TestPlanner:
-    def test_strategies(self):
-        assert _resolve_strategy(Profiler.open(10)) == "dense"
-        assert _resolve_strategy(Profiler.open(10, shards=2)) == "dense"
-        assert (
-            _resolve_strategy(Profiler.open(keys="hashable")) == "interned"
-        )
-        assert (
-            _resolve_strategy(Profiler.open(10, backend="flat",
-                                            keys="hashable"))
-            == "interned"
-        )
-        assert (
-            _resolve_strategy(Profiler.open(backend="approx")) == "approx"
-        )
-        assert (
-            _resolve_strategy(Profiler.open(10, backend="bucket"))
-            == "sequential"
-        )
-
-    def test_dense_strict_overlay_sees_admitted_batches(self):
-        profiler = Profiler.open(10, strict=True)
-        planner = _FlushPlanner(profiler, "dense")
-        assert planner.admit([(1, +2)]) == 2
-        # Admissible only because the first batch is counted.
-        assert planner.admit([(1, -2)]) == 2
-        with pytest.raises(FrequencyUnderflowError):
-            planner.admit([(1, -1)])
-
-    def test_interned_capacity_masking(self):
-        """Fresh-key registration is charged in admission order; a
-        later cancellation in another batch must not refund it."""
-        profiler = Profiler.open(2, backend="flat", keys="hashable")
-        profiler.ingest({"a": 1, "b": 1})
-        planner = _FlushPlanner(profiler, "interned")
-        with pytest.raises(CapacityError):
-            planner.admit([("c", +1)])
-
-    def test_interned_fresh_keys_count_once(self):
-        profiler = Profiler.open(3, backend="flat", keys="hashable")
-        planner = _FlushPlanner(profiler, "interned")
-        assert planner.admit([("x", +1)]) == 1
-        assert planner.admit([("x", +1), ("y", +1)]) == 2
-        assert planner.admit([("z", +1)]) == 1
-        with pytest.raises(CapacityError):
-            planner.admit([("w", +1)])
-
-    def test_approx_is_add_only_per_batch(self):
-        profiler = Profiler.open(backend="approx", counters=4)
-        planner = _FlushPlanner(profiler, "approx")
-        assert planner.admit([("a", +3)]) == 3
-        with pytest.raises(CapacityError):
-            planner.admit([("a", -1)])
-
-    def test_growable_universe_has_no_capacity_bound(self):
-        profiler = Profiler.open(keys="hashable")
-        planner = _FlushPlanner(profiler, "interned")
-        assert planner.admit([(f"k{i}", 1) for i in range(20)]) == 20
-        assert planner.admit([("k0", 1), ("new", 1)]) == 2
-        assert len(planner.fresh_keys()) == 21
-
-    def test_growable_strict_never_seen(self):
-        profiler = Profiler.open(keys="hashable", strict=True)
-        planner = _FlushPlanner(profiler, "interned")
-        with pytest.raises(FrequencyUnderflowError):
-            planner.admit([("ghost", -1)])
-        assert planner.admit([("real", +1)]) == 1
-        assert planner.admit([("real", -1)]) == 1
 
 
 class TestLifecycle:
