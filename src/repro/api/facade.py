@@ -375,7 +375,7 @@ class Profiler:
         """
         deltas = _normalize_batch(batch)
         if self._interner is not None:
-            payload = self._encode_interned(deltas, None, self._strict)
+            payload = self._encode_interned(deltas, None)
         else:
             payload = deltas
         n = self._impl.apply(payload)
@@ -420,9 +420,7 @@ class Profiler:
         pending: dict = {}
         for batch in batches:
             try:
-                applied, events, net = self._admit(
-                    batch, pending, self._strict
-                )
+                applied, events, net = self._admit(batch, pending)
             except Exception as exc:
                 outcomes.append(exc)
                 continue
@@ -448,52 +446,48 @@ class Profiler:
         self._count(len(admitted), sum(entry[1] for entry in admitted))
         return outcomes
 
-    def admit(
-        self, batch, pending: dict, *, strict: bool | None = None
-    ) -> int:
-        """Check one batch as :meth:`ingest` would, without applying it.
+    def admit(self, batch, pending: dict) -> dict[int, int]:
+        """Hold one dense batch to the strict rules without applying it.
 
-        The check runs against the current state plus ``pending``
-        (dense id -> net delta of batches admitted but not applied
-        yet); under strict rules, the only ones that read it, the
-        batch's own net then joins ``pending``.  Returns what
-        :meth:`ingest` would return and raises what it would raise.
-        ``strict=True`` holds a non-strict profiler to the strict
-        rules: a cluster's two-phase prepare, where strictness is the
-        router's.  On a hashable universe the batch's new keys
-        register.
+        The check :meth:`ingest` runs on a strict dense profiler —
+        every id in range, then no net removal below zero — against
+        the current state plus ``pending`` (dense id -> net delta of
+        batches admitted but not applied yet), whatever this
+        profiler's own ``strict`` flag: a cluster's two-phase prepare,
+        where strictness is the router's.  Returns the batch's net,
+        which also joins ``pending``; raises what a strict
+        :meth:`ingest` would raise.
         """
-        if strict is None:
-            strict = self._strict
-        return self._admit(batch, pending, strict)[0]
+        if self._keys != "dense":
+            raise CapacityError("admit() checks dense ids only")
+        net = net_deltas(_normalize_batch(batch))
+        self._check_dense(net, pending)
+        return net
 
-    def _admit(self, batch, pending: dict, strict: bool):
+    def _admit(self, batch, pending: dict):
         """One batch's admission: ``(applied, events, net)``.
 
         ``net`` is the batch's dense payload for the merged core call:
         a net dict, or sorted ``(keys, sums)`` arrays for an array
-        batch on a dense core, which stays in NumPy unless strict
-        rules read it.  Non-strict dense ids go unchecked here: the
+        batch that no rule reads (dense, non-strict, not approx), which
+        stays in NumPy.  Non-strict dense ids go unchecked here: the
         core range-checks every key of the merged call.
         """
         approx = isinstance(self._impl, ApproxProfiler)
+        strict = self._strict
         if isinstance(batch, ArrayBatch):
             if self._keys != "dense":
                 raise CapacityError(_DENSE_ARRAYS_ONLY)
             events = len(batch)
             keys, sums = batch.net_arrays()
-            if not approx:
-                if strict:
-                    self._check_dense(
-                        dict(zip(keys.tolist(), sums.tolist())), pending
-                    )
+            if not (approx or strict):
                 return int(np.abs(sums).sum()), events, (keys, sums)
             net = dict(zip(keys.tolist(), sums.tolist()))
         else:
             deltas = _normalize_batch(batch)
             events = len(deltas)
             if self._interner is not None:
-                net = self._encode_interned(deltas, pending, strict)
+                net = self._encode_interned(deltas, pending)
                 return sum(map(abs, net.values())), events, net
             net = net_deltas(deltas)
         if approx:
@@ -602,7 +596,7 @@ class Profiler:
             target += max(target, _MIN_GROWTH)
         return target - size
 
-    def _encode_interned(self, deltas, pending, strict) -> dict[int, int]:
+    def _encode_interned(self, deltas, pending) -> dict[int, int]:
         """Net, validate and dense-encode deltas for an interned backend.
 
         One pass over the net map.  All-or-nothing, with a fixed error
@@ -614,6 +608,7 @@ class Profiler:
         ``pending``.
         """
         net = net_deltas(deltas)
+        strict = self._strict
         get = self._interner.get
         encoded: dict[int, int] = {}
         fresh = []

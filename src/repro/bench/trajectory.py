@@ -54,7 +54,9 @@ ratios of two loops measured in the same process minutes apart are
 stable across machines, absolute throughput is not.  ``--check`` fails
 (exit 1) when a ratio fell more than ``--tolerance`` (default 30%)
 below the committed baseline, and warns instead when there is no
-baseline yet (first run) or ``--warn-only`` is given.
+baseline yet (first run) or ``--warn-only`` is given.  The baseline
+is read before the run, and ``--out`` is never written over the
+baseline it was checked against.
 """
 
 from __future__ import annotations
@@ -1357,9 +1359,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.out == "-":
         json.dump(result, sys.stdout, indent=2)
         print()
-    elif failed and Path(args.out).resolve() == Path(args.check).resolve():
+    elif (
+        baseline is not None
+        and Path(args.out).resolve() == Path(args.check).resolve()
+    ):
         print(
-            f"gate failed: {args.out} keeps the baseline, not this run",
+            f"{args.out} is the --check baseline: kept it, not this run",
             file=sys.stderr,
         )
     else:

@@ -127,12 +127,6 @@ class ArrayBatch:
             and list(self.deltas) == list(other.deltas)
         )
 
-    def pairs(self) -> list:
-        """Materialize ``(obj, delta)`` tuples (Python ints)."""
-        if not isinstance(self.ids, list):
-            return list(zip(self.ids.tolist(), self.deltas.tolist()))
-        return list(zip(self.ids, self.deltas))
-
     def net_arrays(self):
         """All-arrays netting: ``(sorted unique keys, net sums)``."""
         return net_arrays(self.ids, self.deltas)

@@ -59,7 +59,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.api.facade import Profiler
-from repro.core.profile import net_deltas
 from repro.errors import (
     CapacityError,
     CheckpointError,
@@ -985,8 +984,7 @@ class ProfileServer:
         for _pairs, staged_net in self._staged.values():
             for x, d in staged_net.items():
                 pending[x] = pending.get(x, 0) + d
-        self._profiler.admit(pairs, pending, strict=True)
-        self._staged[txn] = (pairs, net_deltas(pairs))
+        self._staged[txn] = (pairs, self._profiler.admit(pairs, pending))
         return len(self._staged)
 
     def _commit_txn(self, txn: int) -> int:

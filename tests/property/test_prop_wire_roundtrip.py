@@ -122,7 +122,8 @@ class TestBinaryFrames:
         assert frame.req == req
         assert list(frame.payload.ids) == ids
         assert list(frame.payload.deltas) == deltas
-        assert frame.payload.pairs() == pairs
+        payload = frame.payload
+        assert list(zip(payload.ids.tolist(), payload.deltas.tolist())) == pairs
 
     @settings(max_examples=100, deadline=None)
     @given(triples=st.lists(st.tuples(I64, I64, I64), max_size=16))

@@ -181,7 +181,8 @@ class TestCliCheckPath:
     ):
         """``--out`` on the ``--check`` path (both default to
         ``BENCH_core.json``) must not gate the run against itself, and
-        a failed gate leaves the baseline byte-identical."""
+        the baseline stays byte-identical whether the gate fails or
+        passes."""
         monkeypatch.setattr(
             "repro.bench.trajectory.run_trajectory",
             lambda scale, **kw: payload(batch=1.0),
@@ -192,6 +193,18 @@ class TestCliCheckPath:
         monkeypatch.chdir(tmp_path)
         assert main(["--check", "BENCH_core.json"]) == 1
         assert "REGRESSION" in capsys.readouterr().err
+        assert baseline.read_bytes() == before
+
+        # A passing run is not the baseline either: a quick-only
+        # payload must not replace a committed one.
+        monkeypatch.setattr(
+            "repro.bench.trajectory.run_trajectory",
+            lambda scale, **kw: payload(batch=9.0),
+        )
+        assert main(["--quick", "--check", "BENCH_core.json"]) == 0
+        captured = capsys.readouterr()
+        assert "regression gate passed" in captured.out
+        assert "kept it" in captured.err
         assert baseline.read_bytes() == before
 
     def test_clean_run_reports_gate_passed(

@@ -179,12 +179,21 @@ class TestOneAdmissionRule:
         profiler = Profiler.open(10)
         profiler.ingest({4: 1})
         pending = {4: 2}
-        assert profiler.admit([(4, -3)], pending, strict=True) == 3
-        assert pending == {4: -1}
+        assert profiler.admit([(4, -3), (5, 1), (5, -1)], pending) == {
+            4: -3,
+            5: 0,
+        }
+        assert pending == {4: -1, 5: 0}
         with pytest.raises(FrequencyUnderflowError):
-            profiler.admit([(4, -1)], pending, strict=True)
+            profiler.admit([(4, -1)], pending)
         with pytest.raises(CapacityError):
-            profiler.admit([(4, -9), (10, 1)], pending, strict=True)
-        # Nothing was applied, and lenient rules take the removal.
+            profiler.admit([(4, -9), (10, 1)], pending)
+        assert pending == {4: -1, 5: 0}
+        # Nothing was applied.
         assert profiler.frequency(4) == 1
-        assert profiler.admit([(4, -9)], {}) == 9
+        assert profiler.total == 1
+
+    def test_admit_refuses_hashable_keys(self):
+        profiler = Profiler.open(keys="hashable")
+        with pytest.raises(CapacityError):
+            profiler.admit([("a", 1)], {})
