@@ -65,7 +65,9 @@ from repro.core.profile import (
     ArrayBatch,
     SProfile,
     net_arrays,
+    net_batch,
     net_deltas,
+    net_events,
 )
 from repro.core.queries import ModeResult, TopEntry, quantile_rank
 from repro.core.snapshot import ProfileSnapshot
@@ -386,21 +388,20 @@ class Profiler:
         """Apply one batch given as parallel integer arrays.
 
         The dense-key fast path of the binary wire protocol: ``ids``
-        and ``deltas`` arrive as (NumPy) int64 arrays, coalescing
-        happens vectorized (:func:`~repro.core.profile.net_arrays` —
-        one ``unique`` + scatter-add instead of a per-event dict loop),
-        and the net feeds the core's ``apply_arrays`` where it has one,
-        its ``apply`` otherwise — identical batch semantics to
-        :meth:`ingest` (all-or-nothing, strict-mode checks, same
-        return value), zero per-event Python objects before the
-        engine.
+        and ``deltas`` arrive as (NumPy) int64 arrays and are netted by
+        :func:`~repro.core.profile.net_batch` — a dict over the boxed
+        ids below its size crossover, one ``unique`` + scatter-add from
+        it on — and the net feeds the core's ``apply``, or its
+        ``apply_arrays`` for a NumPy net where it has one.  Identical
+        batch semantics to :meth:`ingest` (all-or-nothing, strict-mode
+        checks, same return value).
 
         Dense key mode only: hashable keys cannot ride raw integer
         arrays (use :meth:`ingest`).
         """
         if self._keys != "dense":
             raise CapacityError(_DENSE_ARRAYS_ONLY)
-        n = self._apply_nets([net_arrays(ids, deltas)])
+        n = self._apply_nets([net_batch(ids, deltas)])
         self._count(1, len(ids))
         return n
 
@@ -468,7 +469,7 @@ class Profiler:
         """One batch's admission: ``(applied, events, net)``.
 
         ``net`` is the batch's dense payload for the merged core call:
-        a net dict, or sorted ``(keys, sums)`` arrays for an array
+        a net dict, or sorted ``(keys, sums)`` arrays for a large array
         batch that no rule reads (dense, non-strict, not approx), which
         stays in NumPy.  Non-strict dense ids go unchecked here: the
         core range-checks every key of the merged call.
@@ -479,16 +480,17 @@ class Profiler:
             if self._keys != "dense":
                 raise CapacityError(_DENSE_ARRAYS_ONLY)
             events = len(batch)
-            keys, sums = batch.net_arrays()
-            if not (approx or strict):
-                return int(np.abs(sums).sum()), events, (keys, sums)
-            net = dict(zip(keys.tolist(), sums.tolist()))
+            net = net_batch(batch.ids, batch.deltas)
+            if isinstance(net, tuple):
+                if not (approx or strict):
+                    return net_events(net), events, net
+                net = dict(zip(net[0].tolist(), net[1].tolist()))
         else:
             deltas = _normalize_batch(batch)
             events = len(deltas)
             if self._interner is not None:
                 net = self._encode_interned(deltas, pending)
-                return sum(map(abs, net.values())), events, net
+                return net_events(net), events, net
             net = net_deltas(deltas)
         if approx:
             for obj, d in net.items():
@@ -499,7 +501,7 @@ class Profiler:
                     )
         elif strict:
             self._check_dense(net, pending)
-        return sum(map(abs, net.values())), events, net
+        return net_events(net), events, net
 
     def _check_dense(self, net: dict, pending: dict) -> None:
         """The strict dense rule, in the core's order: every id in
@@ -524,8 +526,11 @@ class Profiler:
     def _apply_nets(self, nets: list) -> int:
         """Apply nets as one core call and return its count: one
         ``apply_arrays`` when all are arrays and the core takes them,
-        else one ``apply`` of their merged dict."""
+        else one ``apply`` of their merged dict (a lone dict as it is:
+        no core's ``apply`` mutates its argument)."""
         impl = self._impl
+        if len(nets) == 1 and isinstance(nets[0], dict):
+            return impl.apply(nets[0])
         if hasattr(impl, "apply_arrays") and all(
             isinstance(net, tuple) for net in nets
         ):

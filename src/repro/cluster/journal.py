@@ -170,13 +170,17 @@ def _unpack_i64(buf: bytes):
 
 
 def _atomic_write_json(
-    path: Path, payload: dict, *, durable: bool = True
-) -> None:
+    path: Path, payload: dict, *, durable: bool = True, pin: bool = False
+) -> int | None:
     """tmp + fsync + rename: readers see the old file or the new one.
 
     ``durable=False`` skips the fsync, for advisory files whose loss in
     a machine crash is harmless: the rename alone keeps them atomic
-    for readers.
+    for readers.  ``pin=True`` returns an fd on the written inode,
+    duplicated from the tmp file's own fd before the rename (never a
+    reopen of a path another writer may have replaced meanwhile).
+    While it is open the inode cannot be reused, so ``os.path.samestat``
+    against it tells whether ``path`` still is this write.
     """
     tmp = path.with_name(path.name + ".tmp")
     # One dumps + one write: json.dump streams through the pure-Python
@@ -188,7 +192,14 @@ def _atomic_write_json(
         if durable:
             fh.flush()
             os.fsync(fh.fileno())
-    os.replace(tmp, path)
+        pinned = os.dup(fh.fileno()) if pin else None
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        if pinned is not None:
+            os.close(pinned)
+        raise
+    return pinned
 
 
 def _read_json(path: Path) -> dict | None:
@@ -657,6 +668,10 @@ class RouterWal:
         #: fencing epoch this writer holds the lease at; 0 = fencing
         #: disarmed (standalone use: no lease, no per-sync check).
         self._epoch = 0
+        #: fd on the lease inode this writer last wrote (None before
+        #: the first write and after close): the per-sync fence check
+        #: reads the lease file only when the path names another inode.
+        self._lease_fd: int | None = None
         self._last_synced_seq = 0
         self._owner = ""
         self._endpoint: str | None = None
@@ -906,7 +921,16 @@ class RouterWal:
     def _check_fence(self) -> None:
         if not self._epoch:
             return
-        lease = _read_json(self._dir / _LEASE_NAME) or {}
+        path = self._dir / _LEASE_NAME
+        if self._lease_fd is not None:
+            # Every lease writer replaces the file, so while the path
+            # names the inode this writer wrote, no one superseded it.
+            try:
+                if os.path.samestat(os.stat(path), os.fstat(self._lease_fd)):
+                    return
+            except FileNotFoundError:
+                pass
+        lease = _read_json(path) or {}
         held = int(lease.get("epoch", 0))
         if held > self._epoch:
             raise FencedWriterError(
@@ -916,7 +940,7 @@ class RouterWal:
             )
 
     def _write_lease(self, *, renewed: float | None = None) -> None:
-        _atomic_write_json(
+        pinned = _atomic_write_json(
             self._dir / _LEASE_NAME,
             {
                 "epoch": self._epoch,
@@ -924,8 +948,16 @@ class RouterWal:
                 "endpoint": self._endpoint,
                 "renewed": time.time() if renewed is None else renewed,
             },
+            pin=True,
         )
+        self._unpin_lease()
+        self._lease_fd = pinned
         self._fsync_dir()
+
+    def _unpin_lease(self) -> None:
+        if self._lease_fd is not None:
+            os.close(self._lease_fd)
+            self._lease_fd = None
 
     def acquire_lease(
         self, owner: str, endpoint: str | None = None
@@ -1239,6 +1271,7 @@ class RouterWal:
             ) from exc
 
     def close(self) -> None:
+        self._unpin_lease()
         if self._file is not None:
             self._seal_segment()
 
@@ -1249,6 +1282,7 @@ class RouterWal:
         dropping it is exactly what ``kill -9`` does to the log.
         """
         self._pending = []
+        self._unpin_lease()
         if self._file is not None:
             self._file.close()
             self._file = None

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.profile import ArrayBatch, net_batch, net_events
 from repro.engine.sharding import partition_ids
-from repro.server.protocol import ArrayBatch
 
 __all__ = ["partition_batch", "repartition_states"]
 
@@ -61,12 +61,9 @@ def partition_batch(data, n_parts: int, m: int):
         sel = residue == p
         if sel.any():
             parts[p] = (local[sel], deltas[sel])
-    # Net unit events of the whole batch (the facade's return value):
-    # sum |net delta| over distinct objects.
-    keys, inverse = np.unique(ids, return_inverse=True)
-    sums = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(sums, inverse, deltas)
-    return parts, int(np.abs(sums).sum())
+    # Net unit events of the whole batch (the facade's return value),
+    # netted the way the facade nets an array batch.
+    return parts, net_events(net_batch(ids, deltas))
 
 
 def repartition_states(

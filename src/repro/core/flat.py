@@ -656,6 +656,7 @@ class FlatProfile(ProfileQueryMixin):
         if count < 0:
             raise CapacityError(f"count must be >= 0, got {count}")
         if count:
+            self._check_ids((x,))
             self._bulk_add({x: count})
 
     def remove_count(self, x: int, count: int) -> None:
@@ -663,10 +664,7 @@ class FlatProfile(ProfileQueryMixin):
         if count < 0:
             raise CapacityError(f"count must be >= 0, got {count}")
         if count:
-            if not 0 <= x < self._m:
-                raise CapacityError(
-                    f"object id {x} out of range [0, {self._m})"
-                )
+            self._check_ids((x,))
             if not self._allow_negative:
                 f = self._bf[self._ptrb[self._ftot[x]]]
                 if count > f:
@@ -1133,6 +1131,7 @@ class FlatProfile(ProfileQueryMixin):
             self._apply_rebuild(counts)
             self._n_adds += n
             return n
+        self._check_ids(counts)
         return self._bulk_add(counts)
 
     def remove_many(self, xs: Iterable[int]) -> int:
@@ -1167,16 +1166,12 @@ class FlatProfile(ProfileQueryMixin):
                 self._apply_rebuild({x: -c for x, c in counts.items()})
                 self._n_removes += n
                 return n
+            self._check_ids(counts)
         if not self._allow_negative:
             ptrb = self._ptrb
             ftot = self._ftot
             bf = self._bf
-            m = self._m
             for x, c in counts.items():
-                if not 0 <= x < m:
-                    raise CapacityError(
-                        f"object id {x} out of range [0, {m})"
-                    )
                 f = bf[ptrb[ftot[x]]]
                 if c > f:
                     raise FrequencyUnderflowError(
@@ -1184,6 +1179,14 @@ class FlatProfile(ProfileQueryMixin):
                         f"{c} times would go negative"
                     )
         return self._bulk_remove(counts)
+
+    def _check_ids(self, xs) -> None:
+        """Reject the batch on its first id outside ``[0, m)``: the
+        check every caller of the climb loops runs before them."""
+        m = self._m
+        for x in xs:
+            if not 0 <= x < m:
+                raise CapacityError(f"object id {x} out of range [0, {m})")
 
     def _batch_counts(self, xs):
         """Per-key occurrence counts of a materialized id batch.
@@ -1348,10 +1351,7 @@ class FlatProfile(ProfileQueryMixin):
         ``tolist()``.  Strict-mode underflow is
         checked on the net result before any mutation.
         """
-        m = self._m
-        for x in net:
-            if not 0 <= x < m:
-                raise CapacityError(f"object id {x} out of range [0, {m})")
+        self._check_ids(net)
         freqs = self._frequencies_np()
         if net:
             keys = _np.fromiter(net.keys(), dtype=_np.int64, count=len(net))
@@ -1377,12 +1377,10 @@ class FlatProfile(ProfileQueryMixin):
         :meth:`repro.core.profile.SProfile._bulk_add`: detach at the
         right edge, leapfrog whole blocks (one edge swap per block,
         regardless of block size), land by joining the target block or
-        minting a singleton.  O(#blocks crossed + 1) per key.
+        minting a singleton.  O(#blocks crossed + 1) per key.  Ids are
+        not checked here: every caller has range-checked them.
         """
         m = self._m
-        for x in counts:
-            if not 0 <= x < m:
-                raise CapacityError(f"object id {x} out of range [0, {m})")
         ftot = self._ftot
         ttof = self._ttof
         ptrb = self._ptrb
@@ -1468,10 +1466,6 @@ class FlatProfile(ProfileQueryMixin):
     def _bulk_remove(self, counts: Mapping[int, int]) -> int:
         """Remove ``counts[x]`` (> 0) per key; mirror of
         :meth:`_bulk_add` descending at the left edge."""
-        m = self._m
-        for x in counts:
-            if not 0 <= x < m:
-                raise CapacityError(f"object id {x} out of range [0, {m})")
         ftot = self._ftot
         ttof = self._ttof
         ptrb = self._ptrb

@@ -56,9 +56,12 @@ from repro.errors import CapacityError, FrequencyUnderflowError
 
 __all__ = [
     "ArrayBatch",
+    "NETTING_CROSSOVER",
     "SProfile",
     "net_arrays",
+    "net_batch",
     "net_deltas",
+    "net_events",
 ]
 
 
@@ -77,17 +80,18 @@ def net_deltas(deltas) -> dict:
     return net
 
 
-def net_arrays(ids, deltas):
-    """Net two parallel integer arrays into ``(keys, sums)`` arrays.
+#: Array batches shorter than this many events net with a dict, longer
+#: ones with NumPy (:func:`net_batch`).  ``benchmarks/
+#: bench_flush_netting.py`` times both methods per call: where netting
+#: is all that differs (the router's ``partition_batch``) they break
+#: even at 128-256 events on m = 4,096 and 32,768, and at 32 events
+#: (a replica's flush) the dict halves the facade's cost, about 120 ->
+#: 60 us on a 2-vCPU VM.
+NETTING_CROSSOVER = 256
 
-    The vectorized :func:`net_deltas` of the binary wire hot path: one
-    ``unique`` + scatter-add pair replaces the per-event dict loop.
-    ``keys`` is the *sorted unique* int64 ids and ``sums`` their net
-    deltas (zero-net keys included), both NumPy arrays — no per-key
-    Python objects at all.  Sorted key order is immaterial for dense
-    integer ids: additive netting is order-free, and nothing registers
-    keys positionally.
-    """
+
+def _parallel(ids, deltas):
+    """``ids`` and ``deltas`` as arrays of one shape, or raise."""
     ids = _np.asarray(ids)
     deltas = _np.asarray(deltas)
     if ids.shape != deltas.shape:
@@ -95,20 +99,60 @@ def net_arrays(ids, deltas):
             f"ids and deltas must be parallel arrays, got shapes "
             f"{ids.shape} and {deltas.shape}"
         )
+    return ids, deltas
+
+
+def net_arrays(ids, deltas):
+    """Net two parallel integer arrays into ``(keys, sums)`` arrays.
+
+    The vectorized :func:`net_deltas`: one ``unique`` + scatter-add
+    pair replaces the per-event dict loop.  ``keys`` is the *sorted
+    unique* int64 ids and ``sums`` their net deltas (zero-net keys
+    included), both NumPy arrays — no per-key Python objects at all.
+    Sorted key order is immaterial for dense integer ids: additive
+    netting is order-free, and nothing registers keys positionally.
+    Its fixed cost (a sort and a scatter) loses to the dict loop on
+    small batches; :func:`net_batch` picks between them.
+    """
+    ids, deltas = _parallel(ids, deltas)
     keys, inverse = _np.unique(ids, return_inverse=True)
     sums = _np.zeros(len(keys), dtype=_np.int64)
     _np.add.at(sums, inverse, deltas)
     return keys, sums
 
 
+def net_batch(ids, deltas):
+    """Net one array batch by the method that is cheaper at its length.
+
+    Below :data:`NETTING_CROSSOVER` events, a dict over ``tolist()``
+    (:func:`net_deltas`): a few hundred boxed ints cost less than
+    NumPy's per-call overhead.  From it on, :func:`net_arrays`, whose
+    cost barely grows with the batch.  Returns a net dict or sorted
+    ``(keys, sums)`` arrays, zero-net keys kept either way (the core
+    still range-checks them); :func:`net_events` counts both.
+    """
+    ids, deltas = _parallel(ids, deltas)
+    if ids.size < NETTING_CROSSOVER:
+        return net_deltas(zip(ids.tolist(), deltas.tolist()))
+    return net_arrays(ids, deltas)
+
+
+def net_events(net) -> int:
+    """Net unit events of a :func:`net_batch` result: sum of ``|delta|``."""
+    if isinstance(net, tuple):
+        return int(_np.abs(net[1]).sum())
+    return sum(map(abs, net.values()))
+
+
 class ArrayBatch:
     """One batch as parallel int64 id/delta arrays.
 
-    The zero-copy carrier of the binary ingest hot path: a decoded
-    wire batch holds ``np.frombuffer`` views of the frame body, with
-    no per-event Python objects.  :meth:`~repro.api.Profiler.
+    The carrier of the binary ingest path: a decoded wire batch holds
+    ``np.frombuffer`` views of the frame body, so decoding makes no
+    per-event Python objects.  :meth:`~repro.api.Profiler.
     ingest_batches` takes it as the batch ``ingest_arrays(ids,
-    deltas)`` would apply, netted by :meth:`net_arrays`.
+    deltas)`` would apply, netted by :func:`net_batch` — with a dict,
+    one boxed int per id and delta, when the batch is small.
     """
 
     __slots__ = ("ids", "deltas")
@@ -126,10 +170,6 @@ class ArrayBatch:
             and list(self.ids) == list(other.ids)
             and list(self.deltas) == list(other.deltas)
         )
-
-    def net_arrays(self):
-        """All-arrays netting: ``(sorted unique keys, net sums)``."""
-        return net_arrays(self.ids, self.deltas)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArrayBatch(n={len(self)})"

@@ -40,8 +40,8 @@ The binary codec is selected by a ``hello`` request (see
 ``codecs``, the client's first request may be ``{"op": "hello",
 "codec": "binary"}``, and after the (JSON) ack both directions speak
 binary frames.  Ingest rides :data:`BIN_KIND_INGEST` — the server
-decodes the payload with ``np.frombuffer`` straight into the
-vectorized ingest path, zero per-event Python objects — and every
+decodes the payload with ``np.frombuffer`` into the array ingest
+path, no per-event Python objects in the decode — and every
 other operation rides a :data:`BIN_KIND_JSON` envelope with the exact
 JSON payload it would have as a bare JSON frame, which is what pins
 the two codecs to one semantic model.  Binary event values must fit

@@ -644,6 +644,58 @@ class TestLeaseAndFence:
             old.sync()
         old.close()
 
+    def test_lease_replaced_twice_between_syncs_still_fences(self, tmp_path):
+        """Two foreign replaces between syncs: the path ends on an
+        inode the writer never wrote, whatever inode numbers the
+        filesystem hands out in between."""
+        old = RouterWal(tmp_path)
+        old.acquire_lease("primary")
+        old.append_entry(0, 1, [1], [1])
+        old.sync()
+        path = tmp_path / "lease.json"
+        lease = json.loads(path.read_text())
+        _atomic_write_json(path, {**lease, "epoch": 2, "owner": "standby"})
+        _atomic_write_json(path, {**lease, "epoch": 2, "owner": "standby"})
+        old.append_entry(0, 2, [2], [1])
+        with pytest.raises(FencedWriterError, match="epoch 2"):
+            old.sync()
+        assert old.last_synced_seq == 1
+        old.close()
+
+    def test_steady_syncs_read_no_lease_file(self, tmp_path, monkeypatch):
+        """While the lease path names the inode the writer wrote, the
+        per-sync check is one stat; the file is read only once another
+        writer replaced it.  The pinned fd closes with the WAL."""
+        import repro.cluster.journal as journal
+
+        reads = []
+        real_read = journal._read_json
+
+        def counting_read(path):
+            reads.append(path.name)
+            return real_read(path)
+
+        wal = RouterWal(tmp_path)
+        wal.acquire_lease("primary")
+        wal.renew_lease()
+        monkeypatch.setattr(journal, "_read_json", counting_read)
+        for seq in range(1, 6):
+            wal.append_entry(0, seq, [seq], [1])
+            wal.sync()
+        assert reads == []
+        other = RouterWal(tmp_path)
+        other.acquire_lease("standby")
+        reads.clear()
+        wal.append_entry(0, 6, [6], [1])
+        with pytest.raises(FencedWriterError):
+            wal.sync()
+        assert reads == ["lease.json"]
+        pinned = wal._lease_fd
+        wal.close()
+        other.close()
+        with pytest.raises(OSError):
+            os.fstat(pinned)
+
     def test_epoch_zero_never_fences(self, tmp_path):
         # Without acquire_lease the fencing machinery stays disarmed:
         # single-writer deployments pay nothing.

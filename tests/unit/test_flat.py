@@ -290,6 +290,28 @@ class TestBatchPaths:
         with pytest.raises(FrequencyUnderflowError):
             strict.remove_count(0, 1)
 
+    @pytest.mark.parametrize("allow_negative", [True, False])
+    def test_direct_climb_callers_range_check(self, allow_negative):
+        """The climb loops trust their callers' range check; every
+        direct caller runs one, so a bad id mutates nothing."""
+        fp = FlatProfile(6, allow_negative=allow_negative)
+        fp.add_many([1, 1, 4])
+        before = (fp.frequencies(), fp.n_adds, fp.n_removes)
+        calls = [
+            lambda: fp.add_count(6, 1),
+            lambda: fp.add_count(-1, 2),
+            lambda: fp.remove_count(6, 1),
+            lambda: fp.remove_count(-7, 1),
+            # Object-dtype ids take the dict fallback of the batch paths.
+            lambda: fp.add_many([1, 2**70]),
+            lambda: fp.remove_many([1, 2**70]),
+        ]
+        for call in calls:
+            with pytest.raises(CapacityError):
+                call()
+            assert (fp.frequencies(), fp.n_adds, fp.n_removes) == before
+        fp.audit()
+
     def test_apply_opposing_deltas_cancel(self):
         fp = FlatProfile(4)
         assert fp.apply([(1, +2), (1, -2)]) == 0

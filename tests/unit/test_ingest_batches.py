@@ -14,10 +14,16 @@ import pytest
 
 from repro.api import Profiler
 from repro.baselines.registry import available_profilers
-from repro.core.profile import ArrayBatch
+from repro.cluster.merge import partition_batch
+from repro.core.profile import NETTING_CROSSOVER, ArrayBatch, net_batch
 from repro.errors import CapacityError, FrequencyUnderflowError
 
 DENSE_BACKENDS = available_profilers() + ("flat", "exact", "sharded")
+
+#: Batch lengths on both sides of the netting crossover: short ones,
+#: the longest batch a dict nets, and the two shortest NumPy nets.
+LENGTHS = (1, 2, 3, 4, NETTING_CROSSOVER - 1, NETTING_CROSSOVER,
+           NETTING_CROSSOVER + 1)
 
 
 def open_dense(backend, capacity, strict):
@@ -25,6 +31,17 @@ def open_dense(backend, capacity, strict):
     return Profiler.open(
         capacity, backend=backend, shards=shards, strict=strict
     )
+
+
+def random_pairs(rng, capacity):
+    """One batch of a random length from :data:`LENGTHS`; one in five
+    carries an out-of-range id."""
+    n = rng.choice(LENGTHS)
+    pairs = [(rng.randrange(capacity), rng.randint(-3, 4)) for _ in range(n)]
+    if rng.random() < 0.2:
+        bad = rng.choice([-1, capacity, capacity + 1])
+        pairs[rng.randrange(n)] = (bad, rng.randint(-3, 3))
+    return pairs
 
 
 def kinds(outcomes):
@@ -127,21 +144,23 @@ class TestMixedCodecs:
 
 
 class TestMatchesOneIngestPerBatch:
+    @pytest.mark.parametrize("capacity", [6, 600])
     @pytest.mark.parametrize("backend", ["flat", "exact", "sharded",
                                          "bucket", "tree-fenwick"])
     @pytest.mark.parametrize("strict", [False, True])
-    def test_random_flushes(self, backend, strict):
-        rng = random.Random(f"{backend}-{strict}")
-        merged = open_dense(backend, 6, strict)
-        reference = open_dense(backend, 6, strict)
+    def test_random_flushes(self, backend, strict, capacity):
+        """Batch lengths straddle the netting crossover, so one flush
+        mixes dict-netted and NumPy-netted array batches with pair
+        batches; at capacity 600 a long batch climbs in ``apply`` and
+        rebuilds in ``apply_arrays``."""
+        rng = random.Random(f"{backend}-{strict}-{capacity}")
+        merged = open_dense(backend, capacity, strict)
+        reference = open_dense(backend, capacity, strict)
         arrays = backend in ("flat", "exact", "sharded")
         for _flush in range(40):
             batches = []
             for _ in range(rng.randint(1, 5)):
-                pairs = [
-                    (rng.randint(-1, 7), rng.randint(-3, 3))
-                    for _ in range(rng.randint(1, 4))
-                ]
+                pairs = random_pairs(rng, capacity)
                 if arrays and rng.random() < 0.5:
                     ids, deltas = zip(*pairs)
                     batches.append(ArrayBatch(np.array(ids), np.array(deltas)))
@@ -163,6 +182,54 @@ class TestMatchesOneIngestPerBatch:
             assert merged.frequencies() == reference.frequencies()
         assert merged.batches_ingested == reference.batches_ingested
         assert merged.events_ingested == reference.events_ingested
+
+
+class TestNettingCrossover:
+    def test_net_batch_picks_its_method_by_length(self):
+        for n, kind in ((NETTING_CROSSOVER - 1, dict),
+                        (NETTING_CROSSOVER, tuple)):
+            ids = np.arange(n, dtype=np.int64) % 7
+            net = net_batch(ids, np.ones(n, dtype=np.int64))
+            assert isinstance(net, kind)
+            sums = net if kind is dict else dict(
+                zip(net[0].tolist(), net[1].tolist())
+            )
+            assert sums == {k: ids.tolist().count(k) for k in range(7)}
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("codec", ["binary", "json"])
+    def test_partition_applied_is_the_ingest_return(self, n, codec):
+        rng = np.random.default_rng(n)
+        m = 50
+        ids = rng.integers(0, m, n, dtype=np.int64)
+        deltas = rng.integers(-3, 4, n, dtype=np.int64)
+        pairs = list(zip(ids.tolist(), deltas.tolist()))
+        data = ArrayBatch(ids, deltas) if codec == "binary" else pairs
+        _parts, applied = partition_batch(data, 3, m)
+        assert applied == Profiler.open(m).ingest(pairs)
+
+    @pytest.mark.parametrize("backend", ["flat", "exact", "sharded"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_bad_id_in_small_array_batch_rejects_only_it(
+        self, backend, strict
+    ):
+        """A dict-netted batch whose bad id nets to zero is still
+        rejected alone; the NumPy-netted batch beside it lands."""
+        profiler = open_dense(backend, 10, strict)
+        long_ids = np.arange(NETTING_CROSSOVER, dtype=np.int64) % 10
+        outcomes = profiler.ingest_batches(
+            [
+                ArrayBatch(np.array([1, 2]), np.array([1, 1])),
+                ArrayBatch(np.array([3, 10, 10]), np.array([1, 1, -1])),
+                ArrayBatch(long_ids, np.ones(NETTING_CROSSOVER, np.int64)),
+                [(4, 1)],
+            ]
+        )
+        assert kinds(outcomes) == [2, CapacityError, NETTING_CROSSOVER, 1]
+        expected = np.bincount(long_ids, minlength=10)
+        expected[[1, 2, 4]] += 1
+        assert profiler.frequencies() == expected.tolist()
+        assert profiler.batches_ingested == 3
 
 
 class TestOneAdmissionRule:
