@@ -30,24 +30,37 @@ Package map:
 - :mod:`repro.bench` — harness regenerating every figure of the paper.
 """
 
-from repro.api import EvalResult, Profiler, Query
-from repro.core.flat import FlatProfile
-from repro.core.profile import SProfile
-from repro.core.queries import ModeResult, TopEntry
-from repro.core.snapshot import ProfileSnapshot
-from repro.engine.sharding import ShardedProfiler
-from repro.errors import (
-    CapacityError,
-    CheckpointError,
-    EmptyProfileError,
-    FrequencyUnderflowError,
-    InvariantViolationError,
-    ReproError,
-    StreamConfigError,
-    UnknownObjectError,
-    UnsupportedQueryError,
-    WindowError,
-)
+from importlib import import_module
+
+#: Public name -> defining module.  Imported on first access (PEP 562),
+#: so ``import repro.<sub>`` loads only what that submodule needs — a
+#: process can, say, pin thread settings before NumPy loads.
+_EXPORTS = {
+    "EvalResult": "repro.api",
+    "Profiler": "repro.api",
+    "Query": "repro.api",
+    "FlatProfile": "repro.core.flat",
+    "SProfile": "repro.core.profile",
+    "ModeResult": "repro.core.queries",
+    "TopEntry": "repro.core.queries",
+    "ProfileSnapshot": "repro.core.snapshot",
+    "ShardedProfiler": "repro.engine.sharding",
+    **dict.fromkeys(
+        (
+            "CapacityError",
+            "CheckpointError",
+            "EmptyProfileError",
+            "FrequencyUnderflowError",
+            "InvariantViolationError",
+            "ReproError",
+            "StreamConfigError",
+            "UnknownObjectError",
+            "UnsupportedQueryError",
+            "WindowError",
+        ),
+        "repro.errors",
+    ),
+}
 
 __version__ = "1.0.0"
 
@@ -73,3 +86,16 @@ __all__ = [
     "WindowError",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -620,7 +620,7 @@ def _cluster(cfg: dict, rounds: int, seed: int, replica_counts) -> dict:
     """The replicated tier end to end: router fan-out vs direct serve.
 
     One :class:`~repro.cluster.router.ClusterRouter` in this process
-    fronts real ``python -m repro.serve`` replica subprocesses (spawned
+    fronts real replica processes running the serve CLI (spawned
     once per replica count, outside the timed region, and reused across
     rounds — flat-engine batch application costs the same regardless of
     accumulated state).  The baseline contender is the same engine

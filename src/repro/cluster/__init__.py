@@ -32,13 +32,24 @@ epoch so ingest and queries never stop.
 
 ``python -m repro.cluster`` stands the whole tier up in one command
 (``--standby`` follows instead of serving);
-:class:`ReplicaSupervisor` manages the replica subprocesses.
+:class:`ReplicaSupervisor` manages the replica processes, each forked
+from a pre-imported zygote (:mod:`repro.cluster.zygote`).
 """
 
-from repro.cluster.journal import JournalEntry, RouterWal, WalTail
-from repro.cluster.router import ClusterRouter, partition_capacity
-from repro.cluster.standby import StandbyRouter
-from repro.cluster.supervisor import ReplicaSupervisor
+from importlib import import_module
+
+#: Public name -> defining module, imported on first access (PEP 562):
+#: ``python -m repro.cluster`` must reach its ``__main__`` before
+#: anything imports NumPy.
+_EXPORTS = {
+    "ClusterRouter": "repro.cluster.router",
+    "JournalEntry": "repro.cluster.journal",
+    "ReplicaSupervisor": "repro.cluster.supervisor",
+    "RouterWal": "repro.cluster.journal",
+    "StandbyRouter": "repro.cluster.standby",
+    "WalTail": "repro.cluster.journal",
+    "partition_capacity": "repro.cluster.router",
+}
 
 __all__ = [
     "ClusterRouter",
@@ -49,3 +60,18 @@ __all__ = [
     "WalTail",
     "partition_capacity",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module 'repro.cluster' has no attribute {name!r}"
+        )
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -1,10 +1,15 @@
 """``python -m repro.cluster`` — stand up a replicated serving tier.
 
-One command spawns the whole tier: N ``python -m repro.serve`` replica
-subprocesses (via :class:`~repro.cluster.supervisor.ReplicaSupervisor`)
-plus the :class:`~repro.cluster.router.ClusterRouter` front end in this
-process.  Clients speak the ordinary server protocol to the router;
-replicas are an implementation detail they never see.
+One command spawns the whole tier: N replica processes running the
+``python -m repro.serve`` CLI (via
+:class:`~repro.cluster.supervisor.ReplicaSupervisor`) plus the
+:class:`~repro.cluster.router.ClusterRouter` front end in this process.
+Clients speak the ordinary server protocol to the router; replicas are
+an implementation detail they never see.  Right after parsing its
+arguments, before its event loop starts, the CLI forks a
+:class:`~repro.cluster.zygote.Zygote` (execs one if this process
+already runs a second thread); every replica is a fork of it, so none
+pays an interpreter start.
 
 Examples
 --------
@@ -43,6 +48,7 @@ from repro.cluster.journal import RouterWal
 from repro.cluster.router import ClusterRouter
 from repro.cluster.standby import StandbyRouter
 from repro.cluster.supervisor import ReplicaSupervisor
+from repro.cluster.zygote import Zygote
 from repro.obs.http import MetricsExporter
 from repro.obs.registry import get_registry, json_sanitize
 from repro.obs.structlog import configure_logging, log_event
@@ -305,7 +311,9 @@ def _drain_report(router: ClusterRouter, supervisor) -> str:
     return line
 
 
-async def _amain(args: argparse.Namespace, workdir: str) -> int:
+async def _amain(
+    args: argparse.Namespace, workdir: str, zygote: Zygote
+) -> int:
     configure_logging(args.log_format)
     spec = args.faults or os.environ.get("REPRO_FAULTS")
     if spec:
@@ -321,6 +329,7 @@ async def _amain(args: argparse.Namespace, workdir: str) -> int:
         host=args.host,
         backend=args.replica_backend,
         codec=args.codec,
+        zygote=zygote,
     )
     await supervisor.start()
     try:
@@ -418,7 +427,9 @@ async def _start_exporter(
     return exporter
 
 
-async def _amain_standby(args: argparse.Namespace, workdir: str) -> int:
+async def _amain_standby(
+    args: argparse.Namespace, workdir: str, zygote: Zygote
+) -> int:
     configure_logging(args.log_format)
     spec = args.faults or os.environ.get("REPRO_FAULTS")
     if spec:
@@ -434,6 +445,7 @@ async def _amain_standby(args: argparse.Namespace, workdir: str) -> int:
         host=args.host,
         backend=args.replica_backend,
         codec=args.codec,
+        zygote=zygote,
     )
     # NOT started: the replicas spawn at promotion.  Warm means the
     # WAL tail is caught up, not that a second tier burns CPU.
@@ -549,13 +561,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.standby and not args.journal_dir:
         build_parser().error("--standby requires --journal-dir")
     amain = _amain_standby if args.standby else _amain
+    # Before the event loop, the WAL and any socket: the fork copies
+    # nothing but imported modules.
+    zygote = Zygote.start()
     try:
         if args.workdir is not None:
-            return asyncio.run(amain(args, args.workdir))
+            return asyncio.run(amain(args, args.workdir, zygote))
         with tempfile.TemporaryDirectory(prefix="repro-cluster-") as tmp:
-            return asyncio.run(amain(args, tmp))
+            return asyncio.run(amain(args, tmp, zygote))
     except KeyboardInterrupt:  # pragma: no cover - signal-handler race
         return 0
+    finally:
+        zygote.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

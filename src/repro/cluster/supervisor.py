@@ -1,13 +1,19 @@
 """Replica process lifecycle: spawn, watch, respawn.
 
-:class:`ReplicaSupervisor` turns ``python -m repro.serve`` into the
-cluster's replica tier: one subprocess per partition, each serving a
+:class:`ReplicaSupervisor` turns the serve CLI (``python -m
+repro.serve``'s ``main``) into the cluster's replica tier: one process
+per partition, forked from a pre-imported
+:class:`~repro.cluster.zygote.Zygote` (the cluster CLI hands one in;
+otherwise the supervisor execs its own on first use), each serving a
 dense non-strict profiler of exactly its partition capacity, each
 publishing its bound port through an atomically written port file
 (``--port-file``; tmp + rename, so a polling supervisor never reads a
 half-written number) and its pid through a pid file (so external
 chaos — a CI kill gate, an operator — can target a replica without
-asking the supervisor).
+asking the supervisor).  The zygote's pid is published as
+``zygote.pid`` in the same directory.  A forked replica's
+``/proc/<pid>/cmdline`` is its zygote's, so the pid files are the
+way to find replicas.
 
 The router drives recovery through one duck-typed method:
 ``await ensure_replica(p)`` returns the partition's current endpoint,
@@ -45,9 +51,11 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
+from repro.cluster.zygote import ReplicaProcess, Zygote
 from repro.errors import CapacityError, ClusterUnhealthyError
 from repro.obs.registry import get_registry
 from repro.obs.structlog import log_event
@@ -63,7 +71,7 @@ def _partition_capacity(m: int, p: int, n: int) -> int:
 
 
 class ReplicaSupervisor:
-    """Manage ``n_replicas`` serve subprocesses for one universe.
+    """Manage ``n_replicas`` replica processes for one universe.
 
     Parameters
     ----------
@@ -86,6 +94,14 @@ class ReplicaSupervisor:
         (e.g. ``["--batch-max", "2048"]``).
     boot_timeout:
         Seconds to wait for a (re)spawned replica's port file.
+    python:
+        Interpreter of the zygote the supervisor execs when it was
+        given none.
+    zygote:
+        The :class:`~repro.cluster.zygote.Zygote` every replica is
+        forked from; its owner closes it.  ``None`` (the default):
+        the supervisor execs one on first spawn and closes it in
+        :meth:`stop`.
     max_respawn_burst / respawn_window:
         The crash-loop escalation threshold: strictly more than
         ``max_respawn_burst`` respawns of one partition within
@@ -107,6 +123,7 @@ class ReplicaSupervisor:
         python: str = sys.executable,
         max_respawn_burst: int = 5,
         respawn_window: float = 30.0,
+        zygote: Zygote | None = None,
     ) -> None:
         if n_replicas < 1:
             raise CapacityError(
@@ -132,7 +149,10 @@ class ReplicaSupervisor:
             )
         self._max_burst = max_respawn_burst
         self._window = respawn_window
-        self._procs: list[subprocess.Popen | None] = [None] * n_replicas
+        self._zygote = zygote
+        self._own_zygote = False
+        self._zygote_lock = threading.Lock()
+        self._procs: list[ReplicaProcess | None] = [None] * n_replicas
         self._ports: list[int | None] = [None] * n_replicas
         self._respawn_times: list[list[float]] = [
             [] for _ in range(n_replicas)
@@ -182,21 +202,34 @@ class ReplicaSupervisor:
         """Spawn every replica and wait until all ports are published."""
         self._workdir.mkdir(parents=True, exist_ok=True)
         for p in range(self._n):
-            self._spawn(p)
+            await self._off_loop(self._spawn, p)
         for p in range(self._n):
             self._ports[p] = await self._wait_port(p)
         return self
 
-    def _launch(self, p: int, n: int, gen: int) -> subprocess.Popen:
-        """Start one serve subprocess for partition ``p`` of an
-        ``n``-way generation-``gen`` tier and publish its pid file."""
+    def _ready_zygote(self) -> Zygote:
+        """The zygote to fork from: the given one while it lives, else
+        one this supervisor execs (and owns)."""
+        if self._zygote is None or not self._zygote.alive:
+            if self._own_zygote:
+                self._zygote.close()
+            self._zygote = Zygote.exec(self._python)
+            self._own_zygote = True
+        return self._zygote
+
+    def _launch(self, p: int, n: int, gen: int) -> ReplicaProcess:
+        """Fork one replica for partition ``p`` of an ``n``-way
+        generation-``gen`` tier and publish its pid file.
+
+        Callers on the event loop run it (or :meth:`_spawn`) through
+        :meth:`_off_loop`: the zygote's answer takes a fork round trip,
+        and an exec'd zygote answers only once it has imported the
+        serving stack.
+        """
         fault_point_sync("supervisor.spawn")
         port_file = self._path("port", p, gen)
         port_file.unlink(missing_ok=True)
-        cmd = [
-            self._python,
-            "-m",
-            "repro.serve",
+        argv = [
             "--capacity",
             str(_partition_capacity(self._capacity, p, n)),
             "--backend",
@@ -215,16 +248,12 @@ class ReplicaSupervisor:
             f"{p}/{n}",
             *self._serve_args,
         ]
-        log = open(self._path("log", p, gen), "ab")
-        try:
-            proc = subprocess.Popen(
-                cmd,
-                stdout=log,
-                stderr=subprocess.STDOUT,
-                stdin=subprocess.DEVNULL,
-            )
-        finally:
-            log.close()
+        with self._zygote_lock:
+            zygote = self._ready_zygote()
+        proc = zygote.spawn(
+            argv, str(self._path("log", p, gen)), self._boot_timeout
+        )
+        (self._workdir / "zygote.pid").write_text(f"{zygote.pid}\n")
         self._path("pid", p, gen).write_text(f"{proc.pid}\n")
         log_event(
             _log, f"replica {p} spawned (pid {proc.pid})",
@@ -234,12 +263,25 @@ class ReplicaSupervisor:
         get_registry().counter("cluster.replica.spawns").inc()
         return proc
 
+    @staticmethod
+    async def _off_loop(fn, *args) -> None:
+        """Run ``fn(*args)`` in a worker thread.  A cancelled caller
+        still waits for it, so a replica it forks is always recorded
+        where :meth:`stop` finds it."""
+        call = asyncio.ensure_future(asyncio.to_thread(fn, *args))
+        try:
+            await asyncio.shield(call)
+        except asyncio.CancelledError:
+            await asyncio.wait({call})
+            call.exception()  # read, so a spawn error is not reported as lost
+            raise
+
     def _spawn(self, p: int) -> None:
         self._kill_stale(self.pid_file(p), self._procs[p])
         self._procs[p] = self._launch(p, self._n, self._generation)
 
     def _kill_stale(
-        self, pid_path: Path, own: subprocess.Popen | None
+        self, pid_path: Path, own: ReplicaProcess | None
     ) -> None:
         """Kill a leftover replica from a dead supervisor, by pid file.
 
@@ -263,10 +305,11 @@ class ReplicaSupervisor:
             pass
 
     async def _await_port(
-        self, proc: subprocess.Popen, port_file: Path, label: str
+        self, proc: ReplicaProcess, port_file: Path, label: str
     ) -> int:
-        """Poll for a replica's (atomically written) port file."""
-        deadline = time.monotonic() + self._boot_timeout
+        """Poll for a replica's (atomically written) port file; record
+        its boot time, spawn request to published port."""
+        deadline = proc.started + self._boot_timeout
         log_hint = port_file.with_suffix(".log")
         while time.monotonic() < deadline:
             if proc.poll() is not None:
@@ -279,8 +322,11 @@ class ReplicaSupervisor:
             except FileNotFoundError:
                 text = ""
             if text.strip():
+                get_registry().histogram("cluster.replica.boot_ms").observe(
+                    (time.monotonic() - proc.started) * 1e3
+                )
                 return int(text.strip())
-            await asyncio.sleep(0.02)
+            await asyncio.sleep(0.005)
         raise RuntimeError(
             f"{label} did not publish a port within "
             f"{self._boot_timeout:g}s (see {log_hint})"
@@ -324,7 +370,7 @@ class ReplicaSupervisor:
                 event="replica_respawn", partition=p,
                 respawns=self.respawns,
             )
-            self._spawn(p)
+            await self._off_loop(self._spawn, p)
             self._ports[p] = await self._wait_port(p)
         return (self._host, self._ports[p])
 
@@ -401,11 +447,13 @@ class ReplicaSupervisor:
                 f"{n_new} replicas"
             )
         gen = self._generation + 1
-        procs: list[subprocess.Popen] = []
+        procs: list[ReplicaProcess] = []
         try:
             for q in range(n_new):
                 self._kill_stale(self._path("pid", q, gen), None)
-                procs.append(self._launch(q, n_new, gen))
+                await self._off_loop(
+                    lambda q: procs.append(self._launch(q, n_new, gen)), q
+                )
             ports = []
             for q, proc in enumerate(procs):
                 ports.append(
@@ -481,7 +529,7 @@ class ReplicaSupervisor:
         self._ports = [None] * n
         self._respawn_times = [[] for _ in range(n)]
         for p in range(n):
-            self._spawn(p)
+            await self._off_loop(self._spawn, p)
         for p in range(n):
             self._ports[p] = await self._wait_port(p)
         return self.endpoints
@@ -511,13 +559,19 @@ class ReplicaSupervisor:
 
     def stop(self, timeout: float = 10.0) -> None:
         """SIGTERM every live replica — staged tier included — and
-        reap them (idempotent)."""
+        reap them, then close the zygote this supervisor execs
+        (idempotent)."""
         staged = self._staged
         self._staged = None
         procs = list(self._procs)
         if staged is not None:
             procs.extend(staged["procs"])
         self._stop_procs(procs, timeout)
+        with self._zygote_lock:
+            if self._own_zygote:
+                self._zygote.close()
+                self._zygote = None
+                self._own_zygote = False
 
     async def __aenter__(self) -> "ReplicaSupervisor":
         return await self.start()

@@ -475,6 +475,7 @@ class SProfile(ProfileQueryMixin):
         if count < 0:
             raise CapacityError(f"count must be >= 0, got {count}")
         if count:
+            self._check_ids((x,))
             self._bulk_add({x: count})
 
     def remove_count(self, x: int, count: int) -> None:
@@ -482,6 +483,7 @@ class SProfile(ProfileQueryMixin):
         if count < 0:
             raise CapacityError(f"count must be >= 0, got {count}")
         if count:
+            self._check_ids((x,))
             self._bulk_remove({x: count})
 
     def consume(self, events: Iterable[tuple[int, bool]]) -> int:
@@ -548,6 +550,7 @@ class SProfile(ProfileQueryMixin):
         counts = Counter(xs)
         if not counts:
             return 0
+        self._check_ids(counts)
         if len(counts) * 2 >= self._m:
             n = sum(counts.values())
             self._apply_rebuild(counts)
@@ -568,6 +571,7 @@ class SProfile(ProfileQueryMixin):
         counts = Counter(xs)
         if not counts:
             return 0
+        self._check_ids(counts)
         if len(counts) * 2 >= self._m:
             n = sum(counts.values())
             self._apply_rebuild({x: -c for x, c in counts.items()})
@@ -576,12 +580,7 @@ class SProfile(ProfileQueryMixin):
         if not self._allow_negative:
             ptrb = self._ptrb
             ftot = self._ftot
-            m = self._m
             for x, c in counts.items():
-                if not 0 <= x < m:
-                    raise CapacityError(
-                        f"object id {x} out of range [0, {m})"
-                    )
                 f = ptrb[ftot[x]].f
                 if c > f:
                     raise FrequencyUnderflowError(
@@ -651,6 +650,14 @@ class SProfile(ProfileQueryMixin):
             n += self._bulk_remove(removes)
         return n
 
+    def _check_ids(self, xs) -> None:
+        """Reject the batch on its first id outside ``[0, m)``: the
+        check every caller of the climb loops runs before them."""
+        m = self._m
+        for x in xs:
+            if not 0 <= x < m:
+                raise CapacityError(f"object id {x} out of range [0, {m})")
+
     def _apply_rebuild(self, net: Mapping[int, int]) -> None:
         """Wholesale path for batches that touch much of the universe.
 
@@ -663,9 +670,6 @@ class SProfile(ProfileQueryMixin):
         before any mutation, so a raise leaves this batch unapplied.
         """
         m = self._m
-        for x in net:
-            if not 0 <= x < m:
-                raise CapacityError(f"object id {x} out of range [0, {m})")
         freqs = self.frequencies()
         if not self._allow_negative:
             for x, d in net.items():
@@ -698,9 +702,6 @@ class SProfile(ProfileQueryMixin):
         at most min(count, #blocks) and usually far less.
         """
         m = self._m
-        for x in counts:
-            if not 0 <= x < m:
-                raise CapacityError(f"object id {x} out of range [0, {m})")
         ftot = self._ftot
         ttof = self._ttof
         ptrb = self._ptrb
@@ -789,10 +790,6 @@ class SProfile(ProfileQueryMixin):
     def _bulk_remove(self, counts: Mapping[int, int]) -> int:
         """Remove ``counts[x]`` (> 0) from every key; mirror of
         :meth:`_bulk_add` descending at the left edge."""
-        m = self._m
-        for x in counts:
-            if not 0 <= x < m:
-                raise CapacityError(f"object id {x} out of range [0, {m})")
         ftot = self._ftot
         ttof = self._ttof
         ptrb = self._ptrb

@@ -136,7 +136,6 @@ __all__ = [
     "BIN_KIND_JSON",
     "DEFAULT_MAX_FRAME",
     "PROTOCOL_VERSION",
-    "ArrayBatch",
     "BinaryFrame",
     "ProtocolError",
     "RemoteError",

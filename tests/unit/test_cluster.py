@@ -150,7 +150,7 @@ class TestPartitionBatch:
 
     def test_binary_columns_split_identically(self):
         np = pytest.importorskip("numpy")
-        from repro.server.protocol import ArrayBatch
+        from repro.core.profile import ArrayBatch
 
         ids = np.array([0, 1, 3, 4], dtype=np.int64)
         deltas = np.array([1, 2, 1, -1], dtype=np.int64)

@@ -308,6 +308,35 @@ class TestApply:
         with pytest.raises(CapacityError):
             profile.apply([(capacity, +1), (capacity, -1)])
 
+    @pytest.mark.parametrize("allow_negative", [True, False])
+    def test_direct_climb_callers_range_check(self, allow_negative):
+        """The climb loops and the rebuild trust their callers' range
+        check; every direct caller runs one, so a bad id mutates
+        nothing."""
+        profile = SProfile(6, allow_negative=allow_negative)
+        profile.add_many([1, 1, 4])
+        before = (profile.frequencies(), profile.n_adds, profile.n_removes)
+        calls = [
+            lambda: profile.add_count(6, 1),
+            lambda: profile.add_count(-1, 2),
+            lambda: profile.remove_count(6, 1),
+            lambda: profile.remove_count(-7, 1),
+            lambda: profile.add_many([1, 6]),
+            lambda: profile.remove_many([1, -1]),
+            # Naming half the universe or more takes the rebuild path,
+            # where a negative id would index from the end.
+            lambda: profile.add_many([0, 1, 2, -1]),
+            lambda: profile.remove_many([0, 1, 2, -1]),
+            lambda: profile.apply([(0, 1), (1, 1), (2, 1), (-1, 1)]),
+        ]
+        for call in calls:
+            with pytest.raises(CapacityError):
+                call()
+            assert (
+                profile.frequencies(), profile.n_adds, profile.n_removes
+            ) == before
+        audit_profile(profile)
+
     def test_add_count_uses_climb(self):
         profile = SProfile(10)
         profile.add_count(3, 1000)
