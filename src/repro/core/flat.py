@@ -67,8 +67,10 @@ Two structural notes:
 
 Batch ingestion mirrors :class:`SProfile`'s two regimes: sparse batches
 climb the block structure per key; dense batches rebuild wholesale —
-vectorized through NumPy (one ``bincount`` to coalesce, one
-``argsort`` plus a run-length encode to rebuild, all C speed).
+vectorized through NumPy (one ``argsort`` plus a run-length encode, all
+C speed).  Every batch entry point nets its input and lands it through
+one step, whose rule sets the dense point per engine
+(:data:`LIST_REBUILD_DIVISOR`, :data:`ARRAY_REBUILD_DIVISOR`).
 
 **The array engine** (``array_engine=True``) keeps the same structure in
 preallocated ``int64`` NumPy buffers instead of Python lists.  The
@@ -92,14 +94,13 @@ copy of the update logic.
 from __future__ import annotations
 
 import weakref
-from collections import Counter
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as _np
 
 from repro.core.block import Block
-from repro.core.profile import net_deltas
+from repro.core.profile import _net_units, _parallel, net_deltas
 from repro.core.queries import ProfileQueryMixin
 from repro.errors import (
     CapacityError,
@@ -108,7 +109,21 @@ from repro.errors import (
     InvariantViolationError,
 )
 
-__all__ = ["FlatProfile"]
+__all__ = ["ARRAY_REBUILD_DIVISOR", "FlatProfile", "LIST_REBUILD_DIVISOR"]
+
+#: The engine's climb-or-rebuild rule (:meth:`FlatProfile._land`): a
+#: net batch naming ``distinct`` non-zero keys rebuilds when ``distinct
+#: * divisor >= m`` and climbs per key otherwise.  A climb costs
+#: O(#blocks crossed) of interpreted work per key; a rebuild is an
+#: O(m log m) sort at C speed plus a refill of the engine's storage,
+#: ``tolist()`` into every list for the list engine and in-place
+#: buffer writes for the array engine, whose climbs also pay NumPy
+#: scalar indexing.  ``benchmarks/bench_flush_netting.py`` prices both
+#: sides per engine (``docs/perf.md`` §3): climbs break even with the
+#: rebuild near m/4 distinct keys on the list engine and near m/40 on
+#: the array engine, at m = 4,096 and 32,768.
+LIST_REBUILD_DIVISOR = 4
+ARRAY_REBUILD_DIVISOR = 40
 
 
 class _RankRange:
@@ -652,27 +667,18 @@ class FlatProfile(ProfileQueryMixin):
             self.remove(x)
 
     def add_count(self, x: int, count: int) -> None:
-        """Apply ``count`` adds to ``x`` as one climb."""
+        """Apply ``count`` adds to ``x``, landed as a one-key batch."""
         if count < 0:
             raise CapacityError(f"count must be >= 0, got {count}")
         if count:
-            self._check_ids((x,))
-            self._bulk_add({x: count})
+            self._land({x: count})
 
     def remove_count(self, x: int, count: int) -> None:
         """Apply ``count`` removes to ``x``.  Mirror of :meth:`add_count`."""
         if count < 0:
             raise CapacityError(f"count must be >= 0, got {count}")
         if count:
-            self._check_ids((x,))
-            if not self._allow_negative:
-                f = self._bf[self._ptrb[self._ftot[x]]]
-                if count > f:
-                    raise FrequencyUnderflowError(
-                        f"removing object {x} at frequency {f} "
-                        f"{count} times would go negative"
-                    )
-            self._bulk_remove({x: count})
+            self._land({x: -count})
 
     def consume(self, events: Iterable[tuple[int, bool]]) -> int:
         """Apply ``(object, is_add)`` tuples in order; return count."""
@@ -1099,116 +1105,16 @@ class FlatProfile(ProfileQueryMixin):
         repeated keys coalesce into one climb, final frequencies match
         the per-event loop, tie order inside equal frequencies is
         unordered, and bad ids reject the batch before any mutation.
-        Dense batches (naming >= half the universe) rebuild wholesale.
-
-        The whole batch pipeline is vectorized: coalescing is one
-        ``bincount`` (no per-event dict work at all) and the dense
-        rebuild is one fancy-indexed add + ``argsort``.
+        A batch naming at least ``m / divisor`` distinct keys rebuilds
+        wholesale, the divisor being the engine's
+        (:data:`LIST_REBUILD_DIVISOR`, :data:`ARRAY_REBUILD_DIVISOR`).
         """
-        if not hasattr(xs, "__len__"):
-            xs = list(xs)
-        if len(xs) == 0:
-            return 0
-        per_key = self._batch_counts(xs)
-        if per_key is not None:
-            n = len(xs)
-            if int(_np.count_nonzero(per_key)) * 2 >= self._m:
-                # Dense: one fancy-indexed add onto the materialized
-                # frequency array, one argsort — no per-key Python
-                # work at all.
-                freqs = self._frequencies_np()
-                freqs += per_key
-                self._install_freqs_np(freqs)
-                self._n_adds += n
-                return n
-            keys = _np.flatnonzero(per_key)
-            return self._bulk_add(
-                dict(zip(keys.tolist(), per_key[keys].tolist()))
-            )
-        counts = Counter(xs)
-        if len(counts) * 2 >= self._m:
-            n = sum(counts.values())
-            self._apply_rebuild(counts)
-            self._n_adds += n
-            return n
-        self._check_ids(counts)
-        return self._bulk_add(counts)
+        return self._land(_net_units(xs, 1))
 
     def remove_many(self, xs: Iterable[int]) -> int:
         """Apply one remove per element of ``xs``; mirror of
         :meth:`add_many` (all-or-nothing in strict mode)."""
-        if not hasattr(xs, "__len__"):
-            xs = list(xs)
-        if len(xs) == 0:
-            return 0
-        per_key = self._batch_counts(xs)
-        if per_key is not None:
-            n = len(xs)
-            if int(_np.count_nonzero(per_key)) * 2 >= self._m:
-                freqs = self._frequencies_np()
-                low = freqs - per_key
-                if not self._allow_negative and int(low.min()) < 0:
-                    bad = int(low.argmin())
-                    raise FrequencyUnderflowError(
-                        f"removing object {bad} at frequency "
-                        f"{int(freqs[bad])} {int(per_key[bad])} times "
-                        f"would go negative"
-                    )
-                self._install_freqs_np(low)
-                self._n_removes += n
-                return n
-            keys = _np.flatnonzero(per_key)
-            counts = dict(zip(keys.tolist(), per_key[keys].tolist()))
-        else:
-            counts = Counter(xs)
-            if len(counts) * 2 >= self._m:
-                n = sum(counts.values())
-                self._apply_rebuild({x: -c for x, c in counts.items()})
-                self._n_removes += n
-                return n
-            self._check_ids(counts)
-        if not self._allow_negative:
-            ptrb = self._ptrb
-            ftot = self._ftot
-            bf = self._bf
-            for x, c in counts.items():
-                f = bf[ptrb[ftot[x]]]
-                if c > f:
-                    raise FrequencyUnderflowError(
-                        f"removing object {x} at frequency {f} "
-                        f"{c} times would go negative"
-                    )
-        return self._bulk_remove(counts)
-
-    def _check_ids(self, xs) -> None:
-        """Reject the batch on its first id outside ``[0, m)``: the
-        check every caller of the climb loops runs before them."""
-        m = self._m
-        for x in xs:
-            if not 0 <= x < m:
-                raise CapacityError(f"object id {x} out of range [0, {m})")
-
-    def _batch_counts(self, xs):
-        """Per-key occurrence counts of a materialized id batch.
-
-        One ``bincount`` pass coalesces the batch and one min/max pass
-        range-validates it (a bad id rejects the batch before any
-        mutation).  Returns ``None`` when the batch is not a clean
-        one-dimensional integer array — the caller then
-        falls back to the dict pipeline, which surfaces type errors the
-        same way the block-object engine does.
-        """
-        arr = _np.asarray(xs)
-        if arr.ndim != 1 or arr.dtype.kind not in "iu":
-            return None
-        lo = int(arr.min())
-        hi = int(arr.max())
-        if lo < 0 or hi >= self._m:
-            bad = lo if lo < 0 else hi
-            raise CapacityError(
-                f"object id {bad} out of range [0, {self._m})"
-            )
-        return _np.bincount(arr, minlength=self._m)
+        return self._land(_net_units(xs, -1))
 
     def apply(self, deltas) -> int:
         """Apply a batch of ``(object, delta)`` pairs (or a mapping).
@@ -1225,41 +1131,9 @@ class FlatProfile(ProfileQueryMixin):
         [2, 1, 0, 0]
         """
         # A dict is already a net map, and nothing below mutates it.
-        net = deltas if isinstance(deltas, dict) else net_deltas(deltas)
-        m = self._m
-        adds: dict[int, int] = {}
-        removes: dict[int, int] = {}
-        for x, d in net.items():
-            if not 0 <= x < m:
-                raise CapacityError(f"object id {x} out of range [0, {m})")
-            if d > 0:
-                adds[x] = d
-            elif d < 0:
-                removes[x] = -d
-        if (len(adds) + len(removes)) * 2 >= m and (adds or removes):
-            n_add = sum(adds.values())
-            n_rem = sum(removes.values())
-            self._apply_rebuild({x: net[x] for x in net if net[x]})
-            self._n_adds += n_add
-            self._n_removes += n_rem
-            return n_add + n_rem
-        if removes and not self._allow_negative:
-            ptrb = self._ptrb
-            ftot = self._ftot
-            bf = self._bf
-            for x, c in removes.items():
-                f = bf[ptrb[ftot[x]]]
-                if c > f:
-                    raise FrequencyUnderflowError(
-                        f"removing object {x} at frequency {f} "
-                        f"{c} times (net) would go negative"
-                    )
-        n = 0
-        if adds:
-            n += self._bulk_add(adds)
-        if removes:
-            n += self._bulk_remove(removes)
-        return n
+        return self._land(
+            deltas if isinstance(deltas, dict) else net_deltas(deltas)
+        )
 
     def apply_arrays(self, keys, sums) -> int:
         """Apply an already-netted batch given as parallel arrays.
@@ -1267,64 +1141,75 @@ class FlatProfile(ProfileQueryMixin):
         The all-arrays twin of :meth:`apply` for the serving hot path:
         ``keys`` are *unique* integer ids and ``sums`` their net
         deltas (the output shape of
-        :func:`repro.core.profile.net_arrays`).  Same contract —
-        identical validation order, strict-mode underflow messages and
-        return value — but range checks, underflow checks and the
-        wholesale rebuild run vectorized, with no per-key dict.
-
-        Rebuild-vs-climb is decided per batch: climbing costs
-        O(#blocks crossed) *Python* per key while the rebuild is
-        O(m log m) at C speed, so the crossover sits near ``m / 20``
-        distinct keys (not :meth:`apply`'s ``m / 2``, which prices the
-        dict pipeline both sides of its threshold pay).
+        :func:`repro.core.profile.net_arrays`).  Both run one step, so
+        a net gets the same checks, messages, return value and choice
+        of climbs or rebuild either way; here the range check and a
+        rebuild run vectorized, with no per-key dict.  Arrays of
+        different shapes raise :class:`~repro.errors.CapacityError`.
         """
-        keys = _np.asarray(keys)
-        sums = _np.asarray(sums)
+        return self._land((keys, sums))
+
+    def _land(self, net) -> int:
+        """Check one net batch, choose climbs or a rebuild, and land it.
+
+        The one step behind every batch entry point.  ``net`` is a
+        dict (key -> net delta) or parallel ``(keys, sums)`` arrays of
+        unique keys, zero-net keys allowed in either.  In order: the
+        arrays must share one shape; every key, zero-net ones
+        included, must lie in ``[0, m)``; a net naming ``distinct``
+        non-zero keys rebuilds when ``distinct * divisor >= m``, with
+        the engine's divisor, and climbs otherwise; then strict mode
+        rejects a net underflow, vectorized in :meth:`_apply_rebuild`
+        and by one scalar loop before the climbs.  All checks precede
+        any mutation.  Returns the net unit events applied.
+        """
         m = self._m
-        if keys.size:
-            # Range-check before dropping zero-net keys: apply() does
-            # too (a bad id rejects the batch even when its deltas
-            # cancel).
-            lo = int(keys.min())
-            hi = int(keys.max())
-            if lo < 0 or hi >= m:
-                bad = lo if lo < 0 else hi
-                raise CapacityError(
-                    f"object id {bad} out of range [0, {m})"
-                )
-        live = sums != 0
-        if not live.all():
-            keys = keys[live]
-            sums = sums[live]
-        if not keys.size:
-            return 0
-        n_add = int(sums[sums > 0].sum())
-        n_rem = -int(sums[sums < 0].sum())
-        if keys.size * 20 >= m:
-            freqs = self._frequencies_np()
-            if not self._allow_negative:
-                low = freqs[keys] + sums
-                if int(low.min()) < 0:
-                    i = int(low.argmin())
-                    bad = int(keys[i])
-                    raise FrequencyUnderflowError(
-                        f"removing object {bad} at frequency "
-                        f"{int(freqs[bad])} {int(-sums[i])} times "
-                        f"(net) would go negative"
+        arrays = isinstance(net, tuple)
+        if arrays:
+            keys, sums = _parallel(*net)
+            if keys.size:
+                lo = int(keys.min())
+                hi = int(keys.max())
+                if lo < 0 or hi >= m:
+                    bad = lo if lo < 0 else hi
+                    raise CapacityError(
+                        f"object id {bad} out of range [0, {m})"
                     )
-            freqs[keys] += sums
-            self._install_freqs_np(freqs)
-            self._n_adds += n_add
-            self._n_removes += n_rem
-            return n_add + n_rem
-        adds: dict[int, int] = {}
-        removes: dict[int, int] = {}
-        for x, d in zip(keys.tolist(), sums.tolist()):
-            if d > 0:
-                adds[x] = d
-            else:
-                removes[x] = -d
+            distinct = int(_np.count_nonzero(sums))
+        else:
+            adds: dict = {}
+            removes: dict = {}
+            for x, d in net.items():
+                if not 0 <= x < m:
+                    raise CapacityError(
+                        f"object id {x} out of range [0, {m})"
+                    )
+                if d > 0:
+                    adds[x] = d
+                elif d < 0:
+                    removes[x] = -d
+            distinct = len(adds) + len(removes)
+        if not distinct:
+            return 0
+        divisor = (
+            ARRAY_REBUILD_DIVISOR if self._array else LIST_REBUILD_DIVISOR
+        )
+        if distinct * divisor >= m:
+            if not arrays:
+                keys = _np.fromiter(net, dtype=_np.int64, count=len(net))
+                sums = _np.fromiter(
+                    net.values(), dtype=_np.int64, count=len(net)
+                )
+            return self._apply_rebuild(keys, sums)
+        if arrays:
+            up = sums > 0
+            down = sums < 0
+            adds = dict(zip(keys[up].tolist(), sums[up].tolist()))
+            removes = dict(zip(keys[down].tolist(), (-sums[down]).tolist()))
         if removes and not self._allow_negative:
+            # Add and remove keys are disjoint, so no add can rescue a
+            # remove key: checking every removal first makes a strict
+            # reject all-or-nothing.
             ptrb = self._ptrb
             ftot = self._ftot
             bf = self._bf
@@ -1342,33 +1227,31 @@ class FlatProfile(ProfileQueryMixin):
             n += self._bulk_remove(removes)
         return n
 
-    def _apply_rebuild(self, net: Mapping[int, int]) -> None:
-        """Wholesale path for batches naming much of the universe.
+    def _apply_rebuild(self, keys, sums) -> int:
+        """Land a net of unique, range-checked ``keys`` wholesale.
 
         O(m log m) with C-speed constants: update the materialized
         frequency array with one fancy-indexed add, ``argsort`` it,
-        run-length encode the runs and refill the flat arrays with
-        ``tolist()``.  Strict-mode underflow is
-        checked on the net result before any mutation.
+        run-length encode the runs and refill the flat arrays.  Strict
+        mode checks the net result, vectorized, before any mutation.
+        Returns the net unit events applied.
         """
-        self._check_ids(net)
         freqs = self._frequencies_np()
-        if net:
-            keys = _np.fromiter(net.keys(), dtype=_np.int64, count=len(net))
-            vals = _np.fromiter(
-                net.values(), dtype=_np.int64, count=len(net)
+        low = freqs[keys] + sums
+        if not self._allow_negative and int(low.min()) < 0:
+            i = int(low.argmin())
+            bad = int(keys[i])
+            raise FrequencyUnderflowError(
+                f"removing object {bad} at frequency {int(freqs[bad])} "
+                f"{int(-sums[i])} times (net) would go negative"
             )
-            if not self._allow_negative:
-                low = freqs[keys] + vals
-                if low.size and int(low.min()) < 0:
-                    bad = int(keys[int(low.argmin())])
-                    raise FrequencyUnderflowError(
-                        f"removing object {bad} at frequency "
-                        f"{int(freqs[bad])} {-net[bad]} times (net) "
-                        f"would go negative"
-                    )
-            freqs[keys] += vals
+        freqs[keys] = low
         self._install_freqs_np(freqs)
+        n_add = int(sums[sums > 0].sum())
+        n_rem = -int(sums[sums < 0].sum())
+        self._n_adds += n_add
+        self._n_removes += n_rem
+        return n_add + n_rem
 
     def _bulk_add(self, counts: Mapping[int, int]) -> int:
         """Add ``counts[x]`` (> 0) per key as one climb each.

@@ -80,14 +80,21 @@ def net_deltas(deltas) -> dict:
     return net
 
 
-#: Array batches shorter than this many events net with a dict, longer
-#: ones with NumPy (:func:`net_batch`).  ``benchmarks/
+#: Batches shorter than this many events net with a dict, longer ones
+#: with NumPy (:func:`net_batch`, and :func:`_net_units` for the flat
+#: core's ``add_many``/``remove_many``).  ``benchmarks/
 #: bench_flush_netting.py`` times both methods per call: where netting
 #: is all that differs (the router's ``partition_batch``) they break
 #: even at 128-256 events on m = 4,096 and 32,768, and at 32 events
 #: (a replica's flush) the dict halves the facade's cost, about 120 ->
 #: 60 us on a 2-vCPU VM.
 NETTING_CROSSOVER = 256
+
+#: :class:`SProfile`'s climb-or-rebuild rule: a net batch naming
+#: ``distinct`` non-zero keys rebuilds when ``distinct * REBUILD_DIVISOR
+#: >= m`` and climbs per key otherwise (:meth:`SProfile._land`; the
+#: flat engines have their own, :mod:`repro.core.flat`).
+REBUILD_DIVISOR = 2
 
 
 def _parallel(ids, deltas):
@@ -135,6 +142,36 @@ def net_batch(ids, deltas):
     if ids.size < NETTING_CROSSOVER:
         return net_deltas(zip(ids.tolist(), deltas.tolist()))
     return net_arrays(ids, deltas)
+
+
+def _net_units(xs, sign: int):
+    """Net one ``sign`` (+1 or -1) unit event per id of ``xs``.
+
+    :func:`net_batch` for ``add_many``/``remove_many``, by the same
+    cutoff: below :data:`NETTING_CROSSOVER` ids, or for anything but a
+    one-dimensional integer array, a ``Counter`` over plain ints (so a
+    bad id surfaces as the core's own error).  From it, sorted
+    ``(keys, sums)`` arrays: one ``bincount`` when the ids lie in
+    ``[0, 2 * len)``, where its pass over the id span beats a sort,
+    else one ``unique``.  No branch costs O(m); the core range-checks
+    the keys either way.
+    """
+    if not hasattr(xs, "__len__"):
+        xs = list(xs)
+    if len(xs) >= NETTING_CROSSOVER:
+        arr = _np.asarray(xs)
+        if arr.ndim == 1 and arr.dtype.kind in "iu":
+            if int(arr.min()) >= 0 and int(arr.max()) < 2 * arr.size:
+                counts = _np.bincount(arr)
+                keys = _np.flatnonzero(counts)
+                counts = counts[keys]
+            else:
+                keys, counts = _np.unique(arr, return_counts=True)
+            return keys, counts * sign
+    counts = Counter(xs.tolist() if hasattr(xs, "tolist") else xs)
+    if sign < 0:
+        return {x: -c for x, c in counts.items()}
+    return counts
 
 
 def net_events(net) -> int:
@@ -469,22 +506,20 @@ class SProfile(ProfileQueryMixin):
     def add_count(self, x: int, count: int) -> None:
         """Apply ``count`` adds to ``x``.
 
-        Semantically ``count`` unit steps, executed as a climb through
-        the block structure: O(#blocks crossed) <= O(count), and O(1)
-        when ``x`` already sits alone in its block."""
+        Semantically ``count`` unit steps, landed as a one-key batch: a
+        climb through the block structure, O(#blocks crossed) <=
+        O(count), and O(1) when ``x`` already sits alone in its block."""
         if count < 0:
             raise CapacityError(f"count must be >= 0, got {count}")
         if count:
-            self._check_ids((x,))
-            self._bulk_add({x: count})
+            self._land({x: count})
 
     def remove_count(self, x: int, count: int) -> None:
         """Apply ``count`` removes to ``x``.  Mirror of :meth:`add_count`."""
         if count < 0:
             raise CapacityError(f"count must be >= 0, got {count}")
         if count:
-            self._check_ids((x,))
-            self._bulk_remove({x: count})
+            self._land({x: -count})
 
     def consume(self, events: Iterable[tuple[int, bool]]) -> int:
         """Apply a sequence of ``(object, is_add)`` tuples; return count."""
@@ -547,16 +582,7 @@ class SProfile(ProfileQueryMixin):
         """
         if hasattr(xs, "tolist"):
             xs = xs.tolist()
-        counts = Counter(xs)
-        if not counts:
-            return 0
-        self._check_ids(counts)
-        if len(counts) * 2 >= self._m:
-            n = sum(counts.values())
-            self._apply_rebuild(counts)
-            self._n_adds += n
-            return n
-        return self._bulk_add(counts)
+        return self._land(Counter(xs))
 
     def remove_many(self, xs: Iterable[int]) -> int:
         """Apply one remove per element of ``xs``; return the event count.
@@ -568,26 +594,7 @@ class SProfile(ProfileQueryMixin):
         """
         if hasattr(xs, "tolist"):
             xs = xs.tolist()
-        counts = Counter(xs)
-        if not counts:
-            return 0
-        self._check_ids(counts)
-        if len(counts) * 2 >= self._m:
-            n = sum(counts.values())
-            self._apply_rebuild({x: -c for x, c in counts.items()})
-            self._n_removes += n
-            return n
-        if not self._allow_negative:
-            ptrb = self._ptrb
-            ftot = self._ftot
-            for x, c in counts.items():
-                f = ptrb[ftot[x]].f
-                if c > f:
-                    raise FrequencyUnderflowError(
-                        f"removing object {x} at frequency {f} "
-                        f"{c} times would go negative"
-                    )
-        return self._bulk_remove(counts)
+        return self._land({x: -c for x, c in Counter(xs).items()})
 
     def apply(self, deltas) -> int:
         """Apply a batch of ``(object, delta)`` pairs (or a mapping).
@@ -610,10 +617,24 @@ class SProfile(ProfileQueryMixin):
         [2, 1, 0, 0]
         """
         # A dict is already a net map, and nothing below mutates it.
-        net = deltas if isinstance(deltas, dict) else net_deltas(deltas)
+        return self._land(
+            deltas if isinstance(deltas, dict) else net_deltas(deltas)
+        )
+
+    def _land(self, net: Mapping[int, int]) -> int:
+        """Check one net batch, choose climbs or a rebuild, and land it.
+
+        The one step behind every batch entry point.  In order: every
+        key of ``net``, zero-net ones included, must lie in ``[0, m)``;
+        a net naming ``distinct`` non-zero keys rebuilds when
+        ``distinct * REBUILD_DIVISOR >= m`` and climbs otherwise; then
+        strict mode rejects a net underflow, in :meth:`_apply_rebuild`
+        or by one loop before the climbs.  All checks precede any
+        mutation.  Returns the net unit events applied.
+        """
         m = self._m
-        adds: dict[int, int] = {}
-        removes: dict[int, int] = {}
+        adds: dict = {}
+        removes: dict = {}
         for x, d in net.items():
             if not 0 <= x < m:
                 raise CapacityError(f"object id {x} out of range [0, {m})")
@@ -621,19 +642,15 @@ class SProfile(ProfileQueryMixin):
                 adds[x] = d
             elif d < 0:
                 removes[x] = -d
-        if (len(adds) + len(removes)) * 2 >= m and (adds or removes):
-            n_add = sum(adds.values())
-            n_rem = sum(removes.values())
-            self._apply_rebuild(
-                {x: net[x] for x in net if net[x]}
-            )
-            self._n_adds += n_add
-            self._n_removes += n_rem
-            return n_add + n_rem
+        distinct = len(adds) + len(removes)
+        if not distinct:
+            return 0
+        if distinct * REBUILD_DIVISOR >= m:
+            return self._apply_rebuild(net)
         if removes and not self._allow_negative:
-            # Pre-check every underflow before mutating anything, so a
-            # strict-mode reject is all-or-nothing (add/remove key sets
-            # are disjoint, so the adds cannot rescue a remove key).
+            # Add and remove keys are disjoint, so no add can rescue a
+            # remove key: checking every removal first makes a strict
+            # reject all-or-nothing.
             ptrb = self._ptrb
             ftot = self._ftot
             for x, c in removes.items():
@@ -650,36 +667,34 @@ class SProfile(ProfileQueryMixin):
             n += self._bulk_remove(removes)
         return n
 
-    def _check_ids(self, xs) -> None:
-        """Reject the batch on its first id outside ``[0, m)``: the
-        check every caller of the climb loops runs before them."""
-        m = self._m
-        for x in xs:
-            if not 0 <= x < m:
-                raise CapacityError(f"object id {x} out of range [0, {m})")
-
-    def _apply_rebuild(self, net: Mapping[int, int]) -> None:
-        """Wholesale path for batches that touch much of the universe.
+    def _apply_rebuild(self, net: Mapping[int, int]) -> int:
+        """Land a range-checked net wholesale.
 
         When the coalesced batch names a large fraction of the ``m``
         keys, per-key climbs degenerate (a climb crosses up to one
         block per unit step in a dense frequency landscape), while
         recomputing the frequency array and re-sorting it once is
-        O(m log m) with C-speed constants.  Keys must be pre-validated;
-        strict-mode underflow is checked on the *net* result per key
-        before any mutation, so a raise leaves this batch unapplied.
+        O(m log m) with C-speed constants.  Strict-mode underflow is
+        checked on the *net* result per key before any mutation, so a
+        raise leaves this batch unapplied.  Returns the net unit
+        events applied.
         """
         m = self._m
         freqs = self.frequencies()
-        if not self._allow_negative:
-            for x, d in net.items():
-                if freqs[x] + d < 0:
-                    raise FrequencyUnderflowError(
-                        f"removing object {x} at frequency {freqs[x]} "
-                        f"{-d} times (net) would go negative"
-                    )
+        strict = not self._allow_negative
+        n_add = n_rem = 0
         for x, d in net.items():
-            freqs[x] += d
+            f = freqs[x] + d
+            if f < 0 and strict:
+                raise FrequencyUnderflowError(
+                    f"removing object {x} at frequency {freqs[x]} "
+                    f"{-d} times (net) would go negative"
+                )
+            freqs[x] = f
+            if d > 0:
+                n_add += d
+            else:
+                n_rem -= d
         ttof = sorted(range(m), key=freqs.__getitem__)
         self._install(
             ttof,
@@ -688,6 +703,9 @@ class SProfile(ProfileQueryMixin):
             track_freq_index=self._blocks.tracks_freq_index,
             audit=False,
         )
+        self._n_adds += n_add
+        self._n_removes += n_rem
+        return n_add + n_rem
 
     def _bulk_add(self, counts: Mapping[int, int]) -> int:
         """Add ``counts[x]`` (> 0) to every key of ``counts``.

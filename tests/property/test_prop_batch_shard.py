@@ -7,22 +7,33 @@ The contract under test (the engine's whole correctness story):
   array — and therefore the same answer to every query — as the
   equivalent per-event loop, on any stream, regardless of which
   internal strategy (per-key climb or wholesale rebuild) they pick;
+- on both ``FlatProfile`` engines, every batch entry point
+  (``add_many`` of a list or an ndarray, ``remove_many``, ``apply`` of
+  pairs or a dict, ``apply_arrays``) lands a batch as a model of it
+  does: same frequencies, counters, return value and exception type,
+  range checked before underflow;
 - ``ShardedProfiler`` answers every query identically to an unsharded
   profile fed the same events, for any shard count;
 - both hold on adversarial streams, not just random ones (see also
   ``tests/integration/test_engine_equivalence.py``).
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.flat as core_flat
 from repro.api import Profiler
+from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile
 from repro.core.validation import audit_profile
 from repro.engine.sharding import ShardedProfiler
+from repro.errors import CapacityError, FrequencyUnderflowError
 
-# Capacities straddle the climb/rebuild threshold (distinct*2 >= m) so
-# every strategy mix gets exercised.
+# Capacities of 1-60 against batches of up to 200 events straddle each
+# core's climb/rebuild rule (distinct * divisor >= m, with divisor 2 for
+# SProfile), so every strategy mix gets exercised.
 cases = st.tuples(
     st.integers(min_value=1, max_value=60),  # capacity
     st.lists(  # (raw object, is_add) events
@@ -159,3 +170,167 @@ def test_hashable_universe_batches_match_sequential(events, cut):
     assert batched.total == sequential.total
     assert batched.histogram() == sequential.histogram()
     audit_profile(batched.backend)
+
+
+# ----------------------------------------------------------------------
+# FlatProfile: every batch entry point, both engines
+# ----------------------------------------------------------------------
+
+ENGINE_DIVISORS = {
+    "list": core_flat.LIST_REBUILD_DIVISOR,
+    "array": core_flat.ARRAY_REBUILD_DIVISOR,
+}
+
+
+@st.composite
+def flat_cases(draw, divisor):
+    """``(capacity, strict, batches)``: each batch is a list of unit
+    events ``(key, is_add)``.  Keys come from a pool of up to 16 ids
+    and capacities reach 16 rebuild points, so a batch's distinct keys
+    land on either side of ``distinct * divisor >= m``.  A batch may
+    carry an out-of-range key, plain or netting to zero."""
+    m = draw(st.integers(min_value=1, max_value=16 * divisor))
+    pool = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=m - 1),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    strict = draw(st.booleans())
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        events = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(pool),
+                    st.sampled_from([True, True, False]),
+                ),
+                max_size=40,
+            )
+        )
+        bad = draw(st.sampled_from([None, None, None, "plain", "zero"]))
+        if bad is not None:
+            key = draw(st.sampled_from([-1, m, m + 3]))
+            extra = [(key, True)] if bad == "plain" else [
+                (key, True), (key, False),
+            ]
+            at = draw(st.integers(min_value=0, max_value=len(events)))
+            events[at:at] = extra
+        batches.append(events)
+    return m, strict, batches
+
+
+class _Model:
+    """Frequencies and counters of a profile that lands each batch
+    atomically: range first, then strict underflow, then the net."""
+
+    def __init__(self, m: int, strict: bool) -> None:
+        self.m = m
+        self.strict = strict
+        self.freqs = [0] * m
+        self.n_adds = 0
+        self.n_removes = 0
+
+    def land(self, net: dict):
+        """The outcome of one net batch: its event count or the type
+        of the exception it raises."""
+        if any(not 0 <= x < self.m for x in net):
+            return CapacityError
+        if self.strict and any(self.freqs[x] + d < 0 for x, d in net.items()):
+            return FrequencyUnderflowError
+        for x, d in net.items():
+            self.freqs[x] += d
+            if d > 0:
+                self.n_adds += d
+            else:
+                self.n_removes -= d
+        return sum(map(abs, net.values()))
+
+
+def _net(events) -> dict:
+    net: dict = {}
+    for x, is_add in events:
+        net[x] = net.get(x, 0) + (1 if is_add else -1)
+    return net
+
+
+def _counts(keys) -> dict:
+    net: dict = {}
+    for x in keys:
+        net[x] = net.get(x, 0) + 1
+    return net
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (CapacityError, FrequencyUnderflowError) as exc:
+        return type(exc)
+
+
+def _many(profile, events, as_array):
+    """``add_many`` of the batch's adds, then ``remove_many`` of its
+    removes: two batches, each landed atomically."""
+    adds = [x for x, is_add in events if is_add]
+    removes = [x for x, is_add in events if not is_add]
+    if as_array:
+        adds = np.array(adds, dtype=np.int64)
+        removes = np.array(removes, dtype=np.int64)
+    return (
+        _outcome(lambda: profile.add_many(adds)),
+        _outcome(lambda: profile.remove_many(removes)),
+    )
+
+
+def _arrays(profile, events):
+    net = _net(events)
+    keys = np.array(sorted(net), dtype=np.int64)
+    sums = np.array([net[x] for x in sorted(net)], dtype=np.int64)
+    return _outcome(lambda: profile.apply_arrays(keys, sums))
+
+
+#: Entry point -> (how it lands one batch, whether it nets the whole
+#: batch at once or as add_many-then-remove_many).
+ENTRY_POINTS = {
+    "add_many list": (lambda p, ev: _many(p, ev, False), False),
+    "add_many ndarray": (lambda p, ev: _many(p, ev, True), False),
+    "apply pairs": (
+        lambda p, ev: _outcome(
+            lambda: p.apply([(x, 1 if a else -1) for x, a in ev])
+        ),
+        True,
+    ),
+    "apply dict": (lambda p, ev: _outcome(lambda: p.apply(_net(ev))), True),
+    "apply_arrays": (_arrays, True),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_DIVISORS))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_flat_entry_points_match_one_model(engine, data):
+    m, strict, batches = data.draw(flat_cases(ENGINE_DIVISORS[engine]))
+    for name, (land, whole_net) in ENTRY_POINTS.items():
+        profile = FlatProfile(
+            m, allow_negative=not strict, array_engine=engine == "array"
+        )
+        model = _Model(m, strict)
+        for events in batches:
+            if whole_net:
+                expected = model.land(_net(events))
+            else:
+                expected = (
+                    model.land(_counts(x for x, a in events if a)),
+                    model.land(
+                        {x: -c for x, c in _counts(
+                            x for x, a in events if not a
+                        ).items()}
+                    ),
+                )
+            assert land(profile, events) == expected, (name, events)
+        assert profile.frequencies() == model.freqs, name
+        assert (profile.n_adds, profile.n_removes) == (
+            model.n_adds, model.n_removes,
+        ), name
+        audit_profile(profile)

@@ -312,10 +312,111 @@ class TestBatchPaths:
             assert (fp.frequencies(), fp.n_adds, fp.n_removes) == before
         fp.audit()
 
+    @pytest.mark.parametrize("array_engine", [False, True])
+    @pytest.mark.parametrize("bad", [-1, 600, 10**6])
+    def test_long_batch_with_bad_id_mutates_nothing(self, array_engine, bad):
+        """A batch long enough to net with NumPy (``bincount`` when its
+        ids are dense, ``unique`` when one is negative or far out) is
+        range-checked by the core like any other net."""
+        np = pytest.importorskip("numpy")
+        from repro.core.profile import NETTING_CROSSOVER
+
+        fp = FlatProfile(600, array_engine=array_engine)
+        fp.add_many(list(range(600)))
+        before = (fp.frequencies(), fp.n_adds, fp.n_removes)
+        ids = np.arange(NETTING_CROSSOVER, dtype=np.int64) % 300
+        ids[-1] = bad
+        for call in (fp.add_many, fp.remove_many):
+            for batch in (ids, ids.tolist()):
+                with pytest.raises(CapacityError, match="out of range"):
+                    call(batch)
+                assert (fp.frequencies(), fp.n_adds, fp.n_removes) == before
+        fp.audit()
+
     def test_apply_opposing_deltas_cancel(self):
         fp = FlatProfile(4)
         assert fp.apply([(1, +2), (1, -2)]) == 0
         assert fp.total == 0 and fp.n_events == 0
+
+    @pytest.mark.parametrize("array_engine", [False, True])
+    def test_apply_arrays_rejects_unequal_lengths(self, array_engine):
+        """Neither order truncates: the shape check runs before any
+        mutation, on the climb path (2 keys) and the rebuild path."""
+        np = pytest.importorskip("numpy")
+        for m in (100, 3):
+            fp = FlatProfile(m, array_engine=array_engine)
+            for keys, sums in (([0, 1, 2], [1, 1]), ([0, 1], [1, 1, 1])):
+                with pytest.raises(CapacityError, match="parallel"):
+                    fp.apply_arrays(np.array(keys), np.array(sums))
+            assert fp.frequencies() == [0] * m
+            assert (fp.n_adds, fp.n_removes) == (0, 0)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_batch_costs_nothing_per_capacity(self, as_array, spread):
+        """Netting a batch makes no pass over the whole universe: a
+        short batch nets with a dict, a long one spread over the ids
+        with ``unique``, never a ``bincount`` up to ``m``."""
+        np = pytest.importorskip("numpy")
+        fp = FlatProfile(2_000_000)
+        batch = [7, 1_999_999, 7, 3]
+        if spread:
+            batch = batch + list(range(8, 2_000_000, 2_000))
+        if as_array:
+            batch = np.array(batch, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            assert fp.add_many(batch) == len(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert fp.frequency(7) == 2 and fp.frequency(1_999_999) == 1
+
+    @pytest.mark.parametrize("array_engine", [False, True])
+    def test_one_net_takes_one_branch_through_every_entry(
+        self, array_engine, monkeypatch
+    ):
+        """``apply`` and ``apply_arrays`` choose climbs or a rebuild by
+        the engine's one rule, whatever form the net comes in."""
+        np = pytest.importorskip("numpy")
+        import repro.core.flat as core_flat
+
+        divisor = (
+            core_flat.ARRAY_REBUILD_DIVISOR
+            if array_engine
+            else core_flat.LIST_REBUILD_DIVISOR
+        )
+        rebuilds = []
+        real = FlatProfile._apply_rebuild
+
+        def spy(self, keys, sums):
+            rebuilds.append(len(keys))
+            return real(self, keys, sums)
+
+        monkeypatch.setattr(FlatProfile, "_apply_rebuild", spy)
+        m = 8 * divisor
+        for distinct in (1, 7, 8, 9, m // 2):
+            # One zero-net key rides along: the rule counts non-zero ones.
+            net = {x: 1 + x % 3 for x in range(distinct)}
+            net[m - 1] = 0
+            taken = []
+            for land in (
+                lambda p: p.apply(dict(net)),
+                lambda p: p.apply(list(net.items())),
+                lambda p: p.apply_arrays(
+                    np.array(list(net)), np.array(list(net.values()))
+                ),
+                lambda p: p.add_many(
+                    [x for x, d in net.items() for _ in range(d)]
+                ),
+            ):
+                fp = FlatProfile(m, array_engine=array_engine)
+                rebuilds.clear()
+                assert land(fp) == sum(net.values())
+                taken.append(bool(rebuilds))
+                audit_profile(fp)
+            assert taken == [distinct * divisor >= m] * 4, distinct
 
 
 class TestStructureManagement:

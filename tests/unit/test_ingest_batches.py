@@ -151,8 +151,10 @@ class TestMatchesOneIngestPerBatch:
     def test_random_flushes(self, backend, strict, capacity):
         """Batch lengths straddle the netting crossover, so one flush
         mixes dict-netted and NumPy-netted array batches with pair
-        batches; at capacity 600 a long batch climbs in ``apply`` and
-        rebuilds in ``apply_arrays``."""
+        batches; at capacity 600 a long batch names about a third of
+        the universe, so it climbs on the exact core (rebuild at m/2)
+        and rebuilds on a flat list-engine core (rebuild at m/4),
+        through ``apply`` and ``apply_arrays`` alike."""
         rng = random.Random(f"{backend}-{strict}-{capacity}")
         merged = open_dense(backend, capacity, strict)
         reference = open_dense(backend, capacity, strict)
