@@ -1,18 +1,14 @@
 """Fused query plans vs separate calls (emits BENCH_query_plan.json).
 
 The dashboard read pattern: mode + top-10 + histogram + p50 + p99,
-refreshed together.  Standalone calls traverse the block structure once
-per statistic — on the sharded backend every order statistic is a full
-O(n_shards + total blocks) merge, so four calls pay for the merge
-several times over.  ``Profiler.evaluate`` fuses all four into one
-descending run walk (one walk per shard), which is the structural win
-measured here.
-
-On the flat exact backend most standalone queries are O(1)/O(k)
-pointer reads (that is the paper's point), so fusion only saves the
-histogram's walk; both shapes are reported for honesty, but the
-speedup acceptance is asserted on the sharded engine where the merge
-dominates.
+refreshed together, on one core (``flat`` and ``exact``).
+``Profiler.evaluate`` answers all five from one descending run walk;
+the standalone calls are mostly O(1)/O(k) pointer reads (that is the
+paper's point), and only the histogram walks the blocks.  So on one
+core fusion saves at most the histogram's walk, and the fused walk's
+own bookkeeping can cost more than it saves: the ratio is reported,
+not asserted (see ``docs/perf.md``).  What is asserted is that both
+routes give the same answers.
 
 Timings are min-of-N wall clock (no pytest-benchmark dependency so the
 module can emit its JSON artifact in one shot).  Run with::
@@ -31,7 +27,6 @@ from repro.bench.workloads import build_stream
 
 UNIVERSE = 20_000
 N_EVENTS = 60_000
-SHARDS = 8
 ROUNDS = 7
 
 ARTIFACT = Path(__file__).resolve().parent / "BENCH_query_plan.json"
@@ -45,8 +40,8 @@ PLAN = (
 )
 
 
-def _loaded_profiler(backend: str, **kwargs) -> Profiler:
-    profiler = Profiler.open(UNIVERSE, backend=backend, **kwargs)
+def _loaded_profiler(backend: str) -> Profiler:
+    profiler = Profiler.open(UNIVERSE, backend=backend)
     stream = build_stream("stream1", N_EVENTS, UNIVERSE, seed=7)
     ids, adds = stream.arrays()
     profiler.ingest(zip(ids.tolist(), adds.tolist()))
@@ -74,8 +69,8 @@ def _fused(profiler: Profiler) -> None:
     profiler.evaluate(*PLAN)
 
 
-def _measure(backend: str, **kwargs) -> dict:
-    profiler = _loaded_profiler(backend, **kwargs)
+def _measure(backend: str) -> dict:
+    profiler = _loaded_profiler(backend)
     # Answers must agree before timings mean anything.
     fused = profiler.evaluate(*PLAN)
     assert fused[Query.mode()] == profiler.mode()
@@ -87,7 +82,6 @@ def _measure(backend: str, **kwargs) -> dict:
     fused_s = _best_of(lambda: _fused(profiler))
     return {
         "backend": profiler.backend_name,
-        "shards": profiler.n_shards,
         "universe": UNIVERSE,
         "events": N_EVENTS,
         "queries": [q.key for q in PLAN],
@@ -97,22 +91,15 @@ def _measure(backend: str, **kwargs) -> dict:
     }
 
 
-def test_fused_plan_beats_separate_calls_on_sharded_engine():
-    """Acceptance: one merged walk beats four independent merges."""
-    sharded = _measure("sharded", shards=SHARDS)
-    exact = _measure("exact")
-
-    ARTIFACT.write_text(
-        json.dumps({"results": [sharded, exact]}, indent=2)
-    )
-    print(
-        f"\nsharded: separate {sharded['separate_s'] * 1e3:.2f} ms, "
-        f"fused {sharded['fused_s'] * 1e3:.2f} ms "
-        f"({sharded['speedup']:.2f}x)"
-    )
-    print(
-        f"exact:   separate {exact['separate_s'] * 1e3:.2f} ms, "
-        f"fused {exact['fused_s'] * 1e3:.2f} ms "
-        f"({exact['speedup']:.2f}x)"
-    )
-    assert sharded["speedup"] > 1.2, sharded
+def test_fused_plan_and_separate_calls_on_one_core():
+    """Both routes answer alike on each core; the timings are
+    recorded in the artifact."""
+    results = [_measure("flat"), _measure("exact")]
+    ARTIFACT.write_text(json.dumps({"results": results}, indent=2))
+    for result in results:
+        print(
+            f"\n{result['backend']}: separate "
+            f"{result['separate_s'] * 1e3:.3f} ms, fused "
+            f"{result['fused_s'] * 1e3:.3f} ms "
+            f"({result['speedup']:.2f}x)"
+        )

@@ -45,15 +45,11 @@ def facade_tour() -> None:
 
 
 def backend_tour() -> None:
-    """Identical surface over exact, sharded and baseline backends."""
+    """Identical surface over the flat, exact and baseline backends."""
     print("=== backend selection ===")
     events = [(x % 7, True) for x in range(50)]
-    for backend, extra in [
-        ("exact", {}),
-        ("sharded", {"shards": 4}),
-        ("bucket", {}),
-    ]:
-        p = Profiler.open(16, backend=backend, **extra)
+    for backend in ("flat", "exact", "bucket"):
+        p = Profiler.open(16, backend=backend)
         p.ingest(events)
         print(f"{p.backend_name:>8}: mode={p.mode().frequency} "
               f"median={p.median_frequency()} total={p.total}")
@@ -86,7 +82,7 @@ def hashable_keys_tour() -> None:
 def checkpoint_tour() -> None:
     """Facade state serializes to JSON-safe dicts and restores losslessly."""
     print("=== checkpointing ===")
-    profile = Profiler.open(16, backend="sharded", shards=2)
+    profile = Profiler.open(16, backend="flat")
     profile.ingest([(1, +2), (2, +1), (9, +3)])
     restored = Profiler.from_state(profile.to_state())
     print(f"restored mode: {restored.mode()} "

@@ -18,10 +18,11 @@ Quick start — the unified facade is the documented way in::
 Package map:
 
 - :mod:`repro.api` — the public facade: backend selection
-  (exact / sharded / approximate / baselines), one ingest verb, fused
+  (flat / exact / approximate / baselines), one ingest verb, fused
   multi-query plans.
 - :mod:`repro.core` — the paper's algorithm and its query surface.
-- :mod:`repro.engine` — scale-out layer: sharding and the merge algebra.
+- :mod:`repro.engine` — the merge algebra the cluster router answers
+  queries with (partitioning lives in :mod:`repro.cluster`).
 - :mod:`repro.baselines` — heap / balanced-tree / bucket comparators.
 - :mod:`repro.streams` — log-stream generators (paper section 3 setup),
   sliding windows, persistence.
@@ -44,7 +45,6 @@ _EXPORTS = {
     "ModeResult": "repro.core.queries",
     "TopEntry": "repro.core.queries",
     "ProfileSnapshot": "repro.core.snapshot",
-    "ShardedProfiler": "repro.engine.sharding",
     **dict.fromkeys(
         (
             "CapacityError",
@@ -78,7 +78,6 @@ __all__ = [
     "Query",
     "ReproError",
     "SProfile",
-    "ShardedProfiler",
     "StreamConfigError",
     "TopEntry",
     "UnknownObjectError",

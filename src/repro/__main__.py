@@ -19,6 +19,7 @@ import argparse
 import sys
 
 from repro.api import Profiler, Query, available_backends
+from repro.api.backends import SHARDS_RETIRED
 from repro.bench.cli import main as bench_main
 from repro.bench.workloads import WORKLOAD_NAMES, build_stream
 from repro.core.stats import summarize
@@ -43,20 +44,16 @@ def _profile_main(argv: list[str]) -> int:
         choices=available_backends(),
         help="profiling backend behind the facade (default: auto)",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard fan-out (implies the sharded backend under auto)",
-    )
+    # Retired: refused with a pointer to the cluster tier.
+    parser.add_argument("--shards", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.shards is not None:
+        parser.error(SHARDS_RETIRED)
 
     stream = build_stream(
         args.stream, args.events, args.universe, seed=args.seed
     )
-    profiler = Profiler.open(
-        args.universe, backend=args.backend, shards=args.shards
-    )
+    profiler = Profiler.open(args.universe, backend=args.backend)
     return _profile_report(profiler, stream, args)
 
 

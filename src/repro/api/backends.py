@@ -3,15 +3,13 @@
 Three kinds of machinery live here:
 
 - :func:`build_backend` — one switchboard resolving a backend name
-  (``"auto"``, ``"exact"``, ``"sharded"``, ``"approx"`` or any
+  (``"auto"``, ``"flat"``, ``"exact"``, ``"approx"`` or any
   :mod:`repro.baselines.registry` name) plus a key mode to a concrete
   implementation, the way the paper's profile and the space-optimal
   sketch estimators of Chen–Indyk–Woodruff are interchangeable behind
   one contract;
-- the ``*RunsView`` adapters — each presents its backend's block
-  structure as the merged descending run walk
-  :func:`repro.api.plan.evaluate_fused` consumes, visiting every
-  underlying :class:`~repro.core.blockset.BlockSet` exactly once;
+- :func:`runs_view_for` — presents a core's block structure as the
+  descending run walk :func:`repro.api.plan.evaluate_fused` consumes;
 - :class:`ApproxProfiler` — the sublinear-space backend: a Count-Min
   sketch for point estimates plus a SpaceSaving summary for ranked
   queries, add-only, with explicit error bounds.
@@ -20,7 +18,6 @@ Three kinds of machinery live here:
 from __future__ import annotations
 
 from functools import partial
-from heapq import merge as _heap_merge
 from typing import Hashable, Iterator
 
 from repro.api.plan import Run
@@ -28,7 +25,6 @@ from repro.baselines.registry import available_profilers, make_profiler
 from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile, net_deltas
 from repro.core.queries import ModeResult, TopEntry
-from repro.engine.sharding import ShardedProfiler
 from repro.errors import (
     CapacityError,
     EmptyProfileError,
@@ -36,6 +32,7 @@ from repro.errors import (
 )
 
 __all__ = [
+    "SHARDS_RETIRED",
     "ApproxProfiler",
     "available_backends",
     "build_backend",
@@ -44,7 +41,14 @@ __all__ = [
 ]
 
 #: Facade-level backend names (registry baseline names add to these).
-_BUILTIN_BACKENDS = ("auto", "flat", "exact", "sharded", "approx")
+_BUILTIN_BACKENDS = ("auto", "flat", "exact", "approx")
+
+#: Why ``shards=``, ``backend="sharded"`` and ``--shards`` fail.
+SHARDS_RETIRED = (
+    "the in-process sharded backend was removed: one universe in one "
+    "process is one core; to partition it over N processes, run "
+    "`python -m repro.cluster --replicas N`"
+)
 
 
 def available_backends() -> tuple[str, ...]:
@@ -52,26 +56,19 @@ def available_backends() -> tuple[str, ...]:
     return _BUILTIN_BACKENDS + available_profilers()
 
 
-def resolve_backend(
-    backend: str,
-    keys: str,
-    shards,
-    track_freq_index: bool = False,
-    capacity=None,
-) -> str:
+def resolve_backend(backend: str, track_freq_index: bool = False) -> str:
     """Collapse ``"auto"`` to a concrete backend name.
 
-    ``auto`` picks the sharded engine when a shard fan-out is given;
-    otherwise the flat struct-of-arrays engine, for dense and hashable
-    keys alike, at any ``capacity`` (the fastest exact single-core
-    path; see ``BENCH_core.json``); and the block-object exact engine
-    when ``track_freq_index`` asks for the O(1) frequency->block index
-    only that engine maintains.
+    ``auto`` picks the flat struct-of-arrays engine, for dense and
+    hashable keys alike, at any capacity (the fastest exact path; see
+    ``BENCH_core.json``), and the block-object exact engine when
+    ``track_freq_index`` asks for the O(1) frequency->block index only
+    that engine maintains.
     """
+    if backend == "sharded":
+        raise CapacityError(SHARDS_RETIRED)
     if backend != "auto":
         return backend
-    if shards is not None:
-        return "sharded"
     if not track_freq_index:
         return "flat"
     return "exact"
@@ -83,7 +80,6 @@ def build_backend(
     *,
     keys: str,
     strict: bool,
-    shards,
     track_freq_index: bool = False,
     **options,
 ):
@@ -95,11 +91,7 @@ def build_backend(
     universe on the ``flat`` or ``exact`` core may omit the capacity:
     its core then starts empty and the facade grows it on demand.
     """
-    name = resolve_backend(backend, keys, shards, track_freq_index, capacity)
-    if shards is not None and name != "sharded":
-        raise CapacityError(
-            f"shards= only applies to the sharded backend, not {name!r}"
-        )
+    name = resolve_backend(backend, track_freq_index)
     allow_negative = not strict
     array_engine = options.pop("array_engine", None)
     if array_engine is not None and name != "flat":
@@ -143,17 +135,6 @@ def build_backend(
                 capacity,
                 allow_negative=allow_negative,
                 track_freq_index=track_freq_index,
-            ),
-            keys == "hashable",
-        )
-    if name == "sharded":
-        return (
-            ShardedProfiler(
-                capacity,
-                n_shards=shards if shards is not None else 4,
-                allow_negative=allow_negative,
-                track_freq_index=track_freq_index,
-                core="flat" if not track_freq_index else "sprofile",
             ),
             keys == "hashable",
         )
@@ -256,92 +237,6 @@ class _ProfileRunsView:
         return out
 
 
-class _ShardedRunsView:
-    """Merged descending run walk over a :class:`ShardedProfiler`.
-
-    Per-shard block walks are heap-merged by ``(-f, shard)`` and equal
-    frequencies grouped into one run, so the whole walk touches each
-    shard's block set exactly once — O(n_shards + total blocks), the
-    same bound as one merged histogram.  Object enumeration follows
-    shard order inside a run, matching the tie order of the profiler's
-    own ``top_k`` heap merge.
-    """
-
-    __slots__ = ("_p", "_decode")
-
-    def __init__(self, profiler: ShardedProfiler, decode=None) -> None:
-        self._p = profiler
-        self._decode = decode
-
-    @property
-    def size(self) -> int:
-        return self._p.capacity
-
-    @property
-    def total(self) -> int:
-        return self._p.total
-
-    def frequency(self, obj) -> int:
-        return self._p.frequency(obj)
-
-    def _shard_runs(self, s: int, shard: SProfile):
-        for block in shard.blocks.iter_blocks_desc():
-            yield (-block.f, s, block, shard)
-
-    def iter_runs_desc(self) -> Iterator[Run]:
-        p = self._p
-        n_shards = p.n_shards
-        decode = self._decode
-        streams = [
-            self._shard_runs(s, shard)
-            for s, shard in enumerate(p.shards)
-            if shard.capacity
-        ]
-        merged = _heap_merge(*streams)
-        pending = None  # (f, [(s, shard, block), ...])
-        for neg_f, s, block, shard in merged:
-            f = -neg_f
-            if pending is None or pending[0] != f:
-                if pending is not None:
-                    yield self._make_run(pending, n_shards, decode)
-                pending = (f, [(s, shard, block)])
-            else:
-                pending[1].append((s, shard, block))
-        if pending is not None:
-            yield self._make_run(pending, n_shards, decode)
-
-    @staticmethod
-    def _make_run(pending, n_shards: int, decode) -> Run:
-        f, contributors = pending
-        count = sum(
-            block.r - block.l + 1 for _, _, block in contributors
-        )
-
-        def head(limit):
-            out = []
-            for s, shard, block in contributors:
-                ttof = shard._ttof
-                for rank in range(block.r, block.l - 1, -1):
-                    obj = int(ttof[rank]) * n_shards + s
-                    out.append(decode(obj) if decode else obj)
-                    if limit is not None and len(out) == limit:
-                        return out
-            return out
-
-        def tail(limit):
-            out = []
-            for s, shard, block in contributors:
-                ttof = shard._ttof
-                for rank in range(block.l, block.r + 1):
-                    obj = int(ttof[rank]) * n_shards + s
-                    out.append(decode(obj) if decode else obj)
-                    if limit is not None and len(out) == limit:
-                        return out
-            return out
-
-        return Run(f, count, head, tail)
-
-
 def runs_view_for(impl, decode=None, live=None):
     """The fused-walk adapter for ``impl``, or ``None`` if it has no
     block structure to walk (baselines, sketches).  ``live`` bounds a
@@ -349,8 +244,6 @@ def runs_view_for(impl, decode=None, live=None):
     :class:`_ProfileRunsView`)."""
     if isinstance(impl, (SProfile, FlatProfile)):
         return _ProfileRunsView(impl, decode, live)
-    if isinstance(impl, ShardedProfiler):
-        return _ShardedRunsView(impl, decode)
     return None
 
 

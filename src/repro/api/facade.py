@@ -2,7 +2,7 @@
 
 :class:`Profiler` is the documented way into the package.  It replaces
 the choose-an-implementation-first surfaces (``SProfile``,
-``FlatProfile``, ``ShardedProfiler``) with a single factory::
+``FlatProfile``) with a single factory::
 
     profiler = Profiler.open(capacity, backend="auto", keys="dense")
 
@@ -47,6 +47,7 @@ from typing import Any, Hashable, Iterator
 import numpy as np
 
 from repro.api.backends import (
+    SHARDS_RETIRED,
     ApproxProfiler,
     build_backend,
     resolve_backend,
@@ -56,6 +57,7 @@ from repro.api.plan import Query, evaluate_fused, normalize_queries
 from repro.api.results import EvalResult
 from repro.core.checkpoint import (
     flat_profile_from_state,
+    fold_partition_states,
     profile_from_state,
     profile_to_state,
 )
@@ -71,7 +73,6 @@ from repro.core.profile import (
 )
 from repro.core.queries import ModeResult, TopEntry, quantile_rank
 from repro.core.snapshot import ProfileSnapshot
-from repro.engine.sharding import ShardedProfiler
 from repro.errors import (
     CapacityError,
     CheckpointError,
@@ -181,17 +182,48 @@ def _engine_stats(profile) -> dict[str, Any]:
     }
 
 
+def _fold_legacy(state: dict[str, Any]):
+    """One core from a partitioned state an earlier release wrote.
+
+    Such a state holds one core state per partition under ``profile``
+    (``shards`` of them) on the ``core`` engine (block objects when
+    absent); :func:`~repro.core.checkpoint.fold_partition_states`
+    folds them into one core over the whole universe.  States are
+    loaded this way but never written.
+    """
+    parts = state["profile"]
+    n_parts = state["shards"]
+    if not _is_count(n_parts) or n_parts == 0:
+        raise CheckpointError(f"bad shard count: {n_parts!r}")
+    if not isinstance(parts, list):
+        raise CheckpointError("a partitioned state must hold a list")
+    if len(parts) != n_parts:
+        raise CheckpointError(
+            f"{len(parts)} partition states for {n_parts} shards"
+        )
+    core = state.get("core", "sprofile")
+    if state["backend"] == "parallel" and core != "flat":
+        raise CheckpointError(
+            f"parallel checkpoints host flat cores, got {core!r}"
+        )
+    if core not in ("sprofile", "flat"):
+        raise CheckpointError(f"bad shard core: {core!r}")
+    return fold_partition_states(
+        parts, state["capacity"], flat=core == "flat"
+    )
+
+
 class Profiler:
     """One profiler, any backend.  Construct via :meth:`open`.
 
     The facade owns three things the raw structures do not:
 
-    - backend selection (``"auto"``/``"exact"``/``"sharded"``/
+    - backend selection (``"auto"``/``"flat"``/``"exact"``/
       ``"approx"``/any registry baseline) behind one contract;
     - key translation — ``keys="hashable"`` accepts arbitrary hashable
       ids over *every* backend, interning them to the dense universe
-      the paper's structures require.  On a single core (``flat``,
-      ``exact``) queries answer over registered keys only: the core's
+      the paper's structures require.  On the ``flat`` and ``exact``
+      cores queries answer over registered keys only: the core's
       unclaimed slots are *phantoms* pinned at frequency 0, never
       named and never counted;
     - the fused query plan: :meth:`evaluate` answers a batch of
@@ -261,7 +293,6 @@ class Profiler:
         capacity: int | None = None,
         *,
         backend: str = "auto",
-        shards: int | None = None,
         keys: str = "dense",
         strict: bool = False,
         track_freq_index: bool = False,
@@ -278,13 +309,12 @@ class Profiler:
             it, and then grow by doubling as keys arrive.  Optional for
             ``backend="approx"`` (sketches are sublinear).
         backend:
-            ``"auto"`` (sharded when ``shards`` is given, block-object
-            exact when ``track_freq_index`` is set, the flat
-            struct-of-arrays engine otherwise), ``"flat"``,
-            ``"exact"``, ``"sharded"``, ``"approx"`` or any name from
+            ``"auto"`` (block-object exact when ``track_freq_index``
+            is set, the flat struct-of-arrays engine otherwise),
+            ``"flat"``, ``"exact"``, ``"approx"`` or any name from
             :func:`repro.baselines.registry.available_profilers`.
-        shards:
-            Shard fan-out; implies the sharded backend under ``auto``.
+            One universe is one core: to partition it over
+            processes, serve it with ``python -m repro.cluster``.
         keys:
             ``"dense"`` — integer ids in ``[0, capacity)`` (the paper's
             setting); ``"hashable"`` — arbitrary hashable ids.
@@ -307,23 +337,20 @@ class Profiler:
             :class:`~repro.obs.MetricsRegistry`.
         """
         obs = options.pop("obs", None)
+        if "shards" in options:
+            raise CapacityError(SHARDS_RETIRED)
         if keys not in _KEY_MODES:
             raise CapacityError(
                 f"keys must be one of {_KEY_MODES}, got {keys!r}"
             )
         if capacity is not None and capacity < 0:
             raise CapacityError(f"capacity must be >= 0, got {capacity}")
-        if shards is not None and shards <= 0:
-            raise CapacityError(f"shards must be positive, got {shards}")
-        name = resolve_backend(
-            backend, keys, shards, track_freq_index, capacity
-        )
+        name = resolve_backend(backend, track_freq_index)
         impl, facade_interned = build_backend(
             backend,
             capacity,
             keys=keys,
             strict=strict,
-            shards=shards,
             track_freq_index=track_freq_index,
             **options,
         )
@@ -660,10 +687,10 @@ class Profiler:
     def _decode_key(self, dense):
         """External name of a dense id.
 
-        A sharded or baseline hashable universe is fixed at
-        ``capacity``: a slot no key has claimed yet still exists at
-        frequency 0 and reports its dense id.  Single cores never
-        name such a slot (see :meth:`_phantoms`).
+        A baseline hashable universe is fixed at ``capacity``: a slot
+        no key has claimed yet still exists at frequency 0 and reports
+        its dense id.  The ``flat`` and ``exact`` cores never name
+        such a slot (see :meth:`_phantoms`).
         """
         interner = self._interner
         if interner is None:
@@ -995,8 +1022,8 @@ class Profiler:
         """Answer every query in one block walk (see
         :mod:`repro.api.plan`).
 
-        On block-structured backends (flat, exact, sharded) all
-        walk-kind queries share a single descending run walk; on
+        On block-structured backends (flat, exact) all walk-kind
+        queries share a single descending run walk; on
         structureless backends (baselines, approx) each query
         dispatches to its standalone method.  Answers are identical
         either way up to tie order inside equal frequencies.
@@ -1056,8 +1083,7 @@ class Profiler:
         ``engine`` dict — block counts plus allocator state (the
         block-object engine reports its :class:`~repro.core.block.
         BlockPool` free list and bound; the flat engine reports minted
-        and free array slots; the sharded engine nests one entry per
-        shard core).
+        and free array slots).
         """
         out: dict[str, Any] = {
             "backend": self._backend_name,
@@ -1070,15 +1096,7 @@ class Profiler:
             "events_ingested": self._events,
         }
         impl = self._impl
-        if isinstance(impl, ShardedProfiler):
-            out["engine"] = {
-                "kind": "sharded",
-                "core": impl.core,
-                "n_shards": impl.n_shards,
-                "block_count": impl.block_count,
-                "shards": [_engine_stats(s) for s in impl.shards],
-            }
-        elif isinstance(impl, (SProfile, FlatProfile)):
+        if isinstance(impl, (SProfile, FlatProfile)):
             out["engine"] = _engine_stats(impl)
         return out
 
@@ -1186,10 +1204,6 @@ class Profiler:
         return self._impl.n_events
 
     @property
-    def n_shards(self) -> int:
-        return getattr(self._impl, "n_shards", 1)
-
-    @property
     def batches_ingested(self) -> int:
         return self._batches
 
@@ -1216,7 +1230,7 @@ class Profiler:
     def to_state(self) -> dict[str, Any]:
         """Full facade state as a JSON-safe dict.
 
-        Supported for the flat, exact, sharded and approx backends;
+        Supported for the flat, exact and approx backends;
         baselines do not checkpoint.  A hashable universe adds its
         catalog (keys in registration order); a growable one declares
         ``capacity: null`` and its core may hold phantom slots.
@@ -1227,8 +1241,6 @@ class Profiler:
         impl = self._impl
         if isinstance(impl, (SProfile, FlatProfile)):
             payload: Any = profile_to_state(impl)
-        elif isinstance(impl, ShardedProfiler):
-            payload = [profile_to_state(shard) for shard in impl.shards]
         elif isinstance(impl, ApproxProfiler):
             payload = impl.to_state()
         else:
@@ -1245,16 +1257,12 @@ class Profiler:
             "keys": self._keys,
             "strict": self._strict,
             "capacity": self._capacity,
-            "shards": getattr(impl, "n_shards", None),
+            "shards": None,
             "catalog": catalog,
             "batches": self._batches,
             "events": self._events,
             "profile": payload,
         }
-        if isinstance(impl, ShardedProfiler):
-            # Restore shards onto the same core engine; absent in
-            # pre-flat checkpoints, which load as block-object cores.
-            state["core"] = impl.core
         return state
 
     @classmethod
@@ -1294,10 +1302,13 @@ class Profiler:
             raise CheckpointError(f"bad keys mode: {keys!r}")
         if not isinstance(strict, bool):
             raise CheckpointError(f"bad strict flag: {strict!r}")
-        sharded = backend in ("sharded", "parallel")
-        if not sharded and state["shards"] is not None:
+        # Partitioned states of earlier releases: the in-process
+        # sharded backend, the multi-process "parallel" one, and
+        # cluster checkpoints, which had the sharded layout.
+        folded = backend in ("sharded", "parallel")
+        if not folded and state["shards"] is not None:
             raise CheckpointError(
-                f"shards must be null off the sharded backend, "
+                f"shards must be null on one core, "
                 f"got {state['shards']!r}"
             )
         if not _is_count(batches):
@@ -1308,7 +1319,7 @@ class Profiler:
         # a hashable single core may declare none (it grows).
         single = backend in ("flat", "exact")
         growable = single and keys == "hashable" and capacity is None
-        if (sharded or single) and not (growable or _is_count(capacity)):
+        if (folded or single) and not (growable or _is_count(capacity)):
             raise CheckpointError(f"bad capacity: {capacity!r}")
 
         if keys == "dense" and catalog is not None:
@@ -1335,11 +1346,14 @@ class Profiler:
                     f"is {capacity}"
                 )
 
-        if single:
-            if backend == "flat":
-                impl: Any = flat_profile_from_state(state["profile"])
-            else:
-                impl = profile_from_state(state["profile"])
+        if folded:
+            impl: Any = _fold_legacy(state)
+            backend = "flat" if isinstance(impl, FlatProfile) else "exact"
+        elif backend == "flat":
+            impl = flat_profile_from_state(state["profile"])
+        elif backend == "exact":
+            impl = profile_from_state(state["profile"])
+        if single or folded:
             if growable:
                 if impl.capacity < len(interner):
                     raise CheckpointError(
@@ -1357,63 +1371,8 @@ class Profiler:
                 )
             if keys == "hashable":
                 # The catalog names the claimed dense slots; the rest
-                # are phantoms and must hold no counted mass (mirror
-                # of the sharded-hashable check).
+                # are phantoms and must hold no counted mass.
                 for dense in range(len(interner), impl.capacity):
-                    if impl.frequency(dense) != 0:
-                        raise CheckpointError(
-                            f"uncataloged slot {dense} holds non-zero "
-                            f"frequency"
-                        )
-        elif sharded:
-            shard_states = state["profile"]
-            n_shards = state["shards"]
-            if not _is_count(n_shards) or n_shards == 0:
-                raise CheckpointError(f"bad n_shards: {n_shards!r}")
-            if not isinstance(shard_states, list):
-                raise CheckpointError("sharded state must hold a list")
-            if len(shard_states) != n_shards:
-                raise CheckpointError(
-                    f"{len(shard_states)} shard states for "
-                    f"n_shards={n_shards}"
-                )
-            core = state.get("core", "sprofile")
-            if backend == "parallel":
-                # Checkpoints of the retired multi-process engine hold
-                # flat shard states; they restore into the sharded
-                # engine, which answers identically.
-                if core != "flat":
-                    raise CheckpointError(
-                        f"parallel checkpoints host flat cores, "
-                        f"got {core!r}"
-                    )
-                backend = "sharded"
-            if core not in ("sprofile", "flat"):
-                raise CheckpointError(f"bad shard core: {core!r}")
-            restore = (
-                flat_profile_from_state if core == "flat"
-                else profile_from_state
-            )
-            shards = tuple(restore(s) for s in shard_states)
-            for s, shard in enumerate(shards):
-                expected = (capacity - s + n_shards - 1) // n_shards
-                if shard.capacity != expected:
-                    raise CheckpointError(
-                        f"shard {s} capacity {shard.capacity} does "
-                        f"not match partition of universe {capacity}"
-                    )
-                if shard.allow_negative == strict:
-                    raise CheckpointError(
-                        "strict flag disagrees with shard allow_negative"
-                    )
-            impl = ShardedProfiler(0, n_shards=n_shards, core=core)
-            impl._m = capacity
-            impl._shards = shards
-            if interner is not None:
-                # Dense slots beyond the catalog have no name; a
-                # truncated or tampered catalog must not leave counted
-                # mass on anonymous slots.
-                for dense in range(len(interner), capacity):
                     if impl.frequency(dense) != 0:
                         raise CheckpointError(
                             f"uncataloged slot {dense} holds non-zero "

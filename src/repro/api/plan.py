@@ -3,8 +3,7 @@
 A :class:`Query` names one statistic without computing it.  Handing a
 batch of queries to :meth:`repro.api.Profiler.evaluate` lets the
 facade answer *all* of them from **one** descending walk over the block
-structure (one walk per shard for the sharded backend) instead of one
-traversal per statistic — the shape dashboard callers need: mode,
+structure of its core instead of one traversal per statistic — the shape dashboard callers need: mode,
 top-k, a histogram and a couple of quantiles, refreshed together.
 
 The paper's block set makes this fusion natural: a single pass over the

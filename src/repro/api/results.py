@@ -1,7 +1,7 @@
 """Versioned, frozen result containers for the unified query surface.
 
-Every backend — flat, exact, sharded (merged), baseline, approximate —
-answers through the same vocabulary:
+Every backend — flat, exact, baseline, approximate — answers through
+the same vocabulary, and so does the cluster router's merge:
 
 - scalar statistics are plain ints/floats,
 - mode / least answers are :class:`~repro.core.queries.ModeResult`,

@@ -10,7 +10,7 @@
 - :mod:`repro.apps.median_service` — streaming frequency-quantile
   monitor with alert rules.
 - :mod:`repro.apps.click_analytics` — micro-batched click-stream
-  analytics over the sharded engine (:mod:`repro.engine`).
+  analytics over one hashable-key flat core.
 """
 
 from repro.apps.click_analytics import ClickAnalytics

@@ -7,13 +7,12 @@ events; the analytics tier must answer "what is trending right now?",
 at any moment, and survive restarts via checkpoints.
 
 :class:`ClickAnalytics` drives the full stack through one front door:
-:class:`repro.api.Profiler` opened on the sharded backend with
-hashable keys — the facade interns page names to dense ids, buffers
-arrive as micro-batches through the single ``ingest()`` verb (which
-coalesces each batch and splits it across the shards), and dashboard
-reads fuse every statistic into one merged block walk via
-:meth:`~repro.api.Profiler.evaluate`.  Every answer is exact, courtesy
-of the paper's profile structure underneath.
+:class:`repro.api.Profiler` opened on one flat core with hashable keys,
+bounded by the catalog — the facade interns page names to dense ids,
+buffers arrive as micro-batches through the single ``ingest()`` verb
+(which coalesces each batch), and dashboard reads fuse every statistic
+into one block walk via :meth:`~repro.api.Profiler.evaluate`.  Every
+answer is exact, courtesy of the paper's profile structure underneath.
 
 ``expire`` feeds the same pipeline with removes, which is how a
 sliding-window deployment retires old traffic (paper section 2.3's
@@ -37,8 +36,6 @@ class ClickAnalytics:
     ----------
     catalog:
         The page identifiers (any hashables, order fixes dense ids).
-    n_shards:
-        Shard fan-out of the backing engine.
     batch_size:
         Buffered events are auto-flushed once the buffer reaches this
         size; query methods flush first, so answers are always current.
@@ -49,7 +46,7 @@ class ClickAnalytics:
 
     Examples
     --------
-    >>> site = ClickAnalytics(["home", "docs", "blog", "about"], n_shards=2)
+    >>> site = ClickAnalytics(["home", "docs", "blog", "about"])
     >>> site.record_batch(["home", "docs", "home", "docs", "home"])
     5
     >>> site.trending(2)
@@ -66,7 +63,6 @@ class ClickAnalytics:
         self,
         catalog: Sequence[Hashable],
         *,
-        n_shards: int = 4,
         batch_size: int = 1024,
         allow_negative: bool = False,
     ) -> None:
@@ -76,9 +72,8 @@ class ClickAnalytics:
             )
         self._profiler = Profiler.open(
             len(catalog),
-            backend="sharded",
+            backend="flat",
             keys="hashable",
-            shards=n_shards,
             strict=not allow_negative,
         )
         for page in catalog:
@@ -169,7 +164,7 @@ class ClickAnalytics:
 
     def dominating(self, phi: float = 0.1) -> list[tuple[Hashable, int]]:
         """Pages holding more than ``phi`` of all views — exact
-        phi-heavy-hitters over the merged shard walks."""
+        phi-heavy-hitters."""
         self.flush()
         return [
             (entry.obj, entry.frequency)
@@ -187,12 +182,12 @@ class ClickAnalytics:
         return self._profiler.median_frequency()
 
     def view_histogram(self) -> list[tuple[int, int]]:
-        """``(views, #pages)`` ascending — the merged shard histogram."""
+        """``(views, #pages)`` ascending."""
         self.flush()
         return self._profiler.histogram()
 
     def dashboard(self, k: int = 10, quantiles: Sequence[float] = (0.5, 0.99)):
-        """All dashboard statistics from **one** merged block walk.
+        """All dashboard statistics from **one** block walk.
 
         Returns a dict with ``trending`` (top-``k``), ``histogram``,
         ``mode`` and one entry per requested quantile — the fused-plan
@@ -222,10 +217,6 @@ class ClickAnalytics:
         return len(self._profiler)
 
     @property
-    def n_shards(self) -> int:
-        return self._profiler.n_shards
-
-    @property
     def profiler(self) -> Profiler:
         """The backing facade (full query surface)."""
         return self._profiler
@@ -244,7 +235,12 @@ class ClickAnalytics:
 
     @classmethod
     def restore(cls, state: dict[str, Any]) -> "ClickAnalytics":
-        """Rebuild from :meth:`checkpoint` output (audited restore)."""
+        """Rebuild from :meth:`checkpoint` output (audited restore).
+
+        Checkpoints of earlier releases hold a sharded engine state;
+        it loads folded into one core (see
+        :meth:`repro.api.Profiler.from_state`).
+        """
         try:
             batch_size = state["batch_size"]
             profiler_state = state["profiler"]
@@ -253,10 +249,10 @@ class ClickAnalytics:
                 f"analytics checkpoint is malformed: {exc!r}"
             ) from exc
         profiler = Profiler.from_state(profiler_state)
-        if profiler.keys != "hashable" or profiler.backend_name != "sharded":
+        if profiler.keys != "hashable":
             raise CheckpointError(
-                "analytics checkpoint does not describe a sharded "
-                "hashable-key profiler"
+                "analytics checkpoint does not describe a hashable-key "
+                "profiler"
             )
         if len(profiler) != profiler.capacity:
             raise CheckpointError(
@@ -272,5 +268,5 @@ class ClickAnalytics:
     def __repr__(self) -> str:
         return (
             f"ClickAnalytics(catalog={self.catalog_size}, "
-            f"n_shards={self.n_shards}, pending={self.pending})"
+            f"pending={self.pending})"
         )

@@ -15,14 +15,6 @@ CI can gate) how the hot paths move over time:
   engine takes its NumPy-vectorized wholesale rebuild), plus the flat
   engine on its ``int64`` array storage (``array_engine=True``) against
   its list storage;
-- ``sharded_batch`` — the same batches through
-  :class:`~repro.engine.sharding.ShardedProfiler` with block-object vs
-  flat shard cores;
-- ``fused_plan`` — the dashboard read (mode + top-k + histogram +
-  quantiles + support) as one fused
-  :meth:`~repro.api.Profiler.evaluate` walk vs the equivalent
-  standalone calls, on the sharded engine with flat cores (where each
-  standalone statistic would otherwise pay its own per-shard merge);
 - ``serve`` — the TCP serving stack of :mod:`repro.server` at client
   counts {1, 4, 16}: the micro-batching pipeline (wire batches +
   cross-client coalescing into vectorized ``ingest`` calls) vs
@@ -74,12 +66,11 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.api import Profiler, Query
+from repro.api import Profiler
 from repro.bench.reporting import percentiles
 from repro.bench.workloads import build_stream
 from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile
-from repro.engine.sharding import ShardedProfiler
 
 __all__ = [
     "TRAJECTORY_VERSION",
@@ -99,13 +90,6 @@ SCALES = {
         "batch_size": 10_000,
         "batch_count": 20,
         "batch_m": 2_000,
-        # Sized so the per-shard sub-batches stay in the dense-rebuild
-        # regime (the regime the batch_m workload measures unsharded).
-        "shard_m": 8_000,
-        "shards": 4,
-        "plan_n": 100_000,
-        "plan_m": 10_000,
-        "plan_reps": 200,
         "serve_m": 4_096,
         "serve_events": 24_000,
         "serve_clients": (1, 4, 16),
@@ -129,11 +113,6 @@ SCALES = {
         "batch_size": 10_000,
         "batch_count": 5,
         "batch_m": 2_000,
-        "shard_m": 8_000,
-        "shards": 4,
-        "plan_n": 20_000,
-        "plan_m": 4_000,
-        "plan_reps": 50,
         "serve_m": 4_096,
         "serve_events": 6_400,
         "serve_clients": (1, 4, 16),
@@ -150,16 +129,6 @@ SCALES = {
 }
 
 _STREAMS = ("stream1", "stream2", "stream3")
-
-_DASHBOARD = (
-    Query.mode(),
-    Query.top_k(10),
-    Query.histogram(),
-    Query.quantile(0.5),
-    Query.quantile(0.99),
-    Query.support(0),
-)
-
 
 def _interleaved_min(timers: dict, rounds: int) -> dict:
     """Run every timer ``rounds`` times, interleaved; keep the min.
@@ -328,91 +297,6 @@ def _obs_overhead(cfg: dict, rounds: int, seed: int) -> dict:
         "obs_on_eps": n_events / best["obs_on"],
         "obs_off_eps": n_events / best["obs_off"],
         "overhead": best["obs_off"] / best["obs_on"],
-    }
-
-
-def _sharded_batch(cfg: dict, rounds: int, seed: int) -> dict:
-    """The same bulk batches through sharded engines (core ablation)."""
-    size, count = cfg["batch_size"], cfg["batch_count"]
-    m, shards = cfg["shard_m"], cfg["shards"]
-    stream = build_stream("stream1", size * count, m, seed=seed)
-    batches = [
-        stream.ids[i * size : (i + 1) * size] for i in range(count)
-    ]
-    n_events = size * count
-
-    def time_core(core):
-        def timer():
-            p = ShardedProfiler(m, n_shards=shards, core=core)
-            add_many = p.add_many
-            start = perf_counter()
-            for batch in batches:
-                add_many(batch)
-            return perf_counter() - start
-
-        return timer
-
-    best = _interleaved_min(
-        {
-            "sprofile_cores": time_core("sprofile"),
-            "flat_cores": time_core("flat"),
-        },
-        rounds,
-    )
-    return {
-        "workload": (
-            f"sharded add_many x{count}, batch={size}, m={m}, "
-            f"shards={shards}"
-        ),
-        "sprofile_eps": n_events / best["sprofile_cores"],
-        "flat_eps": n_events / best["flat_cores"],
-        "speedup": best["sprofile_cores"] / best["flat_cores"],
-    }
-
-
-def _fused_plan(cfg: dict, rounds: int, seed: int) -> dict:
-    """Dashboard read: one fused walk vs equivalent standalone calls.
-
-    Measured on the sharded engine (flat cores) — fusing matters where
-    every standalone statistic would otherwise pay its own merge of the
-    per-shard block walks; on one flat profile the standalone calls are
-    already O(1)/O(#blocks) pointer reads.
-    """
-    n, m, reps = cfg["plan_n"], cfg["plan_m"], cfg["plan_reps"]
-    shards = cfg["shards"]
-    stream = build_stream("stream1", n, m, seed=seed)
-    profiler = Profiler.open(m, backend="sharded", shards=shards)
-    profiler.ingest(zip(stream.ids.tolist(), stream.adds.tolist()))
-
-    def time_fused():
-        evaluate = profiler.evaluate
-        start = perf_counter()
-        for _ in range(reps):
-            evaluate(*_DASHBOARD)
-        return perf_counter() - start
-
-    def time_separate():
-        start = perf_counter()
-        for _ in range(reps):
-            profiler.mode()
-            profiler.top_k(10)
-            profiler.histogram()
-            profiler.quantile(0.5)
-            profiler.quantile(0.99)
-            profiler.support(0)
-        return perf_counter() - start
-
-    best = _interleaved_min(
-        {"fused": time_fused, "separate": time_separate}, rounds
-    )
-    return {
-        "workload": (
-            f"dashboard x{reps} on sharded backend (flat cores), "
-            f"n={n}, m={m}, shards={shards}"
-        ),
-        "fused_plans_per_sec": reps / best["fused"],
-        "separate_plans_per_sec": reps / best["separate"],
-        "speedup": best["separate"] / best["fused"],
     }
 
 
@@ -1002,8 +886,6 @@ def run_trajectory(
         "single_event_mode": _single_event_mode(cfg, rounds, seed),
         "batch_ingest": _batch_ingest(cfg, rounds, seed),
         "obs": _obs_overhead(cfg, rounds, seed),
-        "sharded_batch": _sharded_batch(cfg, rounds, seed),
-        "fused_plan": _fused_plan(cfg, rounds, seed),
         "serve": _serve(cfg, rounds, seed),
     }
     if cluster_replicas:
@@ -1170,17 +1052,12 @@ def _format_summary(result: dict) -> str:
     lines.append(
         f"    geomean speedup: {single['geomean_speedup']:.2f}x"
     )
-    for key, label in (
-        ("batch_ingest", "batch ingest"),
-        ("sharded_batch", "sharded batch"),
-    ):
-        entry = paths[key]
-        lines.append(
-            f"  {label:<26} sprofile {entry['sprofile_eps'] / 1e6:.2f}M"
-            f"  flat {entry['flat_eps'] / 1e6:.2f}M ev/s"
-            f"  -> {entry['speedup']:.2f}x   [{entry['workload']}]"
-        )
     batch = paths["batch_ingest"]
+    lines.append(
+        f"  {'batch ingest':<26} sprofile {batch['sprofile_eps'] / 1e6:.2f}M"
+        f"  flat {batch['flat_eps'] / 1e6:.2f}M ev/s"
+        f"  -> {batch['speedup']:.2f}x   [{batch['workload']}]"
+    )
     lines.append(
         f"  {'batch ingest, array':<26} list "
         f"{batch['flat_eps'] / 1e6:.2f}M  array "
@@ -1195,13 +1072,6 @@ def _format_summary(result: dict) -> str:
             f"{obs['obs_off_eps'] / 1e6:.2f}M ev/s"
             f"  -> {obs['overhead']:.2f}x   [{obs['workload']}]"
         )
-    plan = paths["fused_plan"]
-    lines.append(
-        f"  fused plan                 separate "
-        f"{plan['separate_plans_per_sec']:.0f}/s  fused "
-        f"{plan['fused_plans_per_sec']:.0f}/s"
-        f"  -> {plan['speedup']:.2f}x   [{plan['workload']}]"
-    )
     if "serve" in paths:
         srv = paths["serve"]
         lines.append(f"  serve (micro-batching)     [{srv['workload']}]")

@@ -2,10 +2,11 @@
 
 A :class:`ClusterRouter` fronts N replica :class:`~repro.server.service
 .ProfileServer` processes: it partitions every wire batch by the
-engines' own modulus rule (``x % N`` owns, ``x // N`` is the local id),
-fans sub-batches out over the negotiated codec, merges acks, and
-answers queries by merging replica reads exactly like the in-process
-:class:`~repro.engine.sharding.ShardedProfiler`.  Replicas snapshot
+modulus rule (``x % N`` owns, ``x // N`` is the local id; the one
+place a universe is partitioned), fans sub-batches out over the
+negotiated codec, merges acks, and answers queries by merging replica
+reads with :mod:`repro.engine.merge`; its ``checkpoint`` folds the
+replicas back into one core's state.  Replicas snapshot
 through the audited checkpoint schema; the router journals
 post-snapshot batches per partition in one log (:class:`RouterWal`)
 so a killed replica recovers by snapshot-restore + ``seq``-ordered

@@ -1,12 +1,10 @@
 """Pure partition helpers for the cluster router's ingest side.
 
-The routing rule is the engines' own: partition ``p = x % P`` owns
-object ``x`` under the local dense id ``x // P`` — the single
-definition lives in :func:`repro.engine.sharding.partition_ids` and is
-reused here, so the wire tier and the in-process sharded engine can
-never drift.  The query side — merging replica answers — is
-:mod:`repro.engine.merge`, shared with
-:class:`~repro.engine.sharding.ShardedProfiler`.
+The routing rule: partition ``p = x % P`` owns object ``x`` under the
+local dense id ``x // P`` (:func:`partition_ids`, its one definition).
+The query side — merging replica answers — is
+:mod:`repro.engine.merge`; folding partition checkpoints back into one
+core is :func:`repro.core.checkpoint.fold_partition_states`.
 
 Everything here is pure (arrays in, arrays or states out), so it is
 unit-testable without a single socket.
@@ -16,15 +14,32 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.checkpoint import fold_partition_states
 from repro.core.profile import ArrayBatch, net_batch, net_events
-from repro.engine.sharding import partition_ids
+from repro.errors import CapacityError
 
-__all__ = ["partition_batch", "repartition_states"]
+__all__ = ["partition_batch", "partition_ids", "repartition_states"]
 
 
 # ----------------------------------------------------------------------
 # Ingest-side: partition one wire batch
 # ----------------------------------------------------------------------
+
+
+def partition_ids(arr, n_parts: int, m: int):
+    """Range-validate and partition dense ids over ``n_parts`` owners.
+
+    The single definition of the partition rule (owner
+    ``x % n_parts``, local id ``x // n_parts``) and of its batch
+    validation — a bad id rejects the whole batch before any owner is
+    touched.  Returns ``(residue, local)`` arrays.
+    """
+    lo = int(arr.min())
+    hi = int(arr.max())
+    if lo < 0 or hi >= m:
+        bad = lo if lo < 0 else hi
+        raise CapacityError(f"object id {bad} out of range [0, {m})")
+    return arr % n_parts, arr // n_parts
 
 
 def partition_batch(data, n_parts: int, m: int):
@@ -66,18 +81,16 @@ def partition_batch(data, n_parts: int, m: int):
     return parts, net_events(net_batch(ids, deltas))
 
 
-def repartition_states(
-    states: list[dict], old_n: int, new_n: int, m: int
-) -> list[dict]:
-    """Re-cut ``old_n`` partition checkpoints into ``new_n`` of them.
+def repartition_states(states: list[dict], new_n: int, m: int) -> list[dict]:
+    """Re-cut partition checkpoints into ``new_n`` of them.
 
-    The migration primitive of a live rescale: each old partition's
-    facade state is restored, its dense frequency array read out, and
-    every nonzero frequency re-bucketed under the *new* modulus
-    (global id ``g = local * old_n + p`` lands in new partition
-    ``g % new_n`` at local id ``g // new_n``).  Pure and synchronous —
-    the router runs it off-loop via ``asyncio.to_thread`` so ingest
-    never stalls behind the re-cut.
+    The migration primitive of a live rescale: the old partitions'
+    facade states fold into one core over the whole universe
+    (:func:`~repro.core.checkpoint.fold_partition_states`), whose
+    frequency array is cut under the *new* modulus (global id ``g``
+    lands in new partition ``g % new_n`` at local id ``g // new_n``).
+    Pure and synchronous — the router runs it off-loop via
+    ``asyncio.to_thread`` so ingest never stalls behind the re-cut.
 
     Every new partition gets a state (empty ones included: a replica
     must restore *something* to rewind whatever it booted with), built
@@ -86,31 +99,19 @@ def repartition_states(
     """
     from repro.api.facade import Profiler
 
-    def cap(q: int) -> int:
-        return (m - q + new_n - 1) // new_n
-
     backend = (states[0] if states else {}).get("backend", "flat")
-    cols: list[tuple[list, list]] = [([], []) for _ in range(new_n)]
-    for p, state in enumerate(states):
-        source = Profiler.from_state(state)
-        try:
-            freqs = source.frequencies()
-        finally:
-            source.close()
-        for local, f in enumerate(freqs):
-            if not f:
-                continue
-            g = local * old_n + p
-            ids, deltas = cols[g % new_n]
-            ids.append(g // new_n)
-            deltas.append(f)
+    whole = fold_partition_states(
+        [state["profile"] for state in states], m, flat=backend == "flat"
+    )
+    freqs = np.asarray(whole.frequencies(), dtype=np.int64)
     out: list[dict] = []
     for q in range(new_n):
-        ids, deltas = cols[q]
-        target = Profiler.open(cap(q), backend=backend)
+        local = freqs[q::new_n]
+        ids = np.flatnonzero(local)
+        target = Profiler.open(len(local), backend=backend)
         try:
-            if ids:
-                target.ingest_arrays(ids, deltas)
+            if ids.size:
+                target.ingest_arrays(ids, local[ids])
             out.append(target.to_state())
         finally:
             target.close()

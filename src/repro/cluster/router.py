@@ -51,12 +51,11 @@ an undecided transaction is dropped at replay (no replica applied it —
 commits are only sent after the decision record is durable), a decided
 one replays from the journal whatever the replica saw.
 
-Queries merge replica answers with the same pure functions
-:class:`~repro.engine.sharding.ShardedProfiler` applies to its shards
-(:mod:`repro.engine.merge`), over whichever partitions answered;
-``checkpoint`` assembles the replica checkpoints into one standard
-*sharded* facade state, restorable by ``Profiler.from_state``
-anywhere.
+Queries merge replica answers with the pure functions of
+:mod:`repro.engine.merge`, over whichever partitions answered;
+``checkpoint`` folds the replica checkpoints into one single-core
+facade state over the whole universe, restorable by
+``Profiler.from_state`` anywhere.
 """
 
 from __future__ import annotations
@@ -71,6 +70,7 @@ from repro.api.facade import API_STATE_VERSION, Profiler
 from repro.api.plan import Query
 from repro.cluster.journal import RouterWal
 from repro.cluster.merge import partition_batch, repartition_states
+from repro.core.checkpoint import fold_partition_states, profile_to_state
 from repro.engine import merge
 from repro.errors import (
     CapacityError,
@@ -1317,7 +1317,6 @@ class ClusterRouter(ProfileServer):
             new_states = await asyncio.to_thread(
                 repartition_states,
                 mig["states"],
-                self._n_parts,
                 mig["new_n"],
                 self.capacity,
             )
@@ -1690,19 +1689,14 @@ class ClusterRouter(ProfileServer):
 
     # -- checkpoint assembly -------------------------------------------
 
-    #: Replica facade backends whose single-profile payload can slot
-    #: into a sharded facade state, and the shard core each maps to.
-    _CORE_OF_BACKEND = {"flat": "flat", "exact": "sprofile"}
-
     async def _checkpoint_cluster(self) -> dict[str, Any]:
-        """Assemble replica checkpoints into one *sharded* facade state.
+        """Fold the replica checkpoints into one single-core state.
 
-        Partition ``p`` of the cluster is, by construction, shard ``p``
-        of a ``ShardedProfiler`` over the same universe — same modulus,
-        same local ids, same per-shard capacity.  So the cluster's
-        checkpoint is simply the standard sharded state with each
-        replica's profile payload in its shard slot: restorable by
-        ``Profiler.from_state`` on any host, no cluster code needed.
+        Partition ``p`` holds global id ``g = local * P + p``, so its
+        frequencies fill ``freqs[p::P]`` of one dense core over the
+        whole universe, on the replicas' engine (``flat`` or
+        ``exact``): restorable by ``Profiler.from_state`` on any host,
+        no cluster code needed.
         """
         states = await asyncio.gather(
             *(
@@ -1710,43 +1704,41 @@ class ClusterRouter(ProfileServer):
                 for p in range(self._n_parts)
             )
         )
-        cores = []
-        for p, state in enumerate(states):
-            core = self._CORE_OF_BACKEND.get(state.get("backend"))
-            if core is None:
-                raise CheckpointError(
-                    f"replica {p} backend {state.get('backend')!r} does "
-                    f"not assemble into a sharded checkpoint (serve "
-                    f"replicas on the flat or exact backend)"
-                )
-            cores.append(core)
-        if len(set(cores)) > 1:
+        backends = {s.get("backend") for s in states}
+        if not backends <= {"flat", "exact"} or len(backends) > 1:
             raise CheckpointError(
-                f"replica cores disagree ({sorted(set(cores))}); a "
-                f"sharded checkpoint restores one core for all shards"
+                f"replica backends {sorted(map(str, backends))} do not "
+                f"fold into one core (serve every replica on the flat "
+                f"or on the exact backend)"
             )
+        backend = backends.pop()
         profiles = [s["profile"] for s in states]
         if self._strict:
             # Replicas run non-strict (strictness is cluster-wide, and
             # only the router sees whole batches), so their payloads
-            # say allow_negative.  The assembled state must restore to
-            # a strict facade, and strict admission guarantees no
-            # negative mass anywhere — flip the shard flags to match.
-            profiles = [dict(p) for p in profiles]
-            for profile in profiles:
-                profile["allow_negative"] = False
+            # say allow_negative.  The folded state must restore to a
+            # strict facade, and strict admission guarantees no
+            # negative mass anywhere — flip the flags to match.
+            profiles = [dict(p, allow_negative=False) for p in profiles]
+        # O(m log m) of CPU: off the loop, as a rescale's re-cut is.
+        profile = await asyncio.to_thread(
+            lambda: profile_to_state(
+                fold_partition_states(
+                    profiles, self.capacity, flat=backend == "flat"
+                )
+            )
+        )
         return {
             "version": API_STATE_VERSION,
-            "backend": "sharded",
+            "backend": backend,
             "keys": "dense",
             "strict": self._strict,
             "capacity": self.capacity,
-            "shards": self._n_parts,
+            "shards": None,
             "catalog": None,
             "batches": sum(s["batches"] for s in states),
             "events": sum(s["events"] for s in states),
-            "profile": profiles,
-            "core": cores[0],
+            "profile": profile,
         }
 
     # -- introspection -------------------------------------------------

@@ -26,6 +26,7 @@ __all__ = [
     "flat_profile_from_state",
     "flat_profile_to_array_state",
     "flat_profile_from_array_state",
+    "fold_partition_states",
     "save_profile",
     "load_profile",
 ]
@@ -201,6 +202,58 @@ def flat_profile_from_state(
         return profile
 
     return _restore(state, install)
+
+
+def fold_partition_states(states: list, capacity: int, *, flat: bool):
+    """One dense core over ``[0, capacity)`` from its partitions' states.
+
+    Partition ``p`` of ``P = len(states)`` holds global id
+    ``g = local * P + p`` under local id ``g // P`` (the cluster's
+    modulus rule), so its frequencies fill ``freqs[p::P]``.  Each
+    state is restored and audited, must cover exactly its residue
+    class and agree on ``allow_negative``; the fold then builds one
+    core (``FlatProfile`` when ``flat``, else ``SProfile``) with
+    ``from_frequencies`` and carries the summed event counters over,
+    so ``total`` and ``n_events`` read as they did across the parts.
+    """
+    import numpy as np
+
+    restore = flat_profile_from_state if flat else profile_from_state
+    n_parts = len(states)
+    freqs = np.zeros(capacity, dtype=np.int64)
+    flags = set()
+    n_adds = n_removes = 0
+    track = False
+    for p, state in enumerate(states):
+        part = restore(state)
+        expected = len(range(p, capacity, n_parts))
+        if part.capacity != expected:
+            raise CheckpointError(
+                f"partition {p} capacity {part.capacity} does not match "
+                f"its share ({expected}) of universe {capacity}"
+            )
+        freqs[p::n_parts] = part.frequencies()
+        flags.add(part.allow_negative)
+        n_adds += part.n_adds
+        n_removes += part.n_removes
+        track = track or part.blocks.tracks_freq_index
+    if len(flags) > 1:
+        raise CheckpointError("partitions disagree on allow_negative")
+    allow_negative = flags.pop() if flags else True
+    if flat:
+        core = FlatProfile.from_frequencies(
+            freqs, allow_negative=allow_negative
+        )
+    else:
+        core = SProfile.from_frequencies(
+            freqs.tolist(),
+            allow_negative=allow_negative,
+            track_freq_index=track,
+        )
+    core._n_adds = n_adds
+    core._n_removes = n_removes
+    core._base_total -= n_adds - n_removes
+    return core
 
 
 def flat_profile_to_array_state(profile: FlatProfile) -> dict[str, Any]:

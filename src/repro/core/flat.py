@@ -175,7 +175,7 @@ class _FlatBlockReader:
     ``(l, r, f)``, the paper's notation) on demand so every block-walk
     consumer of the package — the query mixin,
     :func:`~repro.core.validation.audit_profile`, snapshots, the
-    sharded merges, the fused-plan runs views — drives a
+    fused-plan runs views — drives a
     ``FlatProfile`` unchanged.  The view is stateless: it reads the
     live arrays, so it never goes stale.  It is built per access
     (:attr:`FlatProfile.blocks`), so the profile holds no reference to

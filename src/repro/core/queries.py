@@ -30,7 +30,8 @@ def quantile_rank(q: float, size: int) -> int:
     """Rank of quantile ``q`` on an ascending array of ``size`` entries.
 
     The single definition of quantile semantics every backend shares
-    (flat, exact, sharded, baselines), so their answers cannot drift:
+    (flat, exact, baselines, the cluster's merged histogram), so their
+    answers cannot drift:
 
     - *nearest-rank, lower*: the rank is ``floor(q * (size - 1))``;
     - ``q == 0.0`` names the minimum (rank 0) and ``q == 1.0`` the

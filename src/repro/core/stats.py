@@ -125,7 +125,7 @@ def gini(profile) -> float:
     # The ascending histogram *is* the run-length encoding of the sorted
     # frequency array, so ranks are recovered from cumulative counts;
     # this keeps the function working for any backend that can produce a
-    # histogram (flat, sharded merge, facade), not just ones exposing a
+    # histogram (flat, cluster merge, facade), not just ones exposing a
     # block set.
     for f, count in profile.histogram():
         lo = cum + 1  # 1-based rank of the run's first element

@@ -1,22 +1,14 @@
-"""The scale-out layer: batched ingestion over sharded S-Profiles.
+"""The merge algebra of a partitioned profile.
 
-``repro.core`` is the paper — one profiler, O(1) per event.  This
-package is the production story on top of it:
-
-- :mod:`repro.engine.sharding` — :class:`ShardedProfiler` partitions
-  the key space over N independent S-Profiles and answers every exact
-  query by merging per-shard block walks.
-- :mod:`repro.engine.merge` — the pure merge algebra over per-shard
-  answers, shared with the cluster router.
-
-Batched ingestion and checkpoints of a sharded profile go through the
-facade: ``repro.api.Profiler.open(capacity, shards=N)``.
+``repro.core`` is the paper — one profiler, O(1) per event.  One
+universe in one process is one such core.  Partitioning lives in the
+cluster tier (:mod:`repro.cluster`), whose router splits the key space
+over replica processes; :mod:`repro.engine.merge` holds the pure
+functions that merge the partitions' answers into the answer of one
+profile.
 
 See ``docs/paper_map.md`` for how this layer relates (and does not
-relate) to the paper, and ``benchmarks/bench_batch_vs_loop.py`` /
-``benchmarks/bench_shard_scaling.py`` for the measured effects.
+relate) to the paper.
 """
 
-from repro.engine.sharding import ShardedProfiler
-
-__all__ = ["ShardedProfiler"]
+__all__: list[str] = []

@@ -2,11 +2,9 @@
 
 A partitioned profile owns object ``x`` in partition ``p = x % P``
 under the local dense id ``x // P``
-(:func:`~repro.engine.sharding.partition_ids`).  The shards of a
-:class:`~repro.engine.sharding.ShardedProfiler` and the replicas
-behind a :class:`~repro.cluster.router.ClusterRouter` are both such
-partitions, and both answer every query through the pure functions
-here:
+(:func:`~repro.cluster.merge.partition_ids`).  The replicas behind a
+:class:`~repro.cluster.router.ClusterRouter` are such partitions, and
+the router answers every query through the pure functions here:
 
 - extremes (:func:`merge_extremes`, :func:`extreme_frequency`) compare
   the partitions' extremes, O(P);

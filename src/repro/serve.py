@@ -6,7 +6,9 @@ same spelling the docs use everywhere::
     python -m repro.serve --capacity 100000 --port 7421
 
 See ``python -m repro.serve --help`` for the full flag set
-(``--backend/--shards/--batch-max/--queue-size/...``).
+(``--backend/--keys/--batch-max/--queue-size/...``).  One server
+hosts one core; ``python -m repro.cluster --replicas N`` partitions a
+universe over N of them.
 """
 
 from repro.server.cli import build_parser, main

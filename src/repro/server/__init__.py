@@ -1,7 +1,6 @@
 """The serving layer: profile ingestion and queries over TCP.
 
-The compute stack (flat core, sharded engine, the
-facade's fused plans) answers in-process; this subpackage puts it on a
+The compute stack (flat core, the facade's fused plans) answers in-process; this subpackage puts it on a
 wire so many concurrent writers can share one profiler:
 
 - :mod:`repro.server.protocol` — length-prefixed JSON frames, the

@@ -6,10 +6,13 @@ Serve a 100k-key dense universe on the flat engine::
 
     python -m repro.serve --capacity 100000
 
-Sharded backend, fixed port, aggressive micro-batching::
+Array engine, fixed port, aggressive micro-batching::
 
-    python -m repro.serve --capacity 1000000 --shards 8 --port 7421 \\
+    python -m repro.serve --capacity 1000000 --array-engine --port 7421 \\
         --batch-max 2048
+
+One server hosts one core; to partition a universe over N processes,
+run ``python -m repro.cluster --replicas N`` instead.
 
 The server prints one ``listening on HOST:PORT`` line once bound
 (``--port 0`` picks a free port; ``--port-file`` additionally writes
@@ -30,6 +33,7 @@ import sys
 from pathlib import Path
 
 from repro.api import Profiler, available_backends
+from repro.api.backends import SHARDS_RETIRED
 from repro.obs.http import MetricsExporter
 from repro.obs.structlog import configure_logging, log_event
 from repro.server.protocol import DEFAULT_MAX_FRAME
@@ -61,12 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_backends(),
         help="profiling backend behind the facade (default: auto)",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard fan-out (implies the sharded backend under auto)",
-    )
+    # Retired: refused with a pointer to the cluster tier.
+    parser.add_argument("--shards", help=argparse.SUPPRESS)
     parser.add_argument(
         "--keys",
         choices=("dense", "hashable"),
@@ -211,7 +211,6 @@ async def _amain(args: argparse.Namespace) -> int:
     profiler = Profiler.open(
         args.capacity,
         backend=args.backend,
-        shards=args.shards,
         keys=args.keys,
         strict=args.strict,
         **open_options,
@@ -290,7 +289,10 @@ async def _amain(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.shards is not None:
+        parser.error(SHARDS_RETIRED)
     try:
         return asyncio.run(_amain(args))
     except KeyboardInterrupt:  # pragma: no cover - signal-handler race

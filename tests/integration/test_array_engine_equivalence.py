@@ -20,13 +20,11 @@ from repro.errors import CapacityError
 np = pytest.importorskip("numpy")
 
 M = 48
-CHECKPOINT_BACKENDS = ("flat", "exact", "sharded", "flat-array")
+CHECKPOINT_BACKENDS = ("flat", "exact", "flat-array")
 
 
 def open_backend(name, **kwargs):
     extra = {}
-    if name == "sharded":
-        extra["shards"] = 3
     if name == "flat-array":
         name = "flat"
         extra["array_engine"] = True
@@ -107,7 +105,7 @@ class TestStreamEquivalence:
             assert engine["storage"] == "array"
         assert open_backend("flat").describe()["engine"]["storage"] == "list"
 
-    @pytest.mark.parametrize("other", ("exact", "sharded", "approx"))
+    @pytest.mark.parametrize("other", ("exact", "approx"))
     def test_array_engine_is_a_flat_only_option(self, other):
         with pytest.raises(CapacityError, match="array_engine="):
             Profiler.open(M, backend=other, array_engine=True)
@@ -152,7 +150,7 @@ class TestCheckpointRoundTrips:
             restored.close()
             peer.close()
 
-    @pytest.mark.parametrize("other", ("flat", "exact", "sharded"))
+    @pytest.mark.parametrize("other", ("flat", "exact"))
     def test_other_backend_checkpoints_reload_beside_array_engine(
         self, other
     ):

@@ -3,10 +3,9 @@ paper's workloads and on the adversarial streams.
 
 The property suite covers small random cases exhaustively; this file
 drives the real stream generators at size — batched ingestion through
-the facade's sharded backend (``Profiler.open(m, shards=N)``) against
-a per-event :class:`SProfile`, across shard counts, on streams chosen
-to stress both bulk strategies (dense rebuilds on uniform streams,
-long climbs on single-hot).
+the facade's ``flat`` and ``exact`` cores against a per-event
+:class:`SProfile`, on streams chosen to stress both bulk strategies
+(dense rebuilds on uniform streams, long climbs on single-hot).
 """
 
 import json
@@ -16,8 +15,9 @@ import pytest
 
 from repro.api import Profiler
 from repro.bench.workloads import build_stream
+from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile
-from repro.engine.sharding import ShardedProfiler
+from repro.core.validation import audit_profile
 
 UNIVERSE = 300
 N_EVENTS = 6_000
@@ -32,21 +32,21 @@ def _signed(stream):
 
 
 @pytest.mark.parametrize("stream_name", STREAMS)
-@pytest.mark.parametrize("n_shards", (1, 4))
-def test_batched_sharded_facade_matches_sequential(stream_name, n_shards):
+@pytest.mark.parametrize("backend", ("flat", "exact"))
+def test_batched_facade_matches_sequential(stream_name, backend):
     stream = build_stream(stream_name, N_EVENTS, UNIVERSE, seed=23)
     ids, deltas = _signed(stream)
 
     sequential = SProfile(UNIVERSE)
     sequential.consume_arrays(stream.ids.tolist(), stream.adds.tolist())
 
-    profiler = Profiler.open(UNIVERSE, shards=n_shards)
+    profiler = Profiler.open(UNIVERSE, backend=backend)
     for start in range(0, N_EVENTS, BATCH):
         profiler.ingest_arrays(
             ids[start : start + BATCH], deltas[start : start + BATCH]
         )
 
-    profiler.backend.audit()
+    audit_profile(profiler.backend)
     freqs = sequential.frequencies()
     sorted_freqs = sorted(freqs)
     assert profiler.frequencies() == freqs
@@ -70,10 +70,10 @@ def test_checkpoint_mid_stream_resumes_identically(stream_name):
     ids, deltas = _signed(stream)
     half = N_EVENTS // 2
 
-    straight = Profiler.open(UNIVERSE, shards=3)
+    straight = Profiler.open(UNIVERSE)
     straight.ingest_arrays(ids, deltas)
 
-    first_leg = Profiler.open(UNIVERSE, shards=3)
+    first_leg = Profiler.open(UNIVERSE)
     first_leg.ingest_arrays(ids[:half], deltas[:half])
     resumed = Profiler.from_state(json.loads(json.dumps(first_leg.to_state())))
     resumed.ingest_arrays(ids[half:], deltas[half:])
@@ -84,18 +84,18 @@ def test_checkpoint_mid_stream_resumes_identically(stream_name):
     assert resumed.events_ingested == straight.events_ingested
 
 
-def test_sharded_batch_equals_sharded_per_event_at_size():
+def test_batch_equals_per_event_at_size():
     stream = build_stream("stream3", N_EVENTS, UNIVERSE, seed=31)
     ids, adds = stream.ids.tolist(), stream.adds.tolist()
 
-    per_event = ShardedProfiler(UNIVERSE, n_shards=5)
+    per_event = FlatProfile(UNIVERSE)
     per_event.consume_arrays(ids, adds)
 
-    batched = ShardedProfiler(UNIVERSE, n_shards=5)
+    batched = FlatProfile(UNIVERSE)
     batched.apply(
         [(x, 1 if a else -1) for x, a in zip(ids, adds)]
     )
 
     assert batched.frequencies() == per_event.frequencies()
     assert batched.histogram() == per_event.histogram()
-    batched.audit()
+    audit_profile(batched)

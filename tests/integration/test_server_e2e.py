@@ -110,9 +110,9 @@ BACKEND_ROWS = [
         id="exact",
     ),
     pytest.param(
-        lambda: Profiler.open(40, backend="sharded", shards=3),
+        lambda: Profiler.open(40, backend="flat", strict=True),
         [(3, 5), (7, 2)],
-        id="sharded",
+        id="flat-strict",
     ),
     pytest.param(
         lambda: Profiler.open(40, backend="flat", array_engine=True),

@@ -25,7 +25,6 @@ FULL_SURFACE_BACKENDS = (
     "flat",
     "flat-array",
     "exact",
-    "sharded",
     "sprofile-indexed",
     "bucket",
 )
@@ -46,13 +45,12 @@ events = st.lists(
 batched_events = st.tuples(events, st.integers(min_value=1, max_value=5))
 
 
-def _open(name, strict=False, shards_for_sharded=3):
+def _open(name, strict=False):
     if name == "flat-array":
         return Profiler.open(
             UNIVERSE, backend="flat", array_engine=True, strict=strict
         )
-    kwargs = {"shards": shards_for_sharded} if name == "sharded" else {}
-    return Profiler.open(UNIVERSE, backend=name, strict=strict, **kwargs)
+    return Profiler.open(UNIVERSE, backend=name, strict=strict)
 
 
 def _open_all(names):

@@ -1,5 +1,5 @@
-"""Property tests: batch ingestion and sharding are observationally
-equivalent to a single sequential S-Profile.
+"""Property tests: batch ingestion is observationally equivalent to a
+single sequential S-Profile.
 
 The contract under test (the engine's whole correctness story):
 
@@ -12,8 +12,9 @@ The contract under test (the engine's whole correctness story):
   pairs or a dict, ``apply_arrays``) lands a batch as a model of it
   does: same frequencies, counters, return value and exception type,
   range checked before underflow;
-- ``ShardedProfiler`` answers every query identically to an unsharded
-  profile fed the same events, for any shard count;
+- flat cores over the residue classes ``x % P`` (the cluster's
+  partitions), merged by :mod:`repro.engine.merge`, answer every query
+  identically to one profile fed the same events, for any ``P``;
 - both hold on adversarial streams, not just random ones (see also
   ``tests/integration/test_engine_equivalence.py``).
 """
@@ -25,10 +26,20 @@ from hypothesis import strategies as st
 
 import repro.core.flat as core_flat
 from repro.api import Profiler
+from repro.cluster import partition_capacity
 from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile
 from repro.core.validation import audit_profile
-from repro.engine.sharding import ShardedProfiler
+from repro.engine.merge import (
+    count_at,
+    extreme_frequency,
+    heavy_cut,
+    kth_holder,
+    median_frequency,
+    merge_extremes,
+    merge_histograms,
+    merge_top,
+)
 from repro.errors import CapacityError, FrequencyUnderflowError
 
 # Capacities of 1-60 against batches of up to 200 events straddle each
@@ -42,7 +53,7 @@ cases = st.tuples(
         ),
         max_size=200,
     ),
-    st.integers(min_value=1, max_value=8),  # batch cut size / shards
+    st.integers(min_value=1, max_value=8),  # batch cut size / parts
 )
 
 
@@ -96,51 +107,75 @@ def test_apply_matches_sequential(case):
 
 @given(cases)
 @settings(max_examples=120, deadline=None)
-def test_sharded_matches_single_profile(case):
-    capacity, raw, n_shards = case
+def test_partitioned_cores_merge_like_single_profile(case):
+    capacity, raw, n_parts = case
     events = _events(capacity, raw)
     single = SProfile(capacity)
-    sharded = ShardedProfiler(capacity, n_shards=n_shards)
+    # Partition p holds global id x under local id x // n_parts; with
+    # more parts than objects the surplus partitions are empty.
+    parts = {
+        p: FlatProfile(partition_capacity(capacity, p, n_parts))
+        for p in range(min(n_parts, capacity))
+    }
     # Feed half per-event, half as one batch: both routes must agree.
     half = len(events) // 2
     for x, is_add in events[:half]:
         single.update(x, is_add)
-        sharded.update(x, is_add)
+        parts[x % n_parts].update(x // n_parts, is_add)
     tail = events[half:]
     single.apply([(x, 1 if a else -1) for x, a in tail])
-    sharded.apply([(x, 1 if a else -1) for x, a in tail])
+    for p, part in parts.items():
+        part.apply(
+            [(x // n_parts, 1 if a else -1) for x, a in tail
+             if x % n_parts == p]
+        )
 
-    sharded.audit()
+    def answers(query, *args):
+        return [(p, getattr(part, query)(*args))
+                for p, part in parts.items()]
+
     freqs = single.frequencies()
     sorted_freqs = sorted(freqs)
     m = capacity
-    assert sharded.frequencies() == freqs
-    assert sharded.total == single.total
-    assert sharded.histogram() == single.histogram()
-    assert sharded.max_frequency() == max(freqs)
-    assert sharded.min_frequency() == min(freqs)
-    assert sharded.median_frequency() == sorted_freqs[(m - 1) // 2]
+    for p, part in parts.items():
+        audit_profile(part)
+        assert part.frequencies() == freqs[p::n_parts]
+    assert sum(part.total for part in parts.values()) == single.total
+    hists = answers("histogram")
+    assert merge_histograms(hists) == single.histogram()
+    assert extreme_frequency(answers("max_frequency"), desc=True) == max(
+        freqs
+    )
+    assert extreme_frequency(answers("min_frequency"), desc=False) == min(
+        freqs
+    )
+    assert median_frequency(merge_histograms(hists)) == sorted_freqs[
+        (m - 1) // 2
+    ]
+    for query, desc, best in (("mode", True, max), ("least", False, min)):
+        result = merge_extremes(answers(query), n_parts, desc=desc)
+        assert result.frequency == best(freqs)
+        assert result.count == freqs.count(best(freqs))
+        assert freqs[result.example] == best(freqs)
 
-    mode = sharded.mode()
-    assert mode.frequency == max(freqs)
-    assert mode.count == freqs.count(max(freqs))
-    assert freqs[mode.example] == max(freqs)
-    least = sharded.least()
-    assert least.frequency == min(freqs)
-    assert least.count == freqs.count(min(freqs))
-
-    top = sharded.top_k(m)
+    top = merge_top(answers("top_k", m), n_parts, m)
     assert [e.frequency for e in top] == sorted_freqs[::-1]
     assert sorted(e.obj for e in top) == list(range(m))
     for f in set(freqs):
-        assert sharded.support(f) == freqs.count(f)
-        assert sorted(sharded.objects_with_frequency(f)) == sorted(
-            x for x, fr in enumerate(freqs) if fr == f
-        )
+        assert count_at(merge_histograms(hists), f) == freqs.count(f)
     for k in range(1, m + 1):
-        entry = sharded.kth_most_frequent(k)
-        assert entry.frequency == sorted_freqs[m - k]
-        assert freqs[entry.obj] == entry.frequency
+        f, p, local_rank = kth_holder(hists, k)
+        entry = parts[p].kth_most_frequent(local_rank)
+        assert f == entry.frequency == sorted_freqs[m - k]
+        assert freqs[entry.obj * n_parts + p] == f
+    for phi in (0.1, 0.3, 0.5):
+        cut = heavy_cut(hists, single.total, phi)
+        hitters = merge_top(
+            [(p, parts[p].top_k(count)) for p, count in cut],
+            n_parts,
+            sum(count for _, count in cut),
+        )
+        assert sorted(hitters) == sorted(single.heavy_hitters(phi))
 
 
 @given(

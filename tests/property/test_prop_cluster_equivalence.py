@@ -10,15 +10,16 @@ supervisor respawns empty replicas; recovery is the router's
 snapshot-restore + seq-replay.  The reference is a directly driven
 facade fed the same wire batches in ack-``seq`` order: accepted and
 rejected batches must match (same error types, same ``applied``
-counts), the assembled cluster checkpoint must restore to the same
-dense frequency array bit for bit, and the merged dashboard must agree
-(tie-arbitrary kinds compared by frequency).
+counts), the folded cluster checkpoint must restore to the same
+dense frequency array bit for bit (and round-trip as a single-core
+state), and the merged dashboard must agree (tie-arbitrary kinds
+compared by frequency).
 
 A second property drops the tie allowance: without crashes, the
-router, a directly driven ``ShardedProfiler`` and the sharded facade
-over the same partition must return *equal* values for every kind,
-tie examples included — all three merge through
-:mod:`repro.engine.merge`.
+router must return *equal* values for every kind, tie examples
+included, to N per-partition flat facades whose answers are merged
+with :mod:`repro.engine.merge` — and the same frequencies and counts
+as one flat facade over the whole universe.
 
 This is the acceptance property of the replicated tier: zero
 acknowledged-event loss, no double counts, whatever dies.
@@ -31,8 +32,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Profiler, Query
-from repro.cluster import ClusterRouter
-from repro.engine.sharding import ShardedProfiler
+from repro.cluster import ClusterRouter, partition_capacity
+from repro.engine import merge
 from repro.server import AsyncProfileClient
 from repro.testing.replicas import InProcessSupervisor
 
@@ -148,10 +149,11 @@ def check_through_crashes(
     )
     reference = replay_reference(capacity, outcomes)
     try:
-        # Bit-identical state, via the assembled sharded checkpoint.
+        # Bit-identical state, via the folded single-core checkpoint.
         restored = Profiler.from_state(state)
         try:
             assert restored.frequencies() == reference.frequencies()
+            assert restored.to_state() == state
         finally:
             restored.close()
         assert_dashboard_matches(answers, reference)
@@ -262,9 +264,10 @@ async def drive_router(m, n_parts, batches, plan):
     batch's ack (or error type) and the answers to ``plan``.
 
     Replicas take the JSON codec, so each partition core applies its
-    keys in first-seen order, as ``ShardedProfiler.apply`` does.  (The
-    binary codec's vectorized apply places equal-frequency objects in
-    key order instead: a difference of ingest layout, not of merge.)
+    keys in first-seen order, as a facade's ``ingest`` of the same
+    pairs does.  (The binary codec's vectorized apply places
+    equal-frequency objects in key order instead: a difference of
+    ingest layout, not of merge.)
     """
     supervisor = await InProcessSupervisor(m, n_parts).start()
     router = ClusterRouter(
@@ -286,13 +289,70 @@ async def drive_router(m, n_parts, batches, plan):
         await supervisor.stop()
 
 
-def sharded_answer(engine, query):
-    """One query against a ``ShardedProfiler``'s own methods."""
-    if query.kind in ("total", "active_count"):
-        return getattr(engine, query.kind)
-    if query.kind == "median":
-        return engine.median_frequency()
-    return getattr(engine, query.kind)(*query.args)
+def merged_answer(parts, query):
+    """One query over per-partition facades, merged the way the
+    router merges its replicas' answers: each partition answers
+    through ``evaluate``, as a replica does, and
+    :mod:`repro.engine.merge` combines them."""
+    n = len(parts)
+
+    def answers(q):
+        return [(p, part.evaluate(q).values[0]) for p, part in
+                enumerate(parts)]
+
+    kind = query.kind
+    if kind in ("total", "active_count", "support"):
+        return sum(v for _, v in answers(query))
+    if kind in ("mode", "least"):
+        return merge.merge_extremes(answers(query), n, desc=kind == "mode")
+    if kind in ("max_frequency", "min_frequency"):
+        return merge.extreme_frequency(
+            answers(query), desc=kind == "max_frequency"
+        )
+    if kind == "top_k":
+        return merge.merge_top(answers(query), n, query.args[0])
+    hists = answers(Query.histogram())
+    if kind == "histogram":
+        return merge.merge_histograms(hists)
+    if kind == "median":
+        return merge.median_frequency(merge.merge_histograms(hists))
+    if kind == "quantile":
+        return merge.quantile(merge.merge_histograms(hists), query.args[0])
+    if kind == "kth_most_frequent":
+        _f, p, rank = merge.kth_holder(hists, query.args[0])
+        local = parts[p].evaluate(Query.kth_most_frequent(rank)).values[0]
+        return merge.to_global(local, p, n)
+    assert kind == "heavy_hitters", kind
+    total = sum(part.total for part in parts)
+    cut = merge.heavy_cut(hists, total, query.args[0])
+    return merge.merge_top(
+        [(p, parts[p].evaluate(Query.top_k(k)).values[0]) for p, k in cut],
+        n,
+        sum(k for _, k in cut),
+    )
+
+
+def assert_counts_match(query, value, whole):
+    """``value`` (a router answer) holds the frequencies and counts
+    one flat facade over the whole universe gives; only tie examples
+    may differ."""
+    ref = whole.evaluate(query).values[0]
+    kind = query.kind
+    if kind in ("mode", "least"):
+        assert (value.frequency, value.count) == (
+            ref.frequency, ref.count
+        ), query
+        assert whole.frequency(value.example) == value.frequency
+    elif kind in ("top_k", "heavy_hitters"):
+        assert [e.frequency for e in value] == [
+            e.frequency for e in ref
+        ], query
+        assert all(whole.frequency(e.obj) == e.frequency for e in value)
+    elif kind == "kth_most_frequent":
+        assert value.frequency == ref.frequency, query
+        assert whole.frequency(value.obj) == value.frequency
+    else:
+        assert value == ref, query
 
 
 @settings(max_examples=200, deadline=None)
@@ -314,20 +374,30 @@ def test_router_engine_and_facade_agree_exactly(capacity, n_parts, data):
     outcomes, routed = asyncio.run(
         drive_router(capacity, n_parts, batches, plan)
     )
-    engine = ShardedProfiler(capacity, n_shards=n_parts, core="flat")
-    facade = Profiler.open(capacity, backend="sharded", shards=n_parts)
+    whole = Profiler.open(capacity, backend="flat")
+    parts = [
+        Profiler.open(partition_capacity(capacity, p, n_parts),
+                      backend="flat")
+        for p in range(n_parts)
+    ]
     try:
         for batch, outcome in zip(batches, outcomes):
-            for target in (engine.apply, facade.ingest):
-                try:
-                    applied = target(batch)
-                except Exception as exc:  # noqa: BLE001 - by type
-                    assert type(exc) is outcome, batch
-                else:
-                    assert applied == outcome, batch
-        direct = [sharded_answer(engine, q) for q in plan]
-        fused = list(facade.evaluate(*plan).values)
+            try:
+                applied = whole.ingest(batch)
+            except Exception as exc:  # noqa: BLE001 - by type
+                assert type(exc) is outcome, batch
+                continue
+            assert applied == outcome, batch
+            for p, part in enumerate(parts):
+                sub = [(x // n_parts, d) for x, d in batch
+                       if x % n_parts == p]
+                if sub:
+                    part.ingest(sub)
+        merged = [merged_answer(parts, q) for q in plan]
+        for query, value, ref in zip(plan, routed, merged):
+            assert value == ref, (query, value, ref)
+            assert_counts_match(query, value, whole)
     finally:
-        facade.close()
-    for query, a, b, c in zip(plan, routed, direct, fused):
-        assert a == b == c, (query, a, b, c)
+        whole.close()
+        for part in parts:
+            part.close()

@@ -413,6 +413,9 @@ def check_strict(capacity, n_parts, snapshot_every, batches, triggers):
         restored = Profiler.from_state(state)
         try:
             assert restored.frequencies() == reference.frequencies()
+            # The folded checkpoint restores strict, as one core.
+            assert restored.strict and state["shards"] is None
+            assert restored.to_state() == state
         finally:
             restored.close()
         assert_dashboard_matches(answers, reference)

@@ -159,7 +159,7 @@ def check_equivalence(make_profiler, batches, n_clients, codecs=None):
 @settings(max_examples=25, deadline=None)
 @given(
     capacity=st.integers(min_value=1, max_value=12),
-    backend=st.sampled_from(["flat", "exact", "sharded"]),
+    backend=st.sampled_from(["flat", "exact"]),
     strict=st.booleans(),
     n_clients=st.integers(min_value=1, max_value=3),
     data=st.data(),
@@ -170,12 +170,8 @@ def test_dense_backends_bit_identical(
     # Out-of-range ids included: bad-id rejections must also isolate.
     keys = st.integers(min_value=-2, max_value=capacity + 2)
     batches = data.draw(wire_batches(keys))
-    shards = 2 if backend == "sharded" else None
-
     def make_profiler():
-        return Profiler.open(
-            capacity, backend=backend, shards=shards, strict=strict
-        )
+        return Profiler.open(capacity, backend=backend, strict=strict)
 
     state, reference = check_equivalence(
         make_profiler, batches, n_clients
@@ -236,7 +232,7 @@ def test_sequential_strategy_baseline_equivalent(n_clients, data):
 @settings(max_examples=25, deadline=None)
 @given(
     capacity=st.integers(min_value=1, max_value=12),
-    backend=st.sampled_from(["flat", "exact", "sharded"]),
+    backend=st.sampled_from(["flat", "exact"]),
     strict=st.booleans(),
     codecs=st.lists(
         st.sampled_from(["json", "binary", "auto"]),
@@ -255,12 +251,8 @@ def test_codec_matrix_bit_identical(capacity, backend, strict, codecs, data):
     # codec, must reject them (all-or-nothing, isolated per batch).
     keys = st.integers(min_value=-2, max_value=capacity + 2)
     batches = data.draw(wire_batches(keys))
-    shards = 2 if backend == "sharded" else None
-
     def make_profiler():
-        return Profiler.open(
-            capacity, backend=backend, shards=shards, strict=strict
-        )
+        return Profiler.open(capacity, backend=backend, strict=strict)
 
     state, reference = check_equivalence(
         make_profiler, batches, len(codecs), codecs

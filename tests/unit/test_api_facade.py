@@ -1,6 +1,7 @@
 """Unit tests for the unified facade: Profiler.open, ingest, backends."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,6 @@ from repro.api.backends import resolve_backend
 from repro.baselines.registry import available_profilers
 from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile
-from repro.engine.sharding import ShardedProfiler
 from repro.errors import (
     CapacityError,
     CheckpointError,
@@ -26,13 +26,13 @@ from repro.streams.events import Action, Event
 
 
 class TestOpen:
-    def test_auto_is_flat_without_shards(self):
+    def test_auto_is_flat(self):
         profiler = Profiler.open(10)
         assert profiler.backend_name == "flat"
         assert isinstance(profiler.backend, FlatProfile)
 
     def test_auto_is_flat_at_any_capacity(self):
-        name = resolve_backend("auto", "dense", None, capacity=4_000_000)
+        name = resolve_backend("auto")
         assert name == "flat"
 
     def test_parallel_backend_is_unknown(self):
@@ -52,12 +52,15 @@ class TestOpen:
         with pytest.raises(CapacityError):
             Profiler.open(10, backend="flat", track_freq_index=True)
 
-    def test_auto_with_shards_is_sharded(self):
-        profiler = Profiler.open(10, shards=3)
-        assert profiler.backend_name == "sharded"
-        assert isinstance(profiler.backend, ShardedProfiler)
-        assert profiler.n_shards == 3
-        assert profiler.backend.core == "flat"
+    def test_retired_sharding_points_at_the_cluster(self):
+        # One universe in one process is one core; the cluster tier
+        # is where a universe is partitioned.
+        pointer = "python -m repro.cluster --replicas N"
+        with pytest.raises(CapacityError, match=pointer):
+            Profiler.open(10, shards=3)
+        with pytest.raises(CapacityError, match=pointer):
+            Profiler.open(10, backend="sharded")
+        assert "sharded" not in available_backends()
 
     def test_hashable_keys_intern_over_one_dense_core(self):
         # auto picks the flat core for hashable keys too; exact is the
@@ -81,14 +84,12 @@ class TestOpen:
 
     def test_available_backends_superset_of_registry(self):
         names = available_backends()
-        assert {"auto", "exact", "sharded", "approx"} <= set(names)
+        assert {"auto", "flat", "exact", "approx"} <= set(names)
         assert set(available_profilers()) <= set(names)
 
     def test_dense_requires_capacity(self):
         with pytest.raises(CapacityError):
             Profiler.open(backend="exact")
-        with pytest.raises(CapacityError):
-            Profiler.open(backend="sharded", shards=2)
 
     def test_validation(self):
         with pytest.raises(CapacityError):
@@ -114,9 +115,9 @@ class TestOpen:
 class TestIngestVocabulary:
     """One verb accepts Events, flag pairs, delta pairs and mappings."""
 
-    @pytest.mark.parametrize("shards", [None, 2])
-    def test_mixed_batch(self, shards):
-        profiler = Profiler.open(10, shards=shards)
+    @pytest.mark.parametrize("backend", ["flat", "exact"])
+    def test_mixed_batch(self, backend):
+        profiler = Profiler.open(10, backend=backend)
         n = profiler.ingest(
             [
                 Event(1, Action.ADD),
@@ -145,7 +146,7 @@ class TestIngestVocabulary:
         profiler.ingest([(0, 0)])  # delta: no-op
         assert profiler.frequency(0) == -1
 
-    @pytest.mark.parametrize("shards", [None, 2])
+    @pytest.mark.parametrize("backend", ["flat", "exact"])
     @pytest.mark.parametrize(
         "batch,net,raw",
         [
@@ -154,16 +155,16 @@ class TestIngestVocabulary:
         ],
         ids=["all-cancel", "partial-cancel"],
     )
-    def test_opposing_events_coalesce(self, shards, batch, net, raw):
-        profiler = Profiler.open(10, shards=shards)
+    def test_opposing_events_coalesce(self, backend, batch, net, raw):
+        profiler = Profiler.open(10, backend=backend)
         assert profiler.ingest(batch) == net
         assert profiler.n_events == net
         assert profiler.events_ingested == raw
         assert profiler.batches_ingested == 1
 
-    @pytest.mark.parametrize("shards", [None, 2])
-    def test_ingest_arrays(self, shards):
-        profiler = Profiler.open(4, shards=shards)
+    @pytest.mark.parametrize("backend", ["flat", "exact"])
+    def test_ingest_arrays(self, backend):
+        profiler = Profiler.open(4, backend=backend)
         assert profiler.ingest_arrays([0, 1, 1], [1, 1, 1]) == 3
         assert profiler.frequency(1) == 2
         with pytest.raises(CapacityError):
@@ -193,12 +194,11 @@ class TestIngestVocabulary:
 
 
 class TestHashableKeysOverDenseBackends:
-    """The facade interns arbitrary keys for sharded/baseline backends."""
+    """The facade interns arbitrary keys onto a bounded dense core (and
+    onto baseline backends)."""
 
     def _open(self, **kwargs):
-        return Profiler.open(
-            3, backend="sharded", keys="hashable", shards=2, **kwargs
-        )
+        return Profiler.open(3, backend="flat", keys="hashable", **kwargs)
 
     def test_round_trip(self):
         profiler = self._open()
@@ -271,17 +271,17 @@ class TestQuerySurface:
         assert profiler.heavy_hitters(0.5) == [(1, 3)]
         assert [e.frequency for e in profiler.iter_sorted()][:2] == [-1, 0]
 
-    @pytest.mark.parametrize("shards", [None, 2])
-    def test_snapshot_is_frozen(self, shards):
-        profiler = Profiler.open(4, shards=shards)
+    @pytest.mark.parametrize("backend", ["flat", "exact"])
+    def test_snapshot_is_frozen(self, backend):
+        profiler = Profiler.open(4, backend=backend)
         profiler.ingest([(0, True), (0, True), (3, True)])
         snap = profiler.snapshot()
         profiler.ingest([(1, True)] * 10)
         assert snap.total == 3
         assert sorted(snap.frequencies()) == [0, 0, 1, 2]
 
-    def test_bottom_k_via_merge_on_sharded(self):
-        profiler = Profiler.open(6, backend="sharded", shards=3)
+    def test_bottom_k_names_untouched_zeros(self):
+        profiler = Profiler.open(6)
         profiler.ingest({0: 5, 1: 2, 2: 1})
         assert [e.frequency for e in profiler.bottom_k(4)] == [0, 0, 0, 1]
 
@@ -326,8 +326,8 @@ class TestQuerySurface:
     def test_summarize_accepts_the_facade(self):
         from repro.core.stats import summarize
 
-        for backend, extra in (("exact", {}), ("sharded", {"shards": 2})):
-            profiler = Profiler.open(6, backend=backend, **extra)
+        for backend in ("flat", "exact"):
+            profiler = Profiler.open(6, backend=backend)
             profiler.ingest({0: 4, 1: 1})
             summary = summarize(profiler)
             assert summary.total == 5
@@ -410,52 +410,6 @@ class TestFlatBackend:
         with pytest.raises(CheckpointError):
             Profiler.from_state(state)
 
-    def test_sharded_flat_cores_checkpoint_round_trip(self):
-        profiler = Profiler.open(12, shards=3)
-        assert profiler.backend.core == "flat"
-        profiler.ingest({i: i % 3 for i in range(12)})
-        restored = Profiler.from_state(profiler.to_state())
-        assert restored.backend.core == "flat"
-        assert restored.frequencies() == profiler.frequencies()
-
-    def test_parallel_checkpoint_restores_into_sharded(self):
-        # A multi-process engine checkpoint is a flat-core sharded
-        # checkpoint labelled "parallel" (checked field for field
-        # against a real one before that engine was removed).
-        stream = [(3, 5), (7, 2), (11, -1), (0, 4), (39, 3), (3, -2)]
-        profiler = Profiler.open(40, backend="sharded", shards=2)
-        profiler.ingest(stream)
-        state = json.loads(json.dumps(profiler.to_state()))
-        state["backend"] = "parallel"
-        restored = Profiler.from_state(state)
-        assert restored.backend_name == "sharded"
-        assert isinstance(restored.backend, ShardedProfiler)
-        assert restored.backend.core == "flat"
-        assert restored.frequencies() == profiler.frequencies()
-        assert restored.histogram() == profiler.histogram()
-        assert restored.to_state() == dict(state, backend="sharded")
-
-    def test_parallel_checkpoint_requires_flat_cores(self):
-        profiler = Profiler.open(
-            10, backend="sharded", shards=2, track_freq_index=True
-        )
-        state = profiler.to_state()
-        state["backend"] = "parallel"
-        with pytest.raises(CheckpointError, match="flat cores"):
-            Profiler.from_state(state)
-
-    def test_pre_core_sharded_checkpoints_load_as_sprofile(self):
-        profiler = Profiler.open(
-            10, backend="sharded", shards=2, track_freq_index=True
-        )
-        assert profiler.backend.core == "sprofile"
-        profiler.ingest({1: 2})
-        state = profiler.to_state()
-        del state["core"]  # a checkpoint written before flat cores
-        restored = Profiler.from_state(state)
-        assert restored.backend.core == "sprofile"
-        assert restored.frequency(1) == 2
-
     def test_describe_flat(self):
         profiler = Profiler.open(10)
         profiler.ingest({1: 2, 2: 1})
@@ -477,12 +431,7 @@ class TestFlatBackend:
         assert engine["pool"]["max_free"] == 10
         assert engine["pool"]["free"] >= 0
 
-    def test_describe_sharded_and_hashable(self):
-        sharded = Profiler.open(8, shards=2)
-        info = sharded.describe()
-        assert info["engine"]["kind"] == "sharded"
-        assert info["engine"]["core"] == "flat"
-        assert len(info["engine"]["shards"]) == 2
+    def test_describe_hashable(self):
         hashable = Profiler.open(keys="hashable", backend="exact")
         hashable.ingest([("a", +1)])
         info = hashable.describe()
@@ -495,16 +444,28 @@ class TestFlatBackend:
         assert info["backend"] == "approx"
 
 
+#: Partitioned checkpoints written by earlier releases (see
+#: tests/unit/test_legacy_sharded_states.py).
+LEGACY_STATES = Path(__file__).parent.parent / "data" / (
+    "legacy_sharded_states.json"
+)
+
+
 def _tamper_base(backend):
-    """A 7-slot checkpoint with mass on the first (or only) core."""
-    shards = 2 if backend == "sharded" else None
-    profiler = Profiler.open(7, backend=backend, shards=shards)
+    """A checkpoint with mass on the first (or only) core: a 7-slot
+    one of ``backend``, or for ``"sharded"`` a flat-core sharded state
+    of an earlier release, which loads folded into one core."""
+    if backend == "sharded":
+        states = json.loads(LEGACY_STATES.read_text())
+        return states["sharded_flat"]["state"]
+    profiler = Profiler.open(7, backend=backend)
     profiler.ingest({0: 2, 1: 1, 4: 3})
     return json.loads(json.dumps(profiler.to_state()))
 
 
 def _core(state):
-    """The first (sharded) or only core profile state of a checkpoint."""
+    """The first (partitioned) or only core profile state of a
+    checkpoint."""
     profile = state["profile"]
     return profile[0] if isinstance(profile, list) else profile
 
@@ -544,29 +505,16 @@ TAMPERS = {
     ),
 }
 
-#: Envelope fields an unsharded checkpoint must leave null.
+#: Envelope fields a single-core checkpoint must leave null.
 UNSHARDED_TAMPERS = {
     "shards-str": lambda s: s.update(shards="x"),
     "shards-int": lambda s: s.update(shards=2),
-}
-
-#: Corruptions of the sharded envelope (the shard list and its count).
-SHARD_TAMPERS = {
-    "shards-str": lambda s: s.update(shards="2"),
-    "shards-zero": lambda s: s.update(shards=0),
-    "shard-count": lambda s: s.update(profile=s["profile"][:-1]),
-    "mixed-allow-negative": lambda s: s["profile"][0].update(
-        allow_negative=False
-    ),
 }
 
 TAMPER_CASES = [
     pytest.param(backend, mutate, id=f"{name}-{backend}")
     for name, mutate in TAMPERS.items()
     for backend in ("flat", "exact", "sharded")
-] + [
-    pytest.param("sharded", mutate, id=f"{name}-sharded")
-    for name, mutate in SHARD_TAMPERS.items()
 ] + [
     pytest.param(backend, mutate, id=f"{name}-{backend}")
     for name, mutate in UNSHARDED_TAMPERS.items()
@@ -600,21 +548,6 @@ class TestCheckpoints:
         restored.ingest([("new-key", +1)])
         assert restored.frequency("new-key") == 1
 
-    def test_sharded_dense(self):
-        profiler = Profiler.open(11, backend="sharded", shards=3)
-        profiler.ingest({i: i for i in range(11)})
-        restored = self._assert_round_trip(profiler)
-        assert restored.histogram() == profiler.histogram()
-
-    def test_sharded_hashable(self):
-        profiler = Profiler.open(
-            4, backend="sharded", keys="hashable", shards=2
-        )
-        profiler.ingest([("x", +2), ("y", +1)])
-        restored = self._assert_round_trip(profiler)
-        assert restored.frequency("x") == 2
-        assert restored.mode().example == "x"
-
     @pytest.mark.parametrize("backend", ["flat", "exact"])
     def test_tuple_keys_survive_save_load(self, tmp_path, backend):
         # JSON writes tuples as lists; load must turn them back.
@@ -645,7 +578,7 @@ class TestCheckpoints:
             Profiler.from_state(state)
 
     def test_save_load_file(self, tmp_path):
-        profiler = Profiler.open(6, backend="sharded", shards=2, strict=True)
+        profiler = Profiler.open(6, strict=True)
         profiler.ingest({2: 4})
         path = tmp_path / "facade.json"
         profiler.save(path)
@@ -669,14 +602,6 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             Profiler.from_state(state)
 
-    def test_restored_sharded_profile_keeps_ingesting(self):
-        profiler = Profiler.open(11, shards=3)
-        profiler.ingest([(x % 11, True) for x in range(40)])
-        restored = Profiler.from_state(profiler.to_state())
-        restored.ingest([(5, True), (5, True)])
-        assert restored.frequency(5) == profiler.frequency(5) + 2
-        restored.backend.audit()
-
     def test_load_rejects_corrupt_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -687,23 +612,6 @@ class TestCheckpoints:
         profiler = Profiler.open(6, strict=True)
         state = profiler.to_state()
         state["strict"] = False
-        with pytest.raises(CheckpointError):
-            Profiler.from_state(state)
-
-    def test_sharded_partition_tamper_rejected(self):
-        profiler = Profiler.open(7, backend="sharded", shards=2)
-        state = profiler.to_state()
-        state["capacity"] = 9
-        with pytest.raises(CheckpointError):
-            Profiler.from_state(state)
-
-    def test_sharded_truncated_catalog_rejected(self):
-        profiler = Profiler.open(
-            3, backend="sharded", keys="hashable", shards=2
-        )
-        profiler.ingest({"a": 2, "b": 1, "c": 1})
-        state = profiler.to_state()
-        state["catalog"].pop()  # "c" still holds counted mass
         with pytest.raises(CheckpointError):
             Profiler.from_state(state)
 
@@ -808,7 +716,6 @@ class TestCloseMatrix:
     SPECS = [
         ("flat", dict(capacity=64)),
         ("exact", dict(capacity=64)),
-        ("sharded", dict(capacity=64, shards=2)),
         ("approx", dict(counters=8)),
         ("exact-hashable", dict(keys="hashable")),
         ("flat-hashable", dict(capacity=64, backend="flat",
@@ -825,7 +732,6 @@ class TestCloseMatrix:
             {
                 "flat": "flat",
                 "exact": "exact",
-                "sharded": "sharded",
                 "approx": "approx",
                 "exact-hashable": "exact",
                 "bucket": "bucket",

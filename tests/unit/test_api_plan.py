@@ -149,10 +149,10 @@ class TestFusionCorrectness:
         "kwargs",
         [
             {"backend": "exact"},
-            {"backend": "sharded", "shards": 3},
-            {"backend": "sharded", "shards": 7},
+            {"backend": "flat"},
+            {"backend": "flat", "array_engine": True},
         ],
-        ids=["exact", "sharded-3", "sharded-7"],
+        ids=["exact", "flat", "flat-array"],
     )
     def test_fused_matches_standalone(self, kwargs):
         profiler = Profiler.open(30, **kwargs)
@@ -186,10 +186,8 @@ class TestFusionCorrectness:
         assert result[Query.quantile(0.5)] == profiler.quantile(0.5)
         assert result[Query.frequency("b")] == 1
 
-    def test_fused_on_interned_sharded(self):
-        profiler = Profiler.open(
-            4, backend="sharded", keys="hashable", shards=2
-        )
+    def test_fused_on_bounded_hashable_flat(self):
+        profiler = Profiler.open(4, backend="flat", keys="hashable")
         profiler.ingest([("x", +4), ("y", +2), ("z", +1)])
         result = profiler.evaluate(*DASHBOARD, Query.frequency("y"))
         assert result[Query.mode()].example == "x"
@@ -269,28 +267,6 @@ class TestWalkCount:
         # The standalone histogram call walks; the fused plan absorbs it
         # (and every other traversal) into its single walk.
         assert counts["desc"] + counts["asc"] >= 1
-
-    def test_sharded_dashboard_is_one_walk_per_shard(self):
-        shards = 4
-        profiler = Profiler.open(40, backend="sharded", shards=shards)
-        profiler.ingest({i: i % 5 for i in range(40)})
-        counts, patches = _walk_counter()
-        with patches[0], patches[1]:
-            profiler.evaluate(*DASHBOARD)
-        assert counts["desc"] == shards
-        assert counts["asc"] == 0
-
-    def test_sharded_separate_calls_walk_shards_repeatedly(self):
-        shards = 4
-        profiler = Profiler.open(40, backend="sharded", shards=shards)
-        profiler.ingest({i: i % 5 for i in range(40)})
-        counts, patches = _walk_counter()
-        with patches[0], patches[1]:
-            profiler.mode()       # no walk (per-shard O(1) extremes)
-            profiler.top_k(5)     # descending merge: one walk per shard
-            profiler.histogram()  # ascending merge: one walk per shard
-            profiler.quantile(0.5)  # another full merge
-        assert counts["desc"] + counts["asc"] > shards
 
     def test_point_queries_do_not_walk(self):
         profiler = Profiler.open(20)

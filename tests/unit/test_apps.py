@@ -207,9 +207,7 @@ class TestClickAnalytics:
     def _site(self, **kwargs):
         from repro.apps.click_analytics import ClickAnalytics
 
-        return ClickAnalytics(
-            ["home", "docs", "blog", "about"], n_shards=2, **kwargs
-        )
+        return ClickAnalytics(["home", "docs", "blog", "about"], **kwargs)
 
     def test_record_and_query(self):
         site = self._site()
@@ -271,6 +269,35 @@ class TestClickAnalytics:
         assert restored.total_views == 3
         restored.record("about")
         assert restored.views("about") == 1
+
+    def test_restore_folds_an_earlier_sharded_checkpoint(self):
+        from repro.apps.click_analytics import ClickAnalytics
+        from repro.core.checkpoint import profile_to_state
+        from repro.core.flat import FlatProfile
+
+        # Earlier releases hosted the site on two flat shard cores:
+        # page g (dense id) at local id g // 2 of shard g % 2.
+        def shard(freqs):
+            return profile_to_state(
+                FlatProfile.from_frequencies(freqs, allow_negative=False)
+            )
+
+        state = {
+            "batch_size": 8,
+            "profiler": {
+                "version": 1, "backend": "sharded", "keys": "hashable",
+                "strict": True, "capacity": 3, "shards": 2,
+                "catalog": ["home", "docs", "blog"], "batches": 1,
+                "events": 4, "profile": [shard([3, 1]), shard([0])],
+                "core": "flat",
+            },
+        }
+        restored = ClickAnalytics.restore(state)
+        assert restored.trending(3) == [
+            ("home", 3), ("blog", 1), ("docs", 0)
+        ]
+        assert restored.profiler.backend_name == "flat"
+        assert restored.checkpoint()["profiler"]["shards"] is None
 
     def test_malformed_checkpoint_rejected(self):
         from repro.apps.click_analytics import ClickAnalytics

@@ -2,7 +2,7 @@
 
 The array engine keeps the flat structure in numpy buffers and
 vectorizes the batch paths.  Every contract here is asserted on both
-storages, or against the list engine and the sharded flat engine fed
+storages, or against the list engine and the block-object engine fed
 the same events: batch validation before mutation, strict-mode
 all-or-nothing batches, and checkpoints that keep ingesting.
 """
@@ -19,7 +19,6 @@ from repro.core.checkpoint import (
 )
 from repro.core.flat import FlatProfile
 from repro.core.profile import SProfile
-from repro.engine.sharding import ShardedProfiler
 from repro.errors import CapacityError, FrequencyUnderflowError
 
 np = pytest.importorskip("numpy")
@@ -33,13 +32,13 @@ def make(engine, capacity=M, **kwargs):
 
 
 def reference(kind, capacity=M, **kwargs):
-    if kind == "sharded":
-        return ShardedProfiler(capacity, n_shards=2, core="flat", **kwargs)
+    if kind == "exact":
+        return SProfile(capacity, **kwargs)
     return FlatProfile(capacity, **kwargs)
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("kind", ("list", "sharded"))
+    @pytest.mark.parametrize("kind", ("list", "exact"))
     def test_mixed_ops_match_reference(self, kind, rng):
         engine = make("array")
         ref = reference(kind)

@@ -17,7 +17,7 @@ from repro.bench.trajectory import (
 )
 
 
-def payload(single=2.0, batch=4.5, sharded=2.5, plan=1.7):
+def payload(single=2.0, batch=4.5, obs=1.0):
     def stream_entry(speedup):
         return {
             "sprofile_eps": 2e6,
@@ -47,17 +47,11 @@ def payload(single=2.0, batch=4.5, sharded=2.5, plan=1.7):
                 "speedup": batch,
                 "array_speedup": 2.5,
             },
-            "sharded_batch": {
-                "workload": "sharded (fabricated)",
-                "sprofile_eps": 3e6,
-                "flat_eps": 3e6 * sharded,
-                "speedup": sharded,
-            },
-            "fused_plan": {
-                "workload": "plan (fabricated)",
-                "separate_plans_per_sec": 4000.0,
-                "fused_plans_per_sec": 4000.0 * plan,
-                "speedup": plan,
+            "obs": {
+                "workload": "obs (fabricated)",
+                "obs_on_eps": 5e6 * obs,
+                "obs_off_eps": 5e6,
+                "overhead": obs,
             },
         },
     }
@@ -87,8 +81,8 @@ class TestCheckRegressions:
 
     def test_keys_missing_from_baseline_are_ignored(self):
         base = payload()
-        del base["paths"]["fused_plan"]
-        current = payload(plan=0.1)
+        del base["paths"]["obs"]
+        current = payload(obs=0.1)
         assert check_regressions(current, base, 0.30) == []
 
     def test_improvements_never_fail(self):
@@ -98,7 +92,7 @@ class TestCheckRegressions:
         """Ratios shift with workload size; a quick run gated against
         a full-scale-only baseline must compare nothing rather than
         eat scale drift out of the tolerance."""
-        current = payload(single=0.1, batch=0.1, sharded=0.1, plan=0.1)
+        current = payload(single=0.1, batch=0.1, obs=0.1)
         current["scale"] = "quick"
         assert check_regressions(current, payload(), 0.30) == []
 
@@ -594,8 +588,14 @@ class TestCommittedClusterArtifact:
 
         root = Path(__file__).resolve().parents[2]
         data = json_mod.loads((root / "BENCH_core.json").read_text())
-        assert set(data["config"]) == set(SCALES["full"])
-        assert set(data["quick"]["config"]) == set(SCALES["quick"])
+        # The knobs of the retired sharded_batch and fused_plan paths
+        # stay in the committed artifact until it is next regenerated;
+        # no other past knob may.
+        retired = {"shard_m", "shards", "plan_n", "plan_m", "plan_reps"}
+        assert set(data["config"]) - retired == set(SCALES["full"])
+        assert set(data["quick"]["config"]) - retired == set(
+            SCALES["quick"]
+        )
 
     def test_repo_baseline_records_failover(self):
         """Both scales carry the failover block: promotion downtime

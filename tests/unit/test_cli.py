@@ -82,6 +82,13 @@ class TestReproMain:
         assert "top-3" in out
         assert "ProfileSummary" in out
 
+    def test_profile_refuses_retired_shards_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["profile", "--universe", "100", "--shards", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "python -m repro.cluster --replicas N" in err
+
     def test_bench_subcommand(self, capsys):
         code = repro_main(
             ["bench", "--figure", "5", "--scale", "tiny", "--repeats", "1"]

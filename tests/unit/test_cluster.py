@@ -207,6 +207,45 @@ class TestRouterValidation:
                 assert min(caps) >= 1
 
 
+class TestCheckpointFold:
+    """The router's ``checkpoint`` folds its replicas into one core:
+    partition ``p`` of ``P`` fills ``freqs[p::P]``."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_checkpoint_is_one_core_that_round_trips(self, strict):
+        m, n = 11, 3
+        batches = [[(0, 2), (4, 1), (10, 3)], [(5, 1), (4, 2), (9, 1)]]
+
+        async def scenario():
+            sup = await InProcessSupervisor(m, n).start()
+            router = ClusterRouter(m, supervisor=sup, strict=strict, port=0)
+            await router.start()
+            client = await AsyncProfileClient.connect(port=router.port)
+            try:
+                for batch in batches:
+                    await client.ingest(batch)
+                return await client.checkpoint()
+            finally:
+                await client.aclose()
+                await router.stop()
+                await sup.stop()
+
+        state = asyncio.run(scenario())
+        assert state["backend"] == "flat"
+        assert state["shards"] is None
+        assert state["strict"] is strict
+        assert state["profile"]["capacity"] == m
+        assert state["profile"]["allow_negative"] is not strict
+        reference = Profiler.open(m, backend="flat", strict=strict)
+        for batch in batches:
+            reference.ingest(batch)
+        restored = Profiler.from_state(state)
+        assert restored.strict is strict
+        assert restored.frequencies() == reference.frequencies()
+        assert restored.total == reference.total
+        assert restored.to_state() == state
+
+
 class TestSnapshotRule:
     """A partition snapshots once its journal holds ``snapshot_every``
     batches *and* its capacity in events — not before, and right after

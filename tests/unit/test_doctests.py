@@ -15,7 +15,6 @@ import repro.bench.reporting
 import repro.core.profile
 import repro.core.queries
 import repro.engine.merge
-import repro.engine.sharding
 
 MODULES = [
     repro.api.facade,
@@ -29,7 +28,6 @@ MODULES = [
     repro.core.profile,
     repro.core.queries,
     repro.engine.merge,
-    repro.engine.sharding,
 ]
 
 

@@ -1,8 +1,8 @@
 """Unit tests for the merge algebra, :mod:`repro.engine.merge`.
 
 Partition ``p`` of the pinned stream is a flat facade over the ids
-``x % 3 == p`` (local id ``x // 3``), exactly as a cluster replica or
-a ``ShardedProfiler`` shard holds it.  Every test runs twice: over all
+``x % 3 == p`` (local id ``x // 3``), exactly as a cluster replica
+holds it.  Every test runs twice: over all
 three partitions, and over partitions ``{0, 2}`` only — the subset a
 degraded read merges.  The ground truth is one flat facade holding the
 objects of the merged partitions and nothing else, so the subset must

@@ -20,7 +20,6 @@ from repro.core.checkpoint import (
     profile_from_state,
     profile_to_state,
 )
-from repro import Profiler
 from repro.core.flat import _RANGES, FlatProfile
 from repro.core.profile import SProfile
 from repro.core.validation import audit_profile
@@ -531,15 +530,6 @@ class TestSharedRankRange:
         assert first.frequency(5) == 0
         first.audit()
         second.audit()
-
-    def test_sharded_profiler_shares_one_range(self):
-        m = self.M
-        cost, profiler = traced_bytes_per_key(
-            lambda: Profiler.open(m, shards=4), m
-        )
-        assert cost <= 40, cost
-        profiler.ingest([(7, 1), (7, 1), (99_999, 1)])
-        assert profiler.mode().frequency == 2
 
     def test_range_dies_with_its_last_profile(self):
         """No O(m) outlives the profiles: the weak map drops the

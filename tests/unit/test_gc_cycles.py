@@ -50,7 +50,9 @@ CASES = {
     "sprofile": lambda: drive_core(SProfile(16)),
     "open-flat": lambda: drive_facade("dense", backend="flat"),
     "open-exact": lambda: drive_facade("dense", backend="exact"),
-    "open-shards2": lambda: drive_facade("dense", shards=2),
+    "open-flat-array": lambda: drive_facade(
+        "dense", backend="flat", array_engine=True
+    ),
     "open-hashable-flat": lambda: drive_facade("hashable", backend="flat"),
     "open-hashable-exact": lambda: drive_facade("hashable", backend="exact"),
 }

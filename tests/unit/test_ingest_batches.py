@@ -18,7 +18,7 @@ from repro.cluster.merge import partition_batch
 from repro.core.profile import NETTING_CROSSOVER, ArrayBatch, net_batch
 from repro.errors import CapacityError, FrequencyUnderflowError
 
-DENSE_BACKENDS = available_profilers() + ("flat", "exact", "sharded")
+DENSE_BACKENDS = available_profilers() + ("flat", "exact", "flat-array")
 
 #: Batch lengths on both sides of the netting crossover: short ones,
 #: the longest batch a dict nets, and the two shortest NumPy nets.
@@ -27,10 +27,11 @@ LENGTHS = (1, 2, 3, 4, NETTING_CROSSOVER - 1, NETTING_CROSSOVER,
 
 
 def open_dense(backend, capacity, strict):
-    shards = 2 if backend == "sharded" else None
-    return Profiler.open(
-        capacity, backend=backend, shards=shards, strict=strict
-    )
+    if backend == "flat-array":
+        return Profiler.open(
+            capacity, backend="flat", array_engine=True, strict=strict
+        )
+    return Profiler.open(capacity, backend=backend, strict=strict)
 
 
 def random_pairs(rng, capacity):
@@ -125,7 +126,7 @@ class TestAdmission:
 
 
 class TestMixedCodecs:
-    @pytest.mark.parametrize("backend", ["flat", "exact", "sharded"])
+    @pytest.mark.parametrize("backend", ["flat", "exact", "flat-array"])
     @pytest.mark.parametrize("strict", [False, True])
     def test_array_and_pair_batches_in_one_call(self, backend, strict):
         profiler = open_dense(backend, 10, strict)
@@ -145,7 +146,7 @@ class TestMixedCodecs:
 
 class TestMatchesOneIngestPerBatch:
     @pytest.mark.parametrize("capacity", [6, 600])
-    @pytest.mark.parametrize("backend", ["flat", "exact", "sharded",
+    @pytest.mark.parametrize("backend", ["flat", "exact", "flat-array",
                                          "bucket", "tree-fenwick"])
     @pytest.mark.parametrize("strict", [False, True])
     def test_random_flushes(self, backend, strict, capacity):
@@ -158,7 +159,7 @@ class TestMatchesOneIngestPerBatch:
         rng = random.Random(f"{backend}-{strict}-{capacity}")
         merged = open_dense(backend, capacity, strict)
         reference = open_dense(backend, capacity, strict)
-        arrays = backend in ("flat", "exact", "sharded")
+        arrays = backend in ("flat", "exact", "flat-array")
         for _flush in range(40):
             batches = []
             for _ in range(rng.randint(1, 5)):
@@ -210,7 +211,7 @@ class TestNettingCrossover:
         _parts, applied = partition_batch(data, 3, m)
         assert applied == Profiler.open(m).ingest(pairs)
 
-    @pytest.mark.parametrize("backend", ["flat", "exact", "sharded"])
+    @pytest.mark.parametrize("backend", ["flat", "exact", "flat-array"])
     @pytest.mark.parametrize("strict", [False, True])
     def test_bad_id_in_small_array_batch_rejects_only_it(
         self, backend, strict

@@ -167,14 +167,14 @@ class TestQuantileEdgeSemantics:
         from repro.api import Profiler
         from repro.baselines.bucket import BucketProfiler
         from repro.baselines.tree_profiler import TreeProfiler
-        from repro.engine.sharding import ShardedProfiler
+        from repro.core.flat import FlatProfile
 
         hashable = Profiler.open(keys="hashable")
         for x in range(capacity):
             hashable.register(x)
         return [
             SProfile(capacity),
-            ShardedProfiler(capacity, n_shards=3),
+            FlatProfile(capacity),
             BucketProfiler(capacity),
             TreeProfiler(capacity, structure="fenwick"),
             hashable,
@@ -212,11 +212,11 @@ class TestQuantileEdgeSemantics:
 
     def test_empty_profiles_raise_everywhere(self):
         from repro.baselines.bucket import BucketProfiler
-        from repro.engine.sharding import ShardedProfiler
+        from repro.core.flat import FlatProfile
 
         for profiler in (
             SProfile(0),
-            ShardedProfiler(0, n_shards=2),
+            FlatProfile(0),
             BucketProfiler(0),
         ):
             for q in (0.0, 0.5, 1.0):

@@ -494,14 +494,13 @@ class TestCli:
 
         args = build_parser().parse_args(
             [
-                "--capacity", "100", "--backend", "sharded", "--shards",
-                "4", "--port", "0", "--batch-max", "128",
+                "--capacity", "100", "--backend", "exact",
+                "--port", "0", "--batch-max", "128",
                 "--queue-size", "64", "--strict",
             ]
         )
         assert args.capacity == 100
-        assert args.backend == "sharded"
-        assert args.shards == 4
+        assert args.backend == "exact"
         assert args.batch_max == 128
         assert args.queue_size == 64
         assert args.strict is True
@@ -510,6 +509,15 @@ class TestCli:
             build_parser().parse_args(
                 ["--capacity", "100", "--linger-ms", "2.5"]
             )
+
+    def test_retired_shards_flag_points_at_the_cluster(self, capsys):
+        from repro.server.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--capacity", "100", "--shards", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "python -m repro.cluster --replicas N" in err
 
     def test_serve_module_exposes_main(self):
         from repro import serve
